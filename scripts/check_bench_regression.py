@@ -47,15 +47,11 @@ hash vector consistent with its shard count.  Entries recorded before the
 shards axis existed carry no sharded counters at all — that is legal
 history and is skipped, never failed.
 
-The --sync axis ("…-async" labels, recorded with "sync": "async"): async
-scenarios must carry the null-message counters (null_msgs_sent,
-blocked_waits) — the values are timing-dependent and therefore only
-informational, but their *presence* is gated, both in the baseline and in
-the fresh run.  And within any trajectory entry, an async scenario's
-hashes must equal its barrier twin's (the same label minus the "-async"
-suffix): the asynchronous protocol replays the barrier round schedule
-exactly, so a divergence means the determinism contract broke, not that a
-new lineage appeared.
+Every sharded scenario of the fresh run must carry the null-message
+counters (null_msgs_sent, blocked_waits); their timing-dependent values
+are informational.  History entries from when a lockstep barrier was the
+other sync mode carry "…-async" twins ("sync": "async"): those must
+record the counters and equal their suffix-less twin in every hash.
 """
 import json
 import sys
@@ -103,21 +99,21 @@ def check_hash_and_eps(label, want, run, failures):
             f"recorded {want['events_per_sec']:,}")
 
 
-def check_async_counters(label, want, run, failures):
-    """Gate the *presence* of the async-sync counters, print the values.
+def check_sync_counters(label, want, run, failures):
+    """Gate the *presence* of the null-message counters, print the values.
 
     How often a receiver actually blocked (and therefore demanded a null
     message) depends on thread timing, so the values legitimately vary
     between runs and are never compared.  Losing the keys entirely means
-    the sync-axis instrumentation or JSON plumbing regressed.
+    the sync instrumentation or JSON plumbing regressed.
     """
     engine = run["engine"]
     for key in ("null_msgs_sent", "blocked_waits"):
         got = engine.get(key)
         if got is None:
             failures.append(
-                f"{label}: async-mode run reports no '{key}' counter; the "
-                f"sync-axis instrumentation regressed")
+                f"{label}: sharded run reports no '{key}' counter; the "
+                f"sync instrumentation regressed")
             continue
         rec = want.get(key)
         rec_text = f"{int(rec):,}" if rec is not None else "n/a"
@@ -180,8 +176,7 @@ def check_trajectory_history(trajectory, failures):
                     != twin.get("shard_order_hashes")):
                 failures.append(
                     f"trajectory[{i}] {label}: hashes differ from the "
-                    f"barrier twin; async must replay the barrier round "
-                    f"schedule bit-exactly")
+                    f"twin without '-async'; both ran one round schedule")
 
 
 def main() -> int:
@@ -212,10 +207,13 @@ def main() -> int:
             continue
         if not scale_mode or pinned:
             check_hash_and_eps(label, want, run, failures)
-        if scale_mode and want.get("sync") == "async":
-            check_async_counters(label, want, run, failures)
         if scale_mode:
             check_route_memory(label, run, failures)
+    if scale_mode:
+        for label, run in fresh.items():
+            if run["spec"].get("shards", 1) > 1:
+                check_sync_counters(label, recorded.get(label, {}), run,
+                                    failures)
 
     if failures:
         print("\nbench regression check FAILED:", file=sys.stderr)

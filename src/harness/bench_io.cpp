@@ -1,8 +1,6 @@
 #include "harness/bench_io.hpp"
 
 #include <cstdio>
-
-#include "sim/simulator.hpp"
 #include <cstdlib>
 #include <fstream>
 #include <stdexcept>
@@ -36,26 +34,11 @@ namespace {
                "output)\n"
                "  --batch-horizons  let each shard run to its per-shard "
                "batched LBTS\n"
-               "                horizon (fewer barrier rounds; its own "
+               "                horizon (fewer LBTS rounds; its own "
                "golden lineage)\n"
-               "  --sync MODE   force every sharded point's synchronization "
-               "mode: barrier\n"
-               "                (lockstep LBTS rounds) or async (per-channel "
-               "null-message\n"
-               "                waits; same hashes and rounds, fewer stalls). "
-               "Default: each\n"
-               "                point's own recorded mode\n"
-               "  --no-batch    pop events one at a time instead of the "
-               "same-tick batched\n"
-               "                dispatch (identical order and hash; used "
-               "by CI to prove it)\n"
                "  --perf-counters  sample hardware cache/branch-miss "
                "counters per scenario\n"
                "                (perf_event_open; zeros when unavailable)\n"
-               "  --fast-path   force the NIC's uncontended-link replica "
-               "fast path on\n"
-               "                (opt-in modelling approximation; its own "
-               "event lineage)\n"
                "  --only LABEL  run just the scenario/point with this label "
                "(profiling\n"
                "                aid; the output is not a regression "
@@ -104,19 +87,8 @@ BenchOptions parse_bench_options(int argc, char** argv,
           static_cast<std::size_t>(parse_u64(value(), bench_name));
     } else if (arg == "--batch-horizons") {
       options.batch_horizons = true;
-    } else if (arg == "--sync") {
-      options.sync = value();
-      if (options.sync != "barrier" && options.sync != "async") {
-        std::fprintf(stderr, "bad --sync mode: %s (barrier|async)\n",
-                     options.sync.c_str());
-        usage_and_exit(bench_name, 2);
-      }
-    } else if (arg == "--no-batch") {
-      options.batch_dispatch = false;
     } else if (arg == "--perf-counters") {
       options.perf_counters = true;
-    } else if (arg == "--fast-path") {
-      options.fast_path = true;
     } else if (arg == "--only") {
       options.only = value();
     } else {
@@ -125,10 +97,6 @@ BenchOptions parse_bench_options(int argc, char** argv,
       usage_and_exit(bench_name, 2);
     }
   }
-  // Applied here, before any Simulator exists or any worker thread starts,
-  // so every run in the process sees one consistent dispatch mode.
-  sim::default_batch_dispatch() = options.batch_dispatch;
-  nic::default_uncontended_fast_path() = options.fast_path;
   return options;
 }
 
@@ -175,9 +143,6 @@ json::Value spec_to_json(const RunSpec& spec) {
   // CI thread-count determinism diff over them) stays byte-identical.
   if (spec.shards > 1) out["shards"] = spec.shards;
   if (spec.batch_horizons) out["batch_horizons"] = true;
-  if (spec.async_sync) out["sync"] = "async";
-  // Same rule for the fast-path knob: emitted only when forced on.
-  if (spec.nic.uncontended_fast_path) out["fast_path"] = true;
   out["aux"] = spec.aux;
   return out;
 }
@@ -257,16 +222,12 @@ json::Value result_to_json(const RunResult& result) {
       peaks.push_back(p);
     }
     engine["shard_wheel_occupancy_peak"] = std::move(peaks);
-    // Async-sync counters only when that mode ran: barrier documents —
-    // including every pre-existing baseline — keep their historical key
-    // set.  The values are timing-dependent (spin episodes, demand
-    // answers), so the regression checker treats them as informational.
-    if (result.spec.async_sync) {
-      engine["null_msgs_sent"] = result.engine.null_msgs_sent;
-      engine["null_msgs_demanded"] = result.engine.null_msgs_demanded;
-      engine["eot_advances"] = result.engine.eot_advances;
-      engine["blocked_waits"] = result.engine.blocked_waits;
-    }
+    // Timing-dependent (spin episodes, demand answers), so the regression
+    // checker gates only their presence.
+    engine["null_msgs_sent"] = result.engine.null_msgs_sent;
+    engine["null_msgs_demanded"] = result.engine.null_msgs_demanded;
+    engine["eot_advances"] = result.engine.eot_advances;
+    engine["blocked_waits"] = result.engine.blocked_waits;
   }
   out["engine"] = std::move(engine);
 

@@ -50,11 +50,11 @@ struct EngineCounters {
   // run used the sequential engine, so pre-existing JSON stays stable.
   std::uint64_t shard_count = 0;       // 0 = sequential engine
   std::uint64_t cross_shard_msgs = 0;  // timestamped inter-shard messages
-  std::uint64_t lbts_rounds = 0;       // barrier/LBTS synchronization rounds
+  std::uint64_t lbts_rounds = 0;       // LBTS synchronization rounds
   std::uint64_t horizon_stalls = 0;    // shard-rounds that ran zero events
   std::uint64_t channel_spills = 0;    // SPSC ring overflows to spill vector
   std::uint64_t cross_links = 0;       // topology links cut by the partition
-  // Async-sync counters (spec.async_sync runs; zero under the barrier).
+  // Null-message protocol counters (timing-dependent, never hashed).
   std::uint64_t null_msgs_sent = 0;      // demand-answer null messages
   std::uint64_t null_msgs_demanded = 0;  // receiver demand flags raised
   std::uint64_t eot_advances = 0;        // inbound channel-clock advances

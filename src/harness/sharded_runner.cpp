@@ -143,7 +143,6 @@ RunResult run_sharded(const RunSpec& spec) {
   options.loss_rate = spec.loss_rate;
   options.avg_skew_us = spec.avg_skew_us;
   options.batch_horizons = spec.batch_horizons;
-  options.async_sync = spec.async_sync;
   options.seed = spec.seed;
   options.nic = spec.nic;
 

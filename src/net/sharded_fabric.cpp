@@ -55,9 +55,8 @@ ShardedFabric::ShardedFabric(Topology topology, FabricTree tree,
   engine_ = std::make_unique<sim::ShardedEngine>(
       partition_.shards, partition_.lookahead, options_.seed);
   engine_->enable_batched_horizons(options_.batch_horizons);
-  engine_->enable_async_sync(options_.async_sync);
-  // Hand the engine the partition's per-pair channel lookaheads (the async
-  // mode's EOT stride; post() enforces them as the send window).  With the
+  // Hand the engine the partition's per-pair channel lookaheads (the EOT
+  // stride; post() enforces them as the send window).  With the
   // model's uniform hop latency every entry equals the global floor, so
   // this changes no schedule — it wires the derivation end to end.
   for (std::size_t from = 0; from < partition_.shards; ++from) {

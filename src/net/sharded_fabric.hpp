@@ -116,10 +116,7 @@ struct FabricOptions {
   /// Opt into the engine's batched per-shard horizons (fewer LBTS rounds;
   /// different event seq assignment, so goldens pin per mode).
   bool batch_horizons = false;
-  /// Opt into the engine's asynchronous null-message synchronization
-  /// (ShardedEngine::enable_async_sync).  Same round schedule and the
-  /// same per-shard hash vectors as the barrier default — only the
-  /// waiting changes — so the sync axis is never part of a golden key.
+  /// Ignored; goes away at the next benchmark revision (bench/suite sets it).
   bool async_sync = false;
   std::uint64_t seed = 1;
   nic::NicConfig nic;
@@ -156,7 +153,7 @@ struct FabricResult {
   std::uint64_t horizon_stalls = 0;
   std::uint64_t channel_spills = 0;
   std::uint64_t cross_links = 0;
-  // Async-sync counters, aggregated over shards (zero in barrier mode).
+  // Null-message protocol counters, aggregated over shards.
   std::uint64_t null_msgs_sent = 0;
   std::uint64_t null_msgs_demanded = 0;
   std::uint64_t eot_advances = 0;

@@ -15,14 +15,6 @@
 
 namespace nicmcast::nic {
 
-/// Process-wide default for NicConfig::uncontended_fast_path (the
-/// --fast-path bench flag).  Set once at startup, before any cluster or
-/// RunSpec is built, so every NicConfig constructed afterwards inherits it.
-inline bool& default_uncontended_fast_path() {
-  static bool enabled = false;
-  return enabled;
-}
-
 struct NicConfig {
   /// Host-side cost of constructing + posting one send event ("the host
   /// overhead over GM is less than 1us", paper §5).
@@ -98,19 +90,6 @@ struct NicConfig {
   /// hint still works and is counted in NicStats::map_growths.  0 skips
   /// the reservation (gm::Cluster defaults it to min(nodes, 64)).
   std::size_t expected_peers = 0;
-
-  /// Opt-in modelling approximation (default off): when a replica chain
-  /// starts while the LANai CPU is idle, every header rewrite begins the
-  /// instant the previous replica clears the transmit DMA engine, so all
-  /// injection instants are computable up front.  The fast path then
-  /// transmits each replica future-dated in one pass instead of chaining
-  /// two events per hop (tx-complete + rewrite completion) — the only
-  /// events left are the deliveries the network schedules anyway.  Wire
-  /// timings match the chained path when nothing contends mid-chain; when
-  /// something would have (a competing flow grabbing the uplink or the
-  /// LANai between replicas), the fast path wins the arbitration instead.
-  /// Its event lineage differs, so determinism goldens are pinned per mode.
-  bool uncontended_fast_path = default_uncontended_fast_path();
 
   /// NIC SRAM packet-staging buffers.  Each accepted data packet occupies
   /// one until its RDMA (and, at intermediate nodes, its forwarding

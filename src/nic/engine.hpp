@@ -31,15 +31,6 @@ class Engine {
     return free_at_;
   }
 
-  /// Books a future-dated reservation computed by a collapsed fast-path
-  /// chain: the engine is occupied until `until` and `busy` of utilisation
-  /// is charged, with no completion event (the caller already knows every
-  /// completion instant).
-  void reserve(sim::TimePoint until, sim::Duration busy) {
-    free_at_ = std::max(free_at_, until);
-    total_busy_ += busy;
-  }
-
   [[nodiscard]] sim::TimePoint free_at() const { return free_at_; }
   [[nodiscard]] bool busy() const { return free_at_ > sim_.now(); }
   /// Cumulative busy time — utilisation statistics for the benches.

@@ -449,11 +449,10 @@ net::Packet Nic::build_packet(const net::PacketHeader& header,
   return packet;
 }
 
-net::Network::TxTiming Nic::transmit(DescriptorRef descriptor,
-                                     sim::TimePoint not_before) {
+net::Network::TxTiming Nic::transmit(DescriptorRef descriptor) {
   ++stats_.packets_sent;
   if (auditor_) auditor_->on_packet_sent(*this, descriptor->packet);
-  const auto timing = network_.transmit(descriptor->packet, not_before);
+  const auto timing = network_.transmit(descriptor->packet);
   if (descriptor->on_tx_complete) {
     sim_.schedule_at(timing.tx_done, [descriptor] {
       descriptor->on_tx_complete(descriptor);
@@ -465,34 +464,6 @@ net::Network::TxTiming Nic::transmit(DescriptorRef descriptor,
 void Nic::start_replica_chain(DescriptorRef descriptor,
                               std::vector<net::NodeId> dests,
                               PrepareFn prepare, OnTransmitFn on_transmit) {
-  if (config_.uncontended_fast_path && dests.size() > 1 && !cpu_.busy()) {
-    // Uncontended fast path (opt-in, NicConfig::uncontended_fast_path):
-    // with the LANai idle, each rewrite starts the instant the previous
-    // replica clears the transmit DMA engine, so every injection instant
-    // is computable right now.  Transmit all replicas future-dated in one
-    // pass instead of chaining two events per hop; the per-replica
-    // bookkeeping (prepare / on_transmit) runs in the same order with the
-    // same timings it would see on the chained path.
-    sim::TimePoint ready = sim_.now();
-    sim::TimePoint last_rewrite_end = sim_.now();
-    for (std::size_t i = 0; i < dests.size(); ++i) {
-      if (i > 0) {
-        ++stats_.header_rewrites;
-        ready = ready + config_.header_rewrite;
-        last_rewrite_end = ready;
-      }
-      prepare(descriptor->packet, dests[i]);
-      const auto timing = transmit(descriptor, ready);
-      if (on_transmit) on_transmit(descriptor->packet, timing);
-      ready = timing.tx_done;
-    }
-    // The LANai spent one rewrite slice per follow-up replica; the last
-    // slice ended at the last replica's injection bound.
-    const auto rewrites = static_cast<std::int64_t>(dests.size() - 1);
-    cpu_.reserve(last_rewrite_end, config_.header_rewrite * rewrites);
-    return;
-  }
-
   struct ChainState {
     std::vector<net::NodeId> dests;
     std::size_t index = 0;

@@ -1,16 +1,16 @@
 // Sharded conservative-synchronization PDES engine.
 //
 // N independent Simulators (one timing wheel, RNG stream, and clock each)
-// advance in lockstep LBTS rounds on worker threads:
+// advance in LBTS rounds on worker threads:
 //
-//   1. drain   — each shard empties its inbound SPSC channels, sorts the
-//                messages by (when, src_shard, send_seq), and schedules
-//                them locally.  The sort makes local seq assignment — and
-//                therefore each shard's event_order_hash — independent of
-//                thread timing.
-//   2. reduce  — each shard publishes its earliest pending event time;
-//                after a barrier, worker 0 folds them into
-//                LBTS = min over shards, and the safe horizon is
+//   1. drain   — each shard takes every message its peers sent in earlier
+//                rounds, sorts them by (when, src_shard, send_seq), and
+//                schedules them locally.  The sort makes local seq
+//                assignment — and therefore each shard's event_order_hash —
+//                independent of thread timing.
+//   2. reduce  — each shard publishes its earliest pending event time m_i
+//                and reads every peer's; all of them fold the same values
+//                into LBTS = min over shards, and the safe horizon is
 //                LBTS + lookahead.
 //   3. execute — each shard runs every event strictly BEFORE the horizon
 //                (Simulator::run_before).  Cross-shard sends made while
@@ -20,8 +20,9 @@
 //                no shard can receive an event in its own past.
 //
 // The engine terminates when LBTS is +inf (every queue empty and no
-// message in flight — channels are always fully drained at a round start,
-// so emptiness of the queues implies emptiness of the system).
+// message in flight — each drain takes every message of earlier rounds,
+// so emptiness of the queues at the reduce implies emptiness of the
+// system).
 //
 // Batched horizons (opt-in, enable_batched_horizons): instead of the one
 // global horizon LBTS + lookahead, the reduce derives a per-shard horizon
@@ -29,24 +30,23 @@
 //   H_i = min( min_{j != i} m_j + la,  min_all m_j + 2*la )
 //
 // where m_j is shard j's earliest pending event at the reduce.  Safety:
-// channels are empty at the reduce, so any event shard i could still
-// receive is produced by some shard executing a pending event.  A direct
-// send from j != i departs an event at t >= m_j and arrives >= m_j + la
-// >= min_{j != i} m_j + la.  Any relayed chain (including one that starts
-// at i itself) crosses >= 2 shard hops of >= la each from an event at
-// >= min_all, arriving >= min_all + 2*la.  Every H_i >= the classic
-// horizon, so each round executes at least as much work and wide fabrics
-// spend measurably fewer barrier rounds (`lbts_rounds`).  Event seq
+// every message of earlier rounds is drained at the reduce, so any event
+// shard i could still receive is produced by some shard executing a
+// pending event.  A direct send from j != i departs an event at t >= m_j
+// and arrives >= m_j + la >= min_{j != i} m_j + la.  Any relayed chain
+// (including one that starts at i itself) crosses >= 2 shard hops of >= la
+// each from an event at >= min_all, arriving >= min_all + 2*la.  Every H_i
+// >= the classic horizon, so each round executes at least as much work and
+// wide fabrics spend measurably fewer rounds (`lbts_rounds`).  Event seq
 // assignment differs from the unbatched schedule, so per-shard hash
 // goldens are pinned per (scenario, batching mode); the pre-existing
 // mcast goldens all use the unbatched default.
 //
-// Asynchronous null-message mode (opt-in, enable_async_sync): the same
-// three-phase round structure — same drain batches, same reduce values,
-// same horizons, and therefore bit-identical per-shard hash vectors — but
-// the three std::barrier rendezvous per round are replaced with
+// Synchronization: there is no global barrier.  Shards wait with
 // Chandy–Misra–Bryant-style per-channel data-flow waits, so a shard only
-// stalls on peers it actually depends on:
+// stalls on peers it actually depends on.  The drain batches, reduce
+// values and horizons are exactly those of a lockstep three-barrier round,
+// so the round count and per-shard hashes equal that schedule's:
 //
 //   * Every cross-shard message is stamped with the sender's round and a
 //     piggybacked EOT (earliest output time, sender_now + channel
@@ -64,13 +64,13 @@
 //     inside its own spin loops, so mutually-blocked shards always unblock
 //     each other — with an explicit null message (empty action) stamped
 //     with its last completed round and a fresh EOT.
-//   * The reduce is a per-shard atomic (round, value) slot instead of a
-//     fold by worker 0: each shard publishes m_i(r) and reads every peer's
-//     slot, computing the identical LBTS and horizons locally.  A slot is
-//     released round-tagged, and cannot be overwritten while any reader
-//     still needs it: shard j only reaches its round r+1 publish after
-//     every peer certified completion of round r, which a peer does only
-//     after consuming m_j(r).
+//   * The reduce is a per-shard atomic (round, value) slot: each shard
+//     publishes m_i(r) and reads every peer's slot, computing the
+//     identical LBTS and horizons locally.  A slot is released
+//     round-tagged, and cannot be overwritten while any reader still needs
+//     it: shard j only reaches its round r+1 publish after every peer
+//     certified completion of round r, which a peer does only after
+//     consuming m_j(r).
 //
 // Deadlock freedom: order shards by the round they are in; a least-round
 // shard's drain only needs peers' previous rounds, which they have all
@@ -86,13 +86,10 @@
 // drain sort removes the only interleaving-dependent input.  Across
 // different shard counts the per-shard hash vector changes (seq values are
 // assigned per queue); goldens therefore pin one vector per shard count.
-// The sync mode is deliberately NOT part of the golden key: barrier and
-// async runs replay the same round schedule and produce the same vectors.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
-#include <barrier>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
@@ -124,7 +121,7 @@ class ShardedEngine {
     std::uint64_t cross_shard_msgs_received = 0;
     std::uint64_t horizon_stalls = 0;  // rounds this shard ran zero events
     std::uint64_t channel_spills = 0;  // sends that overflowed the ring
-    // Async-mode synchronization counters; all stay zero in barrier mode.
+    // Null-message protocol counters (timing-dependent, never hashed).
     std::uint64_t null_msgs_sent = 0;      // demand answers this shard sent
     std::uint64_t null_msgs_demanded = 0;  // demand flags this shard raised
     std::uint64_t eot_advances = 0;        // inbound channel-clock advances
@@ -165,15 +162,8 @@ class ShardedEngine {
   void enable_batched_horizons(bool on) { batched_horizons_ = on; }
   [[nodiscard]] bool batched_horizons() const { return batched_horizons_; }
 
-  /// Switches run() to the asynchronous null-message synchronization (see
-  /// the header comment).  Same round schedule, same per-shard hashes —
-  /// only the waiting changes, so this composes with either horizon mode.
-  /// Call before run().
-  void enable_async_sync(bool on) { async_sync_ = on; }
-  [[nodiscard]] bool async_sync() const { return async_sync_; }
-
-  /// Overrides the lookahead of the ordered channel from → to.  The async
-  /// mode stamps this channel's EOTs with it and post() enforces it as the
+  /// Overrides the lookahead of the ordered channel from → to.  The
+  /// engine stamps this channel's EOTs with it and post() enforces it as the
   /// send window, so a pair of shards joined only by slow cut links can
   /// promise more than the fabric-wide floor.  It must be >= the engine's
   /// global lookahead: safe horizons are derived from the global minimum,
@@ -227,11 +217,10 @@ class ShardedEngine {
     msg.when = when;
     msg.seq = ch.send_seq++;
     msg.src = static_cast<std::uint32_t>(from);
-    // Round stamp + piggybacked EOT: the async drain uses the stamp to cut
-    // batch boundaries and the EOT to advance the receiver's channel
-    // clock.  Barrier mode never reads either (round stays 0 pre-run and
-    // during its worker loop), but stamping unconditionally keeps post()
-    // branch-free.
+    // Round stamp + piggybacked EOT: the drain uses the stamp to cut batch
+    // boundaries and the EOT to advance the receiver's channel clock.  A
+    // post made between runs carries the round the last run ended in,
+    // which the next run's first drain takes (see run()).
     msg.round = sender.round;
     msg.eot = sender.sim.now() + ch.lookahead;
     msg.action = std::move(action);
@@ -241,11 +230,8 @@ class ShardedEngine {
     RoleGuard produce(ch.ring.producer_role());
     if (!ch.ring.try_push(std::move(msg))) {
       ++sender.stats.channel_spills;
-      // Overflow hand-off is always mutex-guarded.  Only the async mode
-      // *needs* the lock (a producer may spill while the consumer drains;
-      // barrier mode orders the hand-off with the round barrier), but the
-      // spill path is rare by design and one locking discipline keeps the
-      // concurrency contract — and its static checking — unconditional.
+      // Overflow hand-off is mutex-guarded: a producer may spill while the
+      // consumer drains.  The spill path is rare by design.
       MutexLock lock(ch.spill_mu);
       ch.spill.push_back(std::move(msg));
     }
@@ -253,30 +239,30 @@ class ShardedEngine {
 
   /// Runs every shard to completion.  Worker 0 executes on the calling
   /// thread; shards 1..N-1 get their own threads.  Rethrows the first
-  /// shard failure (by shard order) after all workers have stopped.
+  /// shard failure (by shard order) after all workers have stopped; after
+  /// a failure the engine's queues and channels are unspecified.
+  ///
+  /// An engine may run again after a clean run.  Round numbering then
+  /// continues: every shard ended the last run in the same round R, every
+  /// post made since carries R, and R counts as complete before any worker
+  /// starts, so the first drain takes those posts and no stale reduce slot
+  /// or round clock can stand in for a round of the new run.
   void run() {
     const std::size_t n = shards_.size();
     errors_.assign(n, nullptr);
-    if (async_sync_) {
-      {
-        std::vector<std::jthread> workers;
-        workers.reserve(n - 1);
-        for (std::size_t i = 1; i < n; ++i) {
-          workers.emplace_back([this, i] { worker_loop_async(i); });
-        }
-        worker_loop_async(0);
-      }  // jthreads join here
-    } else {
-      std::barrier sync(static_cast<std::ptrdiff_t>(n));
-      {
-        std::vector<std::jthread> workers;
-        workers.reserve(n - 1);
-        for (std::size_t i = 1; i < n; ++i) {
-          workers.emplace_back([this, &sync, i] { worker_loop(sync, i); });
-        }
-        worker_loop(sync, 0);
-      }  // jthreads join here
+    abort_.store(false, std::memory_order_relaxed);
+    // Relaxed: thread creation below orders these stores for every worker.
+    for (const auto& s : shards_) {
+      s->completed.store(s->round, std::memory_order_relaxed);
     }
+    {
+      std::vector<std::jthread> workers;
+      workers.reserve(n - 1);
+      for (std::size_t i = 1; i < n; ++i) {
+        workers.emplace_back([this, i] { worker_loop(i); });
+      }
+      worker_loop(0);
+    }  // jthreads join here
     for (std::size_t i = 0; i < n; ++i) {
       if (errors_[i]) std::rethrow_exception(errors_[i]);
     }
@@ -333,7 +319,7 @@ class ShardedEngine {
     TimePoint when{0};
     std::uint64_t seq = 0;   // per-channel send counter: the merge tiebreak
     std::uint32_t src = 0;
-    std::uint64_t round = 0;  // sender's round at post time (async batching)
+    std::uint64_t round = 0;  // sender's round at post time (drain batching)
     TimePoint eot{0};         // earliest possible later send on this channel
     EventQueue::Action action;  // empty ⇒ a pure-synchronization null
 
@@ -344,8 +330,7 @@ class ShardedEngine {
     explicit Channel(Duration la) : lookahead(la) {}
     SpscChannel<CrossMsg> ring{1024};
     // Guards `spill`: a producer may overflow the ring while the consumer
-    // drains (async mode), so the hand-off vector is mutex-protected in
-    // both sync modes — rare path, uncontended in barrier mode.
+    // drains, so the hand-off vector is mutex-protected (rare path).
     Mutex spill_mu;
     std::vector<CrossMsg> spill NM_GUARDED_BY(spill_mu);  // ring overflow
     // Producer-owned monotone counter; writing it requires the ring's
@@ -365,14 +350,6 @@ class ShardedEngine {
     explicit Shard(std::uint64_t seed) : sim(seed) {}
     Simulator sim;
     ShardStats stats;
-    // Written by the owning worker in the reduce phase, read by worker 0
-    // after the barrier — the barrier provides the happens-before edge.
-    TimePoint local_min{0};
-    // Barrier mode: written by worker 0 between barriers, read by the
-    // owning worker in the execute phase (same barrier edge).  Async mode:
-    // owner-only.
-    TimePoint horizon{0};
-    // --- async-mode state ---
     // Owner-written: the round in progress, stamped onto outbound messages.
     std::uint64_t round = 0;
     // The producer's clock: the last round whose sends are all pushed,
@@ -394,9 +371,9 @@ class ShardedEngine {
     alignas(64) char pad_[1]{};  // keep shard hot state off shared lines
   };
 
-  /// The reduce fold both sync modes share: LBTS plus the two smallest
-  /// contributions (min over j != i is then O(1) per shard: m2 when i
-  /// holds the minimum, m1 otherwise).
+  /// The reduce fold: LBTS plus the two smallest contributions (min over
+  /// j != i is then O(1) per shard: m2 when i holds the minimum, m1
+  /// otherwise).
   struct ReduceSummary {
     TimePoint lbts = kNever;
     TimePoint m1 = kNever, m2 = kNever;
@@ -420,8 +397,8 @@ class ShardedEngine {
   }
 
   /// Shard i's execute horizon for this round — a pure function of the
-  /// reduce summary, so the barrier fold (worker 0) and the async local
-  /// computation (every shard, same m-vector) agree bit-for-bit.
+  /// reduce summary, so every shard (same m-vector) computes the same
+  /// horizons bit-for-bit.
   [[nodiscard]] TimePoint horizon_for(std::size_t i,
                                       const ReduceSummary& r) const {
     if (!batched_horizons_) return r.lbts + lookahead_;
@@ -435,79 +412,15 @@ class ShardedEngine {
     return std::min(direct_bound, chain_bound);
   }
 
-  void worker_loop(std::barrier<>& sync, std::size_t me) {
-    Shard& my = *shards_[me];
-    std::vector<CrossMsg> pending;
-    std::vector<TimePoint> mins;
-    if (me == 0) mins.resize(shards_.size());
-    while (true) {
-      // ---- Phase 1: drain inbound channels, deterministic merge ----
-      pending.clear();
-      try {
-        for (std::size_t src = 0; src < shards_.size(); ++src) {
-          if (src == me) continue;
-          Channel& ch = *channels_[src * shards_.size() + me];
-          // This worker is the single consumer of its inbound channels.
-          RoleGuard consume(ch.ring.consumer_role());
-          CrossMsg msg;
-          while (ch.ring.try_pop(msg)) pending.push_back(std::move(msg));
-          MutexLock lock(ch.spill_mu);
-          for (CrossMsg& spilled : ch.spill) {
-            pending.push_back(std::move(spilled));
-          }
-          ch.spill.clear();
-        }
-        merge_and_schedule(me, pending);
-      } catch (...) {
-        fail(me);
-      }
-      // ---- Phase 2: publish LBTS contribution ----
-      my.local_min =
-          my.sim.pending_events() > 0 ? my.sim.next_event_time() : kNever;
-      sync.arrive_and_wait();
-      if (me == 0) {
-        for (std::size_t i = 0; i < shards_.size(); ++i) {
-          mins[i] = shards_[i]->local_min;
-        }
-        const ReduceSummary reduce = summarize(mins);
-        if (reduce.lbts == kNever ||
-            abort_.load(std::memory_order_relaxed)) {
-          // Relaxed store: the barrier below publishes it to every reader.
-          halt_.store(true, std::memory_order_relaxed);
-        } else {
-          for (std::size_t i = 0; i < shards_.size(); ++i) {
-            shards_[i]->horizon = horizon_for(i, reduce);
-          }
-          ++lbts_rounds_;
-        }
-      }
-      sync.arrive_and_wait();
-      if (halt_.load(std::memory_order_relaxed)) break;
-      // ---- Phase 3: execute strictly below the safe horizon ----
-      try {
-        const std::size_t executed = my.sim.run_before(my.horizon);
-        if (executed == 0 && my.sim.pending_events() > 0) {
-          // This shard's earliest event sits exactly at or beyond the
-          // horizon (the lookahead-edge case); it waits for the next round.
-          ++my.stats.horizon_stalls;
-        }
-      } catch (...) {
-        fail(me);
-      }
-      sync.arrive_and_wait();
-    }
-  }
-
-  /// The async twin of worker_loop: identical round schedule, no barriers.
-  /// Phase waits are per-dependency — a channel drain blocks only until
-  /// that channel's batch is certified, the reduce blocks only on peers
-  /// whose slot has not reached this round yet.
-  void worker_loop_async(std::size_t me) {
+  /// One shard's round loop.  Phase waits are per-dependency — a channel
+  /// drain blocks only until that channel's batch is certified, the reduce
+  /// blocks only on peers whose slot has not reached this round yet.
+  void worker_loop(std::size_t me) {
     Shard& my = *shards_[me];
     const std::size_t n = shards_.size();
     std::vector<CrossMsg> pending;
     std::vector<TimePoint> mins(n);
-    for (std::uint64_t round = 1;; ++round) {
+    for (std::uint64_t round = my.round + 1;; ++round) {
       my.round = round;
       // ---- Phase 1: drain, per channel, gated on round certification ----
       pending.clear();
@@ -515,7 +428,7 @@ class ShardedEngine {
       try {
         for (std::size_t src = 0; src < n; ++src) {
           if (src == me) continue;
-          if (!drain_channel_async(src, me, round, pending)) {
+          if (!drain_channel(src, me, round, pending)) {
             aborted = true;
             break;
           }
@@ -558,10 +471,10 @@ class ShardedEngine {
       // LBTS at the same round and exit together.
       if (reduce.lbts == kNever) break;
       if (me == 0) ++lbts_rounds_;
-      my.horizon = horizon_for(me, reduce);
       // ---- Phase 3: execute strictly below the safe horizon ----
       try {
-        const std::size_t executed = my.sim.run_before(my.horizon);
+        const std::size_t executed =
+            my.sim.run_before(horizon_for(me, reduce));
         if (executed == 0 && my.sim.pending_events() > 0) {
           ++my.stats.horizon_stalls;
         }
@@ -590,9 +503,8 @@ class ShardedEngine {
   /// While none of those hold the receiver raises the channel's demand
   /// flag and spins — answering its own inbound demands so mutually-
   /// blocked shards make progress.
-  bool drain_channel_async(std::size_t src, std::size_t me,
-                           std::uint64_t round,
-                           std::vector<CrossMsg>& pending) {
+  bool drain_channel(std::size_t src, std::size_t me, std::uint64_t round,
+                     std::vector<CrossMsg>& pending) {
     Shard& my = *shards_[me];
     Channel& ch = *channels_[src * shards_.size() + me];
     // The drain runs on shard `me`'s worker — the channel's one consumer.
@@ -705,8 +617,7 @@ class ShardedEngine {
     }
   }
 
-  /// The deterministic merge both sync modes share: sort the drained batch
-  /// by (when, src_shard, send_seq) and schedule, so local seq assignment
+  /// The deterministic merge: sort the drained batch by (when, src_shard, send_seq) and schedule, so local seq assignment
   /// never depends on thread timing.
   void merge_and_schedule(std::size_t me, std::vector<CrossMsg>& pending) {
     Shard& my = *shards_[me];
@@ -740,9 +651,8 @@ class ShardedEngine {
     }
   }
 
-  /// Records the shard's failure and trips the abort flag.  In barrier
-  /// mode the worker keeps participating in barriers so no peer deadlocks;
-  /// in async mode every spin loop polls the flag and unwinds.
+  /// Records the shard's failure and trips the abort flag; every spin loop
+  /// polls the flag and unwinds.
   void fail(std::size_t me) {
     if (!errors_[me]) errors_[me] = std::current_exception();
     abort_.store(true, std::memory_order_relaxed);
@@ -755,15 +665,10 @@ class ShardedEngine {
   // read after the workers joined.
   std::vector<std::exception_ptr> errors_;
   // Monotone false→true flag.  All accesses relaxed: readers act on it
-  // only to stop early, and the join / barrier at the end of run()
+  // only to stop early, and the join at the end of run()
   // provides the ordering for everything written before the abort.
   std::atomic<bool> abort_{false};
   bool batched_horizons_ = false;
-  bool async_sync_ = false;
-  // Barrier mode only: written by worker 0 between barriers, read by all
-  // after the next one.  The barrier is the ordering edge, so both sides
-  // are relaxed; atomic because writer and readers are different threads.
-  std::atomic<bool> halt_{false};
   std::uint64_t lbts_rounds_ = 0;
 };
 

@@ -22,16 +22,6 @@ namespace nicmcast::sim {
 
 class Simulator;
 
-/// Process-wide default for Simulator's same-tick batched dispatch.  Set it
-/// once at startup (before any Simulator runs, and before the harness
-/// spawns worker threads) to A/B the batched path against per-event pops —
-/// the executed order and event_order_hash are bit-identical either way,
-/// which the CI bench-smoke job asserts by running both.
-inline bool& default_batch_dispatch() {
-  static bool enabled = true;
-  return enabled;
-}
-
 /// Shared completion state of a spawned process; await via join().
 class ProcessState {
  public:
@@ -108,15 +98,11 @@ class Simulator {
   }
 
   // ---- Execution ----
-
-  /// Runs a single event.  Returns false when the queue is empty.
-  bool step() {
-    if (queue_.empty()) return false;
-    auto [when, action] = queue_.pop();
-    now_ = when;
-    action();
-    return true;
-  }
+  //
+  // Every run loop dispatches one tick at a time through step_batch(); the
+  // executed (when, seq) order — and so event_order_hash — equals popping
+  // the queue one event at a time (EventQueue::pop), which the queue-level
+  // tests use as their reference.
 
   /// Runs every event at the earliest pending timestamp as one
   /// prefetch-friendly loop and returns how many executed (0 when every
@@ -150,33 +136,16 @@ class Simulator {
     return ran;
   }
 
-  /// Same-tick batched dispatch (default from sim::default_batch_dispatch).
-  /// Executed order and hash are identical either way; flip only between
-  /// runs, never mid-run.
-  void set_batch_dispatch(bool on) { batch_dispatch_ = on; }
-  [[nodiscard]] bool batch_dispatch() const { return batch_dispatch_; }
-
   /// Runs until no events remain, then rethrows the first process failure.
   void run() {
-    if (batch_dispatch_) {
-      while (!queue_.empty()) step_batch();
-    } else {
-      while (step()) {
-      }
-    }
+    while (!queue_.empty()) step_batch();
     rethrow_failure();
   }
 
   /// Runs until the clock would pass `deadline`.  Events exactly at the
   /// deadline are executed.  Returns true if events remain afterwards.
   bool run_until(TimePoint deadline) {
-    while (!queue_.empty() && queue_.next_time() <= deadline) {
-      if (batch_dispatch_) {
-        step_batch();
-      } else {
-        step();
-      }
-    }
+    while (!queue_.empty() && queue_.next_time() <= deadline) step_batch();
     if (now_ < deadline) now_ = deadline;
     rethrow_failure();
     return !queue_.empty();
@@ -191,12 +160,7 @@ class Simulator {
   std::size_t run_before(TimePoint horizon) {
     std::size_t executed = 0;
     while (!queue_.empty() && queue_.next_time() < horizon) {
-      if (batch_dispatch_) {
-        executed += step_batch();
-      } else {
-        step();
-        ++executed;
-      }
+      executed += step_batch();
     }
     rethrow_failure();
     return executed;
@@ -252,7 +216,6 @@ class Simulator {
   TimePoint now_{0};
   EventQueue queue_;
   std::vector<WheelItem> batch_;  // step_batch scratch, reused across ticks
-  bool batch_dispatch_ = default_batch_dispatch();
   Rng rng_{0x9e3779b97f4a7c15ULL};
   Tracer tracer_;
   std::deque<Task<void>> processes_;  // deque: stable element addresses

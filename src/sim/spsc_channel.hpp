@@ -6,12 +6,8 @@
 // worker the only consumer.  The ring is a fixed-capacity power-of-two
 // array with acquire/release head/tail counters — no locks, no allocation
 // on the push/pop path.  A full ring spills to an engine-owned overflow
-// vector guarded by a per-channel mutex in both sync modes: the async
-// null-message mode needs the lock (a producer may spill concurrently
-// with a consumer's drain), and the barrier mode — where the round
-// barrier already orders the hand-off — takes the same uncontended lock
-// so the spill contract is one rule instead of two (see
-// ShardedEngine::Channel).
+// vector guarded by a per-channel mutex, because a producer may spill
+// concurrently with a consumer's drain (see ShardedEngine::Channel).
 #pragma once
 
 #include <atomic>
@@ -80,9 +76,9 @@ class SpscChannel {
 
   /// Consumer side.  Exposes the oldest element without consuming it; null
   /// when empty.  The pointer stays valid until the consumer's next
-  /// try_pop() — the producer never touches an occupied slot.  The async
-  /// sync mode peeks a message's round stamp to decide whether the element
-  /// belongs to the drain batch in progress before committing to the pop.
+  /// try_pop() — the producer never touches an occupied slot.  The engine
+  /// peeks a message's round stamp to decide whether the element belongs
+  /// to the drain batch in progress before committing to the pop.
   [[nodiscard]] const T* try_peek() const NM_REQUIRES(consumer_role_) {
     const std::uint64_t head = pop_cursor_.load(std::memory_order_relaxed);
     const std::uint64_t tail = push_cursor_.load(std::memory_order_acquire);

@@ -15,8 +15,9 @@
 //     coroutine engine;
 //   - batched per-shard horizons change LBTS pacing but neither results
 //     nor protocol totals, and are themselves bit-reproducible;
-//   - asynchronous null-message sync (--sync async) replays the barrier
-//     round schedule exactly, so the SAME pinned vectors cover both modes.
+//   - the null-message synchronization replays the lockstep round schedule
+//     these goldens were first pinned under: same vectors, same
+//     lbts_rounds, same mean latency.
 //
 // Re-derive with the probe after an intentional re-timing:
 //
@@ -94,6 +95,12 @@ struct Golden {
   std::uint64_t sequential_hash;
   /// Per-shard hash vectors for shards = 2, 4, 8 (index 0, 1, 2).
   std::vector<std::vector<std::uint64_t>> shard_hashes;
+  /// lbts_rounds and mean latency (us) for shards = 2, 4, 8.
+  std::vector<std::uint64_t> lbts_rounds;
+  std::vector<double> mean_latency_us;
+  /// Batched-horizon lineage at shards = 4: merged hash and lbts_rounds.
+  std::uint64_t batched_s4_hash;
+  std::uint64_t batched_s4_rounds;
 };
 
 const std::size_t kShardCounts[] = {2, 4, 8};
@@ -206,59 +213,38 @@ TEST(ShardedFamilies, BatchedHorizonsKeepResultsAndCutRounds) {
   }
 }
 
-// The async-sync golden: --sync async must reproduce the SAME pinned hash
-// vectors as the barrier at every shard count, for every family — the
-// asynchronous null-message protocol replays the barrier round schedule
-// exactly, so it never forks a golden lineage.  lbts_rounds (the round
-// count, deterministic in both modes) must agree too.
+// The round schedule golden: lbts_rounds and mean latency per shard count
+// were recorded when a lockstep three-barrier loop was the reference
+// implementation; the null-message protocol must reproduce them with the
+// same pinned hash vectors, so no family forks a golden lineage.
 TEST(ShardedFamilies, AsyncSyncMatchesPinnedBarrierGoldens) {
   for (const Golden& g : goldens()) {
     for (std::size_t i = 0; i < std::size(kShardCounts); ++i) {
       const std::size_t shards = kShardCounts[i];
-      RunSpec spec = g.spec();
-      spec.shards = shards;
-      const RunResult barrier_run = run_one(spec);
-      spec.async_sync = true;
-      const RunResult async_run = run_one(spec);
-      EXPECT_EQ(async_run.engine.shard_order_hashes, g.shard_hashes[i])
-          << g.name << " s" << shards
-          << ": async sync forked the pinned barrier lineage";
-      EXPECT_EQ(async_run.engine.event_order_hash,
-                barrier_run.engine.event_order_hash)
+      const RunResult r = run_with_shards(g.spec(), shards);
+      EXPECT_EQ(r.engine.shard_order_hashes, g.shard_hashes[i])
           << g.name << " s" << shards;
-      EXPECT_EQ(async_run.engine.lbts_rounds, barrier_run.engine.lbts_rounds)
+      EXPECT_EQ(r.engine.lbts_rounds, g.lbts_rounds[i])
           << g.name << " s" << shards
-          << ": async must replay the barrier round schedule";
-      EXPECT_DOUBLE_EQ(async_run.latency_us.mean(),
-                       barrier_run.latency_us.mean())
+          << ": the pinned round schedule changed";
+      EXPECT_DOUBLE_EQ(r.latency_us.mean(), g.mean_latency_us[i])
           << g.name << " s" << shards;
     }
-    // shards == 1 with async_sync set still dispatches to the classic
-    // coroutine stack — the flag is a sharded-engine axis only.
-    RunSpec spec = g.spec();
-    spec.shards = 1;
-    spec.async_sync = true;
-    const RunResult seq = run_one(spec);
-    EXPECT_EQ(seq.engine.event_order_hash, g.sequential_hash) << g.name;
-    EXPECT_EQ(seq.engine.shard_count, 0u) << g.name;
   }
 }
 
-// Async composes with batched horizons on the family workloads too: same
-// batched lineage (hashes, rounds), just without the barrier waits.
+// Batched horizons on the family workloads: the pinned batched lineage
+// (merged hash, rounds) and the unbatched deliveries.
 TEST(ShardedFamilies, AsyncComposesWithBatchedHorizonsOnFamilies) {
   for (const Golden& g : goldens()) {
     RunSpec spec = g.spec();
     spec.shards = 4;
+    const RunResult classic = run_one(spec);
     spec.batch_horizons = true;
     const RunResult batched = run_one(spec);
-    spec.async_sync = true;
-    const RunResult both = run_one(spec);
-    EXPECT_EQ(both.engine.shard_order_hashes,
-              batched.engine.shard_order_hashes)
-        << g.name;
-    EXPECT_EQ(both.engine.lbts_rounds, batched.engine.lbts_rounds) << g.name;
-    EXPECT_EQ(both.metric("deliveries"), batched.metric("deliveries"))
+    EXPECT_EQ(batched.engine.event_order_hash, g.batched_s4_hash) << g.name;
+    EXPECT_EQ(batched.engine.lbts_rounds, g.batched_s4_rounds) << g.name;
+    EXPECT_EQ(batched.metric("deliveries"), classic.metric("deliveries"))
         << g.name;
   }
 }
@@ -300,15 +286,31 @@ TEST(ShardedFamilies, DISABLED_PrintGoldens) {
     const RunResult seq = run_with_shards(g.spec(), 1);
     std::printf("{\"%s\", ..., 0x%016llxULL,\n {\n", g.name,
                 static_cast<unsigned long long>(seq.engine.event_order_hash));
+    std::vector<RunResult> runs;
     for (const std::size_t shards : kShardCounts) {
-      const RunResult r = run_with_shards(g.spec(), shards);
+      runs.push_back(run_with_shards(g.spec(), shards));
       std::printf("  {");
-      for (const std::uint64_t h : r.engine.shard_order_hashes) {
+      for (const std::uint64_t h : runs.back().engine.shard_order_hashes) {
         std::printf("0x%016llxULL, ", static_cast<unsigned long long>(h));
       }
       std::printf("},\n");
     }
-    std::printf(" }},\n");
+    std::printf(" },\n {");
+    for (const RunResult& r : runs) {
+      std::printf("%llu, ",
+                  static_cast<unsigned long long>(r.engine.lbts_rounds));
+    }
+    std::printf("},\n {");
+    for (const RunResult& r : runs) {
+      std::printf("%.17g, ", r.latency_us.mean());
+    }
+    RunSpec batched = g.spec();
+    batched.shards = 4;
+    batched.batch_horizons = true;
+    const RunResult b = run_one(batched);
+    std::printf("},\n 0x%016llxULL, %llu},\n",
+                static_cast<unsigned long long>(b.engine.event_order_hash),
+                static_cast<unsigned long long>(b.engine.lbts_rounds));
   }
 }
 
@@ -326,7 +328,10 @@ std::vector<Golden> goldens() {
             0xbd89e07c6d44eda5ULL, 0xe294fd9e273256c5ULL,
             0x4d709f9a471b8985ULL, 0xd6920ba1f00a7fa5ULL,
             0xae13ed6e4885e265ULL, 0x464570a3a1d71c05ULL},
-       }},
+       },
+       {768, 768, 772},
+       {164.602, 164.602, 164.602},
+       0xaa2d8a465fa6e902ULL, 716},
       {"bcast", &bcast, 0x076b31edcfbcb01aULL,
        {
            {0xd8665ee54e4c4cf4ULL, 0xadcc26e46ea0db32ULL},
@@ -336,7 +341,10 @@ std::vector<Golden> goldens() {
             0xed0081069c7b8555ULL, 0x6df62e05fa8efc83ULL,
             0xacd8b0c0fb85b87dULL, 0x7798c4e0e61cc146ULL,
             0xe090342679bf0d69ULL, 0x379acb6841b90fc7ULL},
-       }},
+       },
+       {876, 876, 788},
+       {124.145, 124.145, 102.69499999999999},
+       0x02ee22e94778e131ULL, 570},
       {"skew", &skew, 0xf6c542606ba7d310ULL,
        {
            {0x2183a0521d4935bdULL, 0x94d5f9ea012d9e05ULL},
@@ -346,7 +354,10 @@ std::vector<Golden> goldens() {
             0x790410af38aea8b1ULL, 0x19efc0bd96510641ULL,
             0x442a2630413fa5fdULL, 0x0a2a8028d8d22dd5ULL,
             0x50eeaf4faf1301d5ULL, 0xa3bc4562e1a3cdb1ULL},
-       }},
+       },
+       {872, 872, 784},
+       {124.145, 124.145, 102.69499999999999},
+       0x97a03cca01ef7729ULL, 564},
       {"barrier", &barrier, 0xdbd738ce28044686ULL,
        {
            {0xf1b1425a0d7c752cULL, 0x92a4328e9985addfULL},
@@ -356,7 +367,10 @@ std::vector<Golden> goldens() {
             0x1b9632940a5d740dULL, 0x76a89a6411c7275bULL,
             0x60ac35c1cf8f6835ULL, 0xc9d8a0542f23b33eULL,
             0x26710254f9f8edc1ULL, 0xbf34025e851191d4ULL},
-       }},
+       },
+       {252, 252, 252},
+       {30.869666666666667, 30.869666666666667, 30.869666666666667},
+       0x3d41b0bf2543636fULL, 235},
   };
 }
 

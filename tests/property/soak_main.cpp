@@ -89,10 +89,6 @@ ShardCheck run_sharded_crosscheck(std::uint64_t seed,
   spec.shards = 1;
   const harness::RunResult base = harness::run_sharded(spec);
   spec.shards = check.shards;
-  // A seed-derived coin soaks the asynchronous null-message sync on half
-  // the scenarios: it must agree with the 1-shard fabric exactly like the
-  // barrier does (same hashes, same totals — only the waiting differs).
-  spec.async_sync = (mix64(seed ^ 0xa54c) & 1) != 0;
   const harness::RunResult sharded = harness::run_sharded(spec);
   // switch_cut may have clamped the request on a small Clos; report what
   // actually ran.

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -16,6 +18,37 @@ constexpr Duration kLookahead = usec(1);
 void hop(ShardedEngine& engine, std::size_t at, int remaining);
 
 constexpr TimePoint t_us(double us) { return TimePoint{0} + usec(us); }
+
+// Every shard seeds a chain that hops to the next shard `hops` times.
+void seed_ping_pong(ShardedEngine& engine, int hops) {
+  for (std::size_t s = 0; s < engine.shard_count(); ++s) {
+    engine.shard(s).schedule_at(t_us(static_cast<double>(s + 1)),
+                                [&engine, s, hops] { hop(engine, s, hops); });
+  }
+}
+
+struct PingPong {
+  std::vector<std::uint64_t> hashes;
+  std::uint64_t merged = 0;
+  std::uint64_t rounds = 0;
+};
+
+// A 50-hop ping-pong storm across 4 shards.
+PingPong run_ping_pong(bool batched_horizons) {
+  ShardedEngine engine(4, kLookahead);
+  engine.enable_batched_horizons(batched_horizons);
+  seed_ping_pong(engine, 50);
+  engine.run();
+  return {engine.shard_order_hashes(), engine.merged_order_hash(),
+          engine.lbts_rounds()};
+}
+
+// The ping-pong's schedule, pinned when a lockstep three-barrier loop was
+// the reference implementation; batched horizons happen to match it.
+const std::vector<std::uint64_t> kPingPongHashes{
+    0xe0a7c8653e89dcb4ULL, 0xa9f737d52939ad2cULL, 0xbe70e8a4fc03c2e4ULL,
+    0x41a0a2fe5498257cULL};
+constexpr std::uint64_t kPingPongRounds = 54;
 
 TEST(ShardedEngine, RejectsDegenerateConfigs) {
   EXPECT_THROW(ShardedEngine(0, kLookahead), std::invalid_argument);
@@ -121,28 +154,12 @@ TEST(ShardedEngine, CrossShardAckCancelsInFlightTimer) {
 // counters must be bit-identical — thread scheduling may not leak into the
 // executed order.
 TEST(ShardedEngine, RepeatableAcrossRunsWithFourShards) {
-  auto run_once = [](std::vector<std::uint64_t>& hashes,
-                     std::uint64_t& merged, std::uint64_t& rounds) {
-    ShardedEngine engine(4, kLookahead);
-    // Every shard seeds a chain that hops to the next shard 50 times.
-    for (std::size_t s = 0; s < 4; ++s) {
-      engine.shard(s).schedule_at(t_us(static_cast<double>(s + 1)),
-                                  [&engine, s] { hop(engine, s, 50); });
-    }
-    engine.run();
-    hashes = engine.shard_order_hashes();
-    merged = engine.merged_order_hash();
-    rounds = engine.lbts_rounds();
-  };
-
-  std::vector<std::uint64_t> h1, h2;
-  std::uint64_t m1 = 0, m2 = 0, r1 = 0, r2 = 0;
-  run_once(h1, m1, r1);
-  run_once(h2, m2, r2);
-  EXPECT_EQ(h1, h2);
-  EXPECT_EQ(m1, m2);
-  EXPECT_EQ(r1, r2);
-  ASSERT_EQ(h1.size(), 4u);
+  const PingPong a = run_ping_pong(false);
+  const PingPong b = run_ping_pong(false);
+  EXPECT_EQ(a.hashes, b.hashes);
+  EXPECT_EQ(a.merged, b.merged);
+  EXPECT_EQ(a.rounds, b.rounds);
+  ASSERT_EQ(a.hashes.size(), 4u);
 }
 
 TEST(ShardedEngine, ShardFailurePropagatesWithoutDeadlock) {
@@ -160,15 +177,25 @@ TEST(ShardedEngine, ShardFailurePropagatesWithoutDeadlock) {
 }
 
 // Channel-spill path: more in-flight messages in one round than the ring
-// holds.  The spill vector must preserve the deterministic merge.
+// holds.  The spill vector must preserve the deterministic merge.  A drain
+// may pop while its producer still pushes, so shard 1 holds a same-round
+// event until the burst is pushed: no pop overlaps it, and exactly
+// kBurst - capacity sends spill.
 TEST(ShardedEngine, RingOverflowSpillsDeterministically) {
   constexpr int kBurst = 3000;  // ring capacity is 1024
   auto run_once = [](std::uint64_t& spills) {
     ShardedEngine engine(2, kLookahead);
-    engine.shard(0).schedule_at(t_us(1), [&engine] {
+    std::atomic<bool> pushed{false};
+    engine.shard(0).schedule_at(t_us(1), [&engine, &pushed] {
       Simulator& s0 = engine.shard(0);
       for (int i = 0; i < kBurst; ++i) {
         engine.post(0, 1, s0.now() + kLookahead + nsec(i), [] {});
+      }
+      pushed.store(true, std::memory_order_release);
+    });
+    engine.shard(1).schedule_at(t_us(1), [&pushed] {
+      while (!pushed.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
       }
     });
     engine.run();
@@ -181,16 +208,16 @@ TEST(ShardedEngine, RingOverflowSpillsDeterministically) {
   const auto h1 = run_once(spills1);
   const auto h2 = run_once(spills2);
   EXPECT_EQ(h1, h2);
-  EXPECT_EQ(spills1, spills2);
-  EXPECT_GE(spills1, static_cast<std::uint64_t>(kBurst) - 1024);
+  EXPECT_EQ(spills1, static_cast<std::uint64_t>(kBurst) - 1024);
+  EXPECT_EQ(spills2, spills1);
 }
 
 // Both shards overflow their rings toward each other across several
 // waves, so a producer is pushing into its spill vector while the peer —
-// the consumer of the opposite direction — drains its own.  Barrier and
-// spill share one locking discipline (spill_mu, NM_GUARDED_BY); under the
-// TSan job this test is the regression net for that discipline, and the
-// hash comparison keeps the merge deterministic besides.
+// the consumer of the opposite direction — drains its own.  The spill
+// hand-off is mutex-guarded (spill_mu, NM_GUARDED_BY); under the TSan job
+// this test is the regression net for that discipline, and the hash
+// comparison keeps the merge deterministic besides.
 TEST(ShardedEngine, BidirectionalSpillWavesStayDeterministic) {
   constexpr int kBurst = 3000;  // ring capacity is 1024
   constexpr int kWaves = 3;
@@ -275,31 +302,17 @@ TEST(ShardedEngine, BatchedHorizonsPreserveOutcomeWithFewerRounds) {
 }
 
 TEST(ShardedEngine, BatchedHorizonsAreRepeatable) {
-  auto run_once = [](std::vector<std::uint64_t>& hashes,
-                     std::uint64_t& rounds) {
-    ShardedEngine engine(4, kLookahead);
-    engine.enable_batched_horizons(true);
-    for (std::size_t s = 0; s < 4; ++s) {
-      engine.shard(s).schedule_at(t_us(static_cast<double>(s + 1)),
-                                  [&engine, s] { hop(engine, s, 50); });
-    }
-    engine.run();
-    hashes = engine.shard_order_hashes();
-    rounds = engine.lbts_rounds();
-  };
-  std::vector<std::uint64_t> h1, h2;
-  std::uint64_t r1 = 0, r2 = 0;
-  run_once(h1, r1);
-  run_once(h2, r2);
-  EXPECT_EQ(h1, h2);
-  EXPECT_EQ(r1, r2);
+  const PingPong a = run_ping_pong(true);
+  const PingPong b = run_ping_pong(true);
+  EXPECT_EQ(a.hashes, b.hashes);
+  EXPECT_EQ(a.rounds, b.rounds);
 }
 
 // The shape where batching pays most: one shard holds a long local event
 // train while every other shard is idle.  Unbatched, the horizon advances
 // one lookahead per round (one event when the train is spaced exactly at
 // the lookahead); batched, only the min_all + 2*lookahead chain bound
-// applies and each round covers two events — half the barrier rounds.
+// applies and each round covers two events — half the rounds.
 TEST(ShardedEngine, BatchedHorizonsHalveRoundsOnALocalEventTrain) {
   constexpr int kTrain = 40;
   auto rounds_for = [](bool batched) {
@@ -317,87 +330,52 @@ TEST(ShardedEngine, BatchedHorizonsHalveRoundsOnALocalEventTrain) {
   EXPECT_LE(batched, unbatched / 2 + 1);
 }
 
-// ---- Asynchronous null-message synchronization (opt-in) ----
+// ---- Null-message synchronization ----
 
-// The async contract in one test: the same workload under the barrier and
-// under async must produce bit-identical per-shard hash vectors, merged
-// hash, AND the same lbts_rounds — async changes how shards wait, never
-// what they execute or how many rounds the round-replay takes.
+// The null-message protocol must replay the pinned lockstep schedule
+// exactly — it changes how shards wait, never what they execute or how
+// many rounds it takes.
 TEST(ShardedEngine, AsyncMatchesBarrierHashesOnPingPong) {
-  auto run_once = [](bool async, std::vector<std::uint64_t>& hashes,
-                     std::uint64_t& merged, std::uint64_t& rounds) {
-    ShardedEngine engine(4, kLookahead);
-    engine.enable_async_sync(async);
-    for (std::size_t s = 0; s < 4; ++s) {
-      engine.shard(s).schedule_at(t_us(static_cast<double>(s + 1)),
-                                  [&engine, s] { hop(engine, s, 50); });
-    }
-    engine.run();
-    hashes = engine.shard_order_hashes();
-    merged = engine.merged_order_hash();
-    rounds = engine.lbts_rounds();
-  };
-  std::vector<std::uint64_t> hb, ha;
-  std::uint64_t mb = 0, ma = 0, rb = 0, ra = 0;
-  run_once(false, hb, mb, rb);
-  run_once(true, ha, ma, ra);
-  EXPECT_EQ(ha, hb);
-  EXPECT_EQ(ma, mb);
-  EXPECT_EQ(ra, rb);
-  ASSERT_EQ(ha.size(), 4u);
+  const PingPong r = run_ping_pong(false);
+  EXPECT_EQ(r.hashes, kPingPongHashes);
+  EXPECT_EQ(r.merged, 0x261e67479f69c99eULL);
+  EXPECT_EQ(r.rounds, kPingPongRounds);
 }
 
 TEST(ShardedEngine, AsyncIsRepeatableAcrossRuns) {
-  auto run_once = [](std::vector<std::uint64_t>& hashes,
-                     std::uint64_t& rounds) {
-    ShardedEngine engine(4, kLookahead);
-    engine.enable_async_sync(true);
-    for (std::size_t s = 0; s < 4; ++s) {
-      engine.shard(s).schedule_at(t_us(static_cast<double>(s + 1)),
-                                  [&engine, s] { hop(engine, s, 50); });
-    }
-    engine.run();
-    hashes = engine.shard_order_hashes();
-    rounds = engine.lbts_rounds();
-  };
-  std::vector<std::uint64_t> h1, h2;
-  std::uint64_t r1 = 0, r2 = 0;
-  run_once(h1, r1);
-  run_once(h2, r2);
-  EXPECT_EQ(h1, h2);
-  EXPECT_EQ(r1, r2);
+  for (int run = 0; run < 3; ++run) {
+    EXPECT_EQ(run_ping_pong(false).hashes, kPingPongHashes) << run;
+  }
 }
 
-// Ring overflow under async: the spill vector is shared under a mutex in
-// this mode (no barrier orders the handoff) — the merge must still be
-// deterministic and identical to the barrier schedule.
+// Ring overflow: a producer may spill while its consumer drains, so the
+// spill vector is shared under a mutex — the merge must still reproduce
+// the pinned lockstep schedule.
 TEST(ShardedEngine, AsyncRingOverflowMatchesBarrier) {
   constexpr int kBurst = 3000;  // ring capacity is 1024
-  auto run_once = [](bool async) {
-    ShardedEngine engine(2, kLookahead);
-    engine.enable_async_sync(async);
-    engine.shard(0).schedule_at(t_us(1), [&engine] {
-      Simulator& s0 = engine.shard(0);
-      for (int i = 0; i < kBurst; ++i) {
-        engine.post(0, 1, s0.now() + kLookahead + nsec(i), [] {});
-      }
-    });
-    engine.run();
-    EXPECT_EQ(engine.shard_stats(1).cross_shard_msgs_received,
-              static_cast<std::uint64_t>(kBurst));
-    return engine.shard_order_hashes();
-  };
-  EXPECT_EQ(run_once(true), run_once(false));
+  ShardedEngine engine(2, kLookahead);
+  engine.shard(0).schedule_at(t_us(1), [&engine] {
+    Simulator& s0 = engine.shard(0);
+    for (int i = 0; i < kBurst; ++i) {
+      engine.post(0, 1, s0.now() + kLookahead + nsec(i), [] {});
+    }
+  });
+  engine.run();
+  EXPECT_EQ(engine.shard_stats(1).cross_shard_msgs_received,
+            static_cast<std::uint64_t>(kBurst));
+  EXPECT_EQ(engine.shard_order_hashes(),
+            (std::vector<std::uint64_t>{0x003b7807ae2707d5ULL,
+                                        0x3b8be143ea2e32e5ULL}));
+  EXPECT_EQ(engine.lbts_rounds(), 4u);
 }
 
 TEST(ShardedEngine, AsyncShardFailurePropagatesWithoutDeadlock) {
   ShardedEngine engine(4, kLookahead);
-  engine.enable_async_sync(true);
   engine.shard(2).schedule_at(t_us(5), [] {
     throw std::runtime_error("shard 2 exploded");
   });
   // The healthy shards hold far-future events, so without abort polling in
-  // the async spin loops they would wait forever on shard 2's round.
+  // the spin loops they would wait forever on shard 2's round.
   for (std::size_t s = 0; s < 4; ++s) {
     if (s == 2) continue;
     engine.shard(s).schedule_at(t_us(1), [] {});
@@ -406,35 +384,16 @@ TEST(ShardedEngine, AsyncShardFailurePropagatesWithoutDeadlock) {
   EXPECT_THROW(engine.run(), std::runtime_error);
 }
 
-// The two opt-in modes compose: async + batched horizons must replay the
-// barrier + batched horizons schedule (that lineage's hashes and rounds).
 TEST(ShardedEngine, AsyncComposesWithBatchedHorizons) {
-  auto run_once = [](bool async, std::vector<std::uint64_t>& hashes,
-                     std::uint64_t& rounds) {
-    ShardedEngine engine(4, kLookahead);
-    engine.enable_batched_horizons(true);
-    engine.enable_async_sync(async);
-    for (std::size_t s = 0; s < 4; ++s) {
-      engine.shard(s).schedule_at(t_us(static_cast<double>(s + 1)),
-                                  [&engine, s] { hop(engine, s, 50); });
-    }
-    engine.run();
-    hashes = engine.shard_order_hashes();
-    rounds = engine.lbts_rounds();
-  };
-  std::vector<std::uint64_t> hb, ha;
-  std::uint64_t rb = 0, ra = 0;
-  run_once(false, hb, rb);
-  run_once(true, ha, ra);
-  EXPECT_EQ(ha, hb);
-  EXPECT_EQ(ra, rb);
+  const PingPong r = run_ping_pong(true);
+  EXPECT_EQ(r.hashes, kPingPongHashes);
+  EXPECT_EQ(r.rounds, kPingPongRounds);
 }
 
-// One shard has no peers: no channels, no nulls, no waits — the async
-// worker must degenerate to a plain event loop.
+// One shard has no peers: no channels, no nulls, no waits — the worker
+// must degenerate to a plain event loop.
 TEST(ShardedEngine, AsyncSingleShardSendsNoNullMessages) {
   ShardedEngine engine(1, kLookahead);
-  engine.enable_async_sync(true);
   std::vector<int> order;
   engine.shard(0).schedule_at(t_us(5), [&] { order.push_back(2); });
   engine.shard(0).schedule_at(t_us(1), [&] { order.push_back(1); });
@@ -445,21 +404,36 @@ TEST(ShardedEngine, AsyncSingleShardSendsNoNullMessages) {
   EXPECT_EQ(engine.shard_stats(0).blocked_waits, 0u);
 }
 
-// Under the barrier, the async counters stay zero — they are the async
-// mode's observability, not a shared code path.
-TEST(ShardedEngine, BarrierModeKeepsAsyncCountersAtZero) {
-  ShardedEngine engine(4, kLookahead);
-  for (std::size_t s = 0; s < 4; ++s) {
-    engine.shard(s).schedule_at(t_us(static_cast<double>(s + 1)),
-                                [&engine, s] { hop(engine, s, 20); });
-  }
-  engine.run();
-  for (std::size_t s = 0; s < 4; ++s) {
-    EXPECT_EQ(engine.shard_stats(s).null_msgs_sent, 0u);
-    EXPECT_EQ(engine.shard_stats(s).null_msgs_demanded, 0u);
-    EXPECT_EQ(engine.shard_stats(s).eot_advances, 0u);
-    EXPECT_EQ(engine.shard_stats(s).blocked_waits, 0u);
-  }
+// A second run() on the same engine synchronizes like a fresh engine: the
+// first run's round clocks and reduce slots must not let the second run
+// skip rounds, and a post made between runs must be delivered.
+TEST(ShardedEngine, SecondRunSynchronizesLikeAFreshEngine) {
+  int ran = 0;
+  // One local event per shard, 50us apart, plus a cross-shard post made
+  // before run(): every event needs its own round.
+  const auto schedule_second_run = [&ran](ShardedEngine& engine) {
+    for (std::size_t s = 0; s < 4; ++s) {
+      engine.shard(s).schedule_at(t_us(100.0 + 50.0 * static_cast<double>(s)),
+                                  [&ran] { ++ran; });
+    }
+    engine.post(0, 1, t_us(175), [&ran] { ++ran; });
+  };
+
+  ShardedEngine fresh(4, kLookahead);
+  schedule_second_run(fresh);
+  fresh.run();
+  ASSERT_EQ(ran, 5);
+  EXPECT_EQ(fresh.lbts_rounds(), 5u);
+
+  ShardedEngine reused(4, kLookahead);
+  seed_ping_pong(reused, 20);
+  reused.run();
+  const std::uint64_t first_rounds = reused.lbts_rounds();
+  ran = 0;
+  schedule_second_run(reused);
+  reused.run();
+  EXPECT_EQ(ran, 5);
+  EXPECT_EQ(reused.lbts_rounds() - first_rounds, fresh.lbts_rounds());
 }
 
 // ---- Per-channel lookahead ----

@@ -326,21 +326,24 @@ TEST(TimingWheelBatch, CancelInsideBatchIsHonoured) {
 
 TEST(TimingWheelBatch, ScheduleIntoOwnTickJoinsTheBatchEitherWay) {
   // An event scheduling a same-timestamp successor while its tick executes:
-  // the successor runs in this tick in both modes, with equal hashes.
-  auto run_history = [](bool batched) {
-    Simulator sim;
-    sim.set_batch_dispatch(batched);
-    std::vector<int> order;
-    sim.schedule_at(TimePoint{50}, [&] {
-      order.push_back(0);
-      sim.schedule_at(TimePoint{50}, [&] { order.push_back(2); });
-    });
-    sim.schedule_at(TimePoint{50}, [&] { order.push_back(1); });
-    sim.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-    return sim.event_order_hash();
-  };
-  EXPECT_EQ(run_history(true), run_history(false));
+  // the successor runs in this tick, with the hash of a bare per-event
+  // EventQueue::pop() loop over the same history.
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_at(TimePoint{50}, [&] {
+    order.push_back(0);
+    sim.schedule_at(TimePoint{50}, [&] { order.push_back(2); });
+  });
+  sim.schedule_at(TimePoint{50}, [&] { order.push_back(1); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+
+  EventQueue q;
+  q.schedule(TimePoint{50}, [&q] { q.schedule(TimePoint{50}, [] {}); });
+  q.schedule(TimePoint{50}, [] {});
+  while (!q.empty()) q.pop().second();
+  EXPECT_EQ(sim.event_order_hash(), q.order_hash());
+  EXPECT_EQ(q.order_hash(), 0x7eb8049b1124fea6ULL);
 }
 
 TEST(TimingWheelCancel, StatsSurfaceWheelBehaviour) {
