@@ -49,6 +49,16 @@ std::uint64_t peak_rss_kb() {
   return 0;
 }
 
+/// "<family>-<nodes>x<radix>", plus "-s<shards>" for the sharded axes: the
+/// label the checker pins a point under and --only selects it by.
+std::string point_label(const char* family, std::size_t nodes,
+                        std::size_t radix, std::size_t shards = 0) {
+  std::string label = std::string(family) + "-" + std::to_string(nodes) +
+                      "x" + std::to_string(radix);
+  if (shards > 0) label += "-s" + std::to_string(shards);
+  return label;
+}
+
 // Seven runs per node count; a hand-built spec list (not a cartesian grid).
 constexpr std::size_t kRunsPerScale = 7;
 
@@ -90,7 +100,7 @@ RunResult run_scale_point(const BenchOptions& options, std::size_t nodes,
                           std::size_t radix, std::size_t index) {
   RunSpec spec;
   spec.experiment = Experiment::kGmMulticast;
-  spec.label = "scale-" + std::to_string(nodes) + "x" + std::to_string(radix);
+  spec.label = point_label("scale", nodes, radix);
   spec.nodes = nodes;
   spec.wiring = Wiring::kClos;
   spec.switch_radix = radix;
@@ -127,8 +137,7 @@ RunResult run_sharded_point(const BenchOptions& options, std::size_t nodes,
                             std::size_t radix, std::size_t shards) {
   RunSpec spec;
   spec.experiment = Experiment::kGmMulticast;
-  spec.label = "pshard-" + std::to_string(nodes) + "x" + std::to_string(radix) +
-               "-s" + std::to_string(shards);
+  spec.label = point_label("pshard", nodes, radix, shards);
   spec.nodes = nodes;
   spec.wiring = Wiring::kClos;
   spec.switch_radix = radix;
@@ -194,6 +203,9 @@ void run_sharded_sweep(const BenchOptions& options,
       continue;
     }
     const std::size_t effective = options.shards_or(shards);
+    if (!options.selected(point_label("pshard", nodes, 16, effective))) {
+      continue;
+    }
     RunResult r = run_sharded_point(options, nodes, 16, effective);
     std::printf(
         "%14zux16-s%-3zu | %10.0f | %9.1f | %12.0f | %11llu | %9llu | %9llu\n",
@@ -213,16 +225,12 @@ void run_sharded_sweep(const BenchOptions& options,
 /// One migrated-coroutine-family point: the paper's flat NIC-based
 /// multisend (Fig. 3's star, no forwarding) on the sharded fabric.
 /// shards == 1 dispatches to the classic gm::Cluster coroutine stack, the
-/// bit-identical baseline; `batch` additionally turns on the batched
-/// per-shard LBTS horizons, whose only observable is fewer LBTS rounds
-/// ("-bh" label suffix; lbts_rounds in the JSON carries the before/after).
+/// bit-identical baseline.
 RunResult run_multisend_point(const BenchOptions& options, std::size_t nodes,
-                              std::size_t radix, std::size_t shards,
-                              bool batch) {
+                              std::size_t radix, std::size_t shards) {
   RunSpec spec;
   spec.experiment = Experiment::kMultisend;
-  spec.label = "msend-" + std::to_string(nodes) + "x" + std::to_string(radix) +
-               "-s" + std::to_string(shards) + (batch ? "-bh" : "");
+  spec.label = point_label("msend", nodes, radix, shards);
   spec.nodes = nodes;
   spec.destinations = nodes - 1;
   spec.wiring = Wiring::kClos;
@@ -232,9 +240,8 @@ RunResult run_multisend_point(const BenchOptions& options, std::size_t nodes,
   spec.warmup = 1;
   spec.iterations = 2;
   spec.shards = shards;
-  spec.batch_horizons = batch;
-  // Seeded per node count, like the pshard points: every shard count (and
-  // both horizon modes) of one fabric answers for the same seeded scenario.
+  // Seeded per node count, like the pshard points: every shard count of
+  // one fabric answers for the same seeded scenario.
   spec.seed = derive_seed(options.base_seed, 5000 + nodes);
 
   // NOLINTNEXTLINE(nicmcast-wall-clock): host wall time measures bench throughput, not simulated time
@@ -261,33 +268,34 @@ void run_family_sweep(const BenchOptions& options,
   struct Point {
     std::size_t nodes;
     std::size_t shards;
-    bool batch;
   };
   // The msend-512 s1/s4 pair is CI-pinned like the pshard pair.  16384 and
   // 65536 document the migrated family at fabric sizes the coroutine stack
-  // reaches slowly (16384) or only since the 32-bit NodeId (65536); the
-  // "-bh" twins rerun the same seeded scenario with batched horizons, so
-  // the lbts_rounds delta in the JSON is the LBTS-batching report.
+  // reaches slowly (16384) or only since the 32-bit NodeId (65536).
   const std::vector<Point> points{
-      {512, 1, false},   {512, 4, false},  // CI-pinned pair
-      {16384, 1, false}, {16384, 4, false}, {16384, 4, true},
-      {65536, 4, false}, {65536, 4, true},
+      {512, 1},   {512, 4},  // CI-pinned pair
+      {16384, 1}, {16384, 4},
+      {65536, 4},
   };
 
-  std::printf("\n%25s | %10s | %9s | %12s | %11s | %9s | %9s\n",
+  std::printf("\n%22s | %10s | %9s | %12s | %11s | %9s | %9s\n",
               "multisend point", "events", "wall ms", "events/s",
               "x-shard msg", "lbts rnds", "blk waits");
   std::size_t skipped = 0;
-  for (const auto& [nodes, shards, batch] : points) {
+  for (const auto& [nodes, shards] : points) {
     if (options.max_nodes != 0 && nodes > options.max_nodes) {
       ++skipped;
       continue;
     }
     const std::size_t effective = options.shards_or(shards);
-    RunResult r = run_multisend_point(options, nodes, 16, effective, batch);
+    if (!options.selected(point_label("msend", nodes, 16, effective))) {
+      continue;
+    }
+    RunResult r = run_multisend_point(options, nodes, 16, effective);
     std::printf(
-        "%12zux16-s%zu%-9s | %10.0f | %9.1f | %12.0f | %11llu | %9llu | %9llu\n",
-        nodes, effective, batch ? "-bh" : "", r.metric("events"), r.metric("wall_ms"), r.metric("events_per_sec"),
+        "%14zux16-s%-3zu | %10.0f | %9.1f | %12.0f | %11llu | %9llu | %9llu\n",
+        nodes, effective, r.metric("events"), r.metric("wall_ms"),
+        r.metric("events_per_sec"),
         static_cast<unsigned long long>(r.engine.cross_shard_msgs),
         static_cast<unsigned long long>(r.engine.lbts_rounds),
         static_cast<unsigned long long>(r.engine.blocked_waits));
@@ -318,6 +326,7 @@ void run_scale_sweep(const BenchOptions& options,
       ++skipped;
       continue;
     }
+    if (!options.selected(point_label("scale", nodes, radix))) continue;
     RunResult r = run_scale_point(options, nodes, radix, i);
     std::printf("%8zux%-3zu | %10.0f | %9.1f | %12.0f | %6llu/%-6.0f | %8.0f KB\n",
                 nodes, radix, r.metric("events"), r.metric("wall_ms"),
@@ -332,11 +341,9 @@ void run_scale_sweep(const BenchOptions& options,
   }
 }
 
-void run(const BenchOptions& options) {
-  print_header(
-      "Extension — scalability sweep (Clos fabrics up to 128 nodes)",
-      "Paper §7: minimal NIC state, no centralized manager => the benefit "
-      "should grow with system size.");
+/// The 8-128-node latency sweep: NIC- vs host-based factors per scale.
+void run_shape_table(const BenchOptions& options,
+                     std::vector<RunResult>& results) {
   const std::vector<std::size_t> scales{8, 16, 32, 64, 128};
   const int iterations = options.iterations_or(10);
 
@@ -346,7 +353,7 @@ void run(const BenchOptions& options) {
     specs.insert(specs.end(), std::make_move_iterator(batch.begin()),
                  std::make_move_iterator(batch.end()));
   }
-  auto results = ParallelRunner(runner_options(options)).run(specs);
+  results = ParallelRunner(runner_options(options)).run(specs);
 
   std::printf("%6s | %26s | %36s | %21s\n", "nodes",
               "512B mcast HB/NB/factor",
@@ -375,6 +382,16 @@ void run(const BenchOptions& options) {
       "needs topology-aware trees — construction the paper explicitly\n"
       "scopes out ('our intent is not to study the effects of hardware\n"
       "topology', §5).\n");
+}
+
+void run(const BenchOptions& options) {
+  print_header(
+      "Extension — scalability sweep (Clos fabrics up to 128 nodes)",
+      "Paper §7: minimal NIC state, no centralized manager => the benefit "
+      "should grow with system size.");
+  std::vector<RunResult> results;
+  // The latency sweep's points carry no labels, so --only skips it.
+  if (options.only.empty()) run_shape_table(options, results);
 
   print_header(
       "Extension — scale sweep (128 -> 4096-node Clos, radix 16/32)",
@@ -394,7 +411,7 @@ void run(const BenchOptions& options) {
       "65536-node Clos)",
       "The coroutine experiment families on the conservative-PDES fabric "
       "(DESIGN.md 4.6): s1 = the gm::Cluster stack, s>1 = the sharded "
-      "fabric; -bh = batched LBTS horizons.");
+      "fabric.");
   run_family_sweep(options, results);
 
   write_bench_json("ext_scalability", options, results);

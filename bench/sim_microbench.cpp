@@ -28,7 +28,6 @@
 #include "harness/bench_io.hpp"
 #include "harness/parallel_runner.hpp"
 #include "harness/runners.hpp"
-#include "perf_counters.hpp"
 #include "sim/simulator.hpp"
 #include "soak.hpp"
 
@@ -50,7 +49,6 @@ struct Repetition {
   double wall_s = 0.0;
   std::uint64_t events = 0;
   harness::EngineCounters engine;
-  bench::PerfCounters::Reading perf;  // zeros unless --perf-counters
 };
 
 void fill_engine(const sim::Simulator& sim, harness::EngineCounters& engine) {
@@ -207,15 +205,10 @@ Repetition run_chaos_soak(std::uint64_t base_seed) {
 
 template <typename Body>
 harness::RunResult time_scenario(const char* name, int repeats,
-                                 std::uint64_t base_seed,
-                                 bench::PerfCounters* counters, Body&& body) {
+                                 std::uint64_t base_seed, Body&& body) {
   Repetition best;
   for (int r = 0; r < repeats; ++r) {
-    if (counters) counters->start();
     Repetition rep = body();
-    if (counters) rep.perf = counters->stop();
-    // The fastest repetition's hardware counters travel with it, so the
-    // cache/branch-miss columns describe the same run as wall_ms.
     if (r == 0 || rep.wall_s < best.wall_s) best = rep;
   }
   const double events_per_sec = static_cast<double>(best.events) / best.wall_s;
@@ -233,13 +226,6 @@ harness::RunResult time_scenario(const char* name, int repeats,
   out.set_metric("events", static_cast<double>(best.events));
   out.set_metric("wall_ms", best.wall_s * 1e3);
   out.set_metric("events_per_sec", events_per_sec);
-  // Optional columns: only under --perf-counters, so default documents
-  // stay byte-identical to the pinned goldens.
-  if (counters) {
-    out.set_metric("cache_misses", static_cast<double>(best.perf.cache_misses));
-    out.set_metric("branch_misses",
-                   static_cast<double>(best.perf.branch_misses));
-  }
   return out;
 }
 
@@ -254,33 +240,24 @@ int main(int argc, char** argv) {
       "Simulator engine microbench: end-to-end events/sec",
       "engine hot paths (event queue, coroutines, forwarding, soak mix)");
 
-  bench::PerfCounters perf_counters;
-  bench::PerfCounters* counters =
-      options.perf_counters ? &perf_counters : nullptr;
-  if (counters && !perf_counters.ok()) {
-    std::printf("note: hardware perf counters unavailable; "
-                "cache/branch-miss columns will read 0\n");
-  }
-
   std::vector<harness::RunResult> results;
   if (options.selected("event-churn")) {
     results.push_back(time_scenario("event-churn", repeats, options.base_seed,
-                                    counters,
                                     [] { return run_event_churn(); }));
   }
   if (options.selected("coroutine-chain")) {
     results.push_back(time_scenario("coroutine-chain", repeats,
-                                    options.base_seed, counters,
+                                    options.base_seed,
                                     [] { return run_coroutine_chain(); }));
   }
   if (options.selected("mcast-forwarding")) {
     results.push_back(time_scenario(
-        "mcast-forwarding", repeats, options.base_seed, counters,
+        "mcast-forwarding", repeats, options.base_seed,
         [&] { return run_mcast_forwarding(options.base_seed); }));
   }
   if (options.selected("chaos-soak")) {
     results.push_back(time_scenario(
-        "chaos-soak", repeats, options.base_seed, counters,
+        "chaos-soak", repeats, options.base_seed,
         [&] { return run_chaos_soak(options.base_seed); }));
   }
 

@@ -13,11 +13,6 @@ scenario against the *last* trajectory entry (the current engine):
      mismatch is a real engine-behaviour change and fails hard.  Update the
      trajectory and the determinism golden test together if the change is
      intentional.
-  Entries may additionally record cache_misses / branch_misses columns
-  (from --perf-counters runs).  These are optional and informational in
-  both directions: a baseline without them gates a fresh run that has
-  them, and vice versa — hardware counters are host-dependent and read 0
-  where perf_event_open is unavailable, so they are never gated.
 
   2. events_per_sec must not drop more than the threshold (default 20%)
      below the recorded value.  Wall-clock throughput does vary with runner
@@ -79,15 +74,6 @@ def check_hash_and_eps(label, want, run, failures):
                 f"{label}: per-shard hash vector diverged from the recorded "
                 f"golden (shards {diverged}); the sharded determinism "
                 f"contract is broken")
-    # Optional microarchitecture columns (recorded by --perf-counters runs):
-    # informational only, never gated — hardware counts vary by host and
-    # read 0 on machines without a PMU or with perf_event_open locked down.
-    for key in ("cache_misses", "branch_misses"):
-        if key in want:
-            got = run["metrics"].get(key)
-            got_text = f"{got:,.0f}" if got is not None else "n/a"
-            print(f"{label}:   {key} {got_text} "
-                  f"(recorded {want[key]:,.0f}; informational)")
     got_eps = run["metrics"]["events_per_sec"]
     floor = THRESHOLD * want["events_per_sec"]
     verdict = "ok" if got_eps >= floor else "REGRESSED"

@@ -1,21 +1,17 @@
 #!/usr/bin/env python3
-"""Run a nicmcast-* engine over the check fixtures and diff against EXPECT.
+"""Run nicmcast_lint over the check fixtures and diff against EXPECT.
 
 Every fixture under tools/nicmcast-tidy/fixtures/ annotates the lines it
-expects flagged with `// EXPECT: <check-name>`.  This script runs one of
-the two engines over each fixture and fails if the produced (line, check)
-set differs from the annotated one in either direction.
+expects flagged with `// EXPECT: <check-name>`.  This script runs the
+nicmcast_lint binary over each fixture and fails if the produced (line,
+check) set differs from the annotated one in either direction.
 
-The portable engine is exercised the same way in-process by the gtest
-fixture tests; this script exists so CI can assert the *clang-tidy plugin*
-produces the same findings:
+The gtest fixture tests run the same checks in-process; this script reads
+the binary's output with the finding regex scripts/run_static_analysis.py
+parses, so an output-format drift fails here instead of silently turning
+the lint gate clean:
 
-    scripts/check_fixtures.py --engine clang \
-        --clang-tidy clang-tidy-18 \
-        --plugin build/tools/nicmcast-tidy/NicMcastTidyModule.so
-
-    scripts/check_fixtures.py --engine portable \
-        --lint-bin build/tools/nicmcast-tidy/nicmcast_lint
+    scripts/check_fixtures.py --lint-bin build/tools/nicmcast-tidy/nicmcast_lint
 """
 
 from __future__ import annotations
@@ -26,13 +22,10 @@ import re
 import subprocess
 import sys
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+from run_static_analysis import FINDING_RE, REPO_ROOT
+
 FIXTURE_DIR = REPO_ROOT / "tools" / "nicmcast-tidy" / "fixtures"
 
-FINDING_RE = re.compile(
-    r"^(?P<path>[^:]+):(?P<line>\d+):(?P<col>\d+): warning: .*"
-    r"\[(?P<check>nicmcast-[a-z-]+)[,\]]"
-)
 EXPECT_RE = re.compile(r"// EXPECT: (?P<check>[a-z][a-z0-9-]*)")
 
 
@@ -59,27 +52,7 @@ def parse_findings(output: str, fixture: pathlib.Path) -> set[tuple[int, str]]:
     return out
 
 
-def run_clang_engine(args, fixture: pathlib.Path) -> str:
-    cmd = [
-        args.clang_tidy,
-        "-load",
-        args.plugin,
-        "-checks=-*,nicmcast-*",
-        str(fixture),
-        "--",
-        "-std=c++20",
-        f"-I{FIXTURE_DIR}",
-    ]
-    proc = subprocess.run(cmd, capture_output=True, text=True)
-    # clang-tidy exits non-zero on hard errors only; compile errors in the
-    # stub header would surface here.
-    if "error:" in proc.stderr or "error:" in proc.stdout:
-        sys.stderr.write(proc.stdout + proc.stderr)
-        raise SystemExit(f"clang-tidy failed to parse {fixture.name}")
-    return proc.stdout
-
-
-def run_portable_engine(args, fixture: pathlib.Path) -> str:
+def run_lint(args, fixture: pathlib.Path) -> str:
     cmd = [args.lint_bin, "--root", str(REPO_ROOT), str(fixture)]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     if proc.returncode not in (0, 1):
@@ -90,39 +63,18 @@ def run_portable_engine(args, fixture: pathlib.Path) -> str:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--engine", choices=["clang", "portable"],
-                        required=True)
-    parser.add_argument("--clang-tidy", default="clang-tidy")
-    parser.add_argument("--plugin", help="path to NicMcastTidyModule.so")
-    parser.add_argument("--lint-bin", help="path to nicmcast_lint")
+    parser.add_argument("--lint-bin", required=True,
+                        help="path to nicmcast_lint")
     args = parser.parse_args()
-
-    if args.engine == "clang" and not args.plugin:
-        parser.error("--engine clang requires --plugin")
-    if args.engine == "portable" and not args.lint_bin:
-        parser.error("--engine portable requires --lint-bin")
 
     fixtures = sorted(FIXTURE_DIR.glob("*.cpp"))
     if not fixtures:
         raise SystemExit(f"no fixtures under {FIXTURE_DIR}")
 
     failures = 0
-    skipped = 0
     for fixture in fixtures:
-        # A fixture whose first line carries PORTABLE-ONLY exercises a
-        # check with no clang-tidy twin (comment-level audits the AST
-        # engine cannot see); only the portable engine runs it.
-        if args.engine == "clang" and "PORTABLE-ONLY" in fixture.read_text(
-        ).partition("\n")[0]:
-            print(f"[skip] {fixture.name}: portable-engine-only")
-            skipped += 1
-            continue
         expected = expected_findings(fixture)
-        if args.engine == "clang":
-            output = run_clang_engine(args, fixture)
-        else:
-            output = run_portable_engine(args, fixture)
-        actual = parse_findings(output, fixture)
+        actual = parse_findings(run_lint(args, fixture), fixture)
 
         missing = expected - actual
         surplus = actual - expected
@@ -139,8 +91,7 @@ def main() -> int:
     if failures:
         print(f"{failures} fixture expectation(s) violated", file=sys.stderr)
         return 1
-    print(f"all {len(fixtures) - skipped} fixtures match under the "
-          f"{args.engine} engine ({skipped} portable-only skipped)")
+    print(f"all {len(fixtures)} fixtures match")
     return 0
 
 

@@ -1,15 +1,12 @@
 #!/usr/bin/env python3
 """Repo-wide nicmcast-* static analysis driver.
 
-Runs the determinism-contract checks over the tree and fails on any
-finding not recorded in the baseline file.  Two engines, picked
-automatically:
-
-  - clang-tidy plugin: used when a clang-tidy binary and the built
-    NicMcastTidyModule.so are both available (the CI static-analysis job).
-    Also enables the curated upstream checks from .clang-tidy.
-  - portable engine (nicmcast_lint): plain-C++ reimplementation of the
-    nicmcast-* checks; runs anywhere the repo builds.
+Runs the determinism-contract checks (nicmcast_lint, which builds with
+the simulator itself) over the tree and fails on any finding not recorded
+in the baseline file.  With --clang-tidy BIN the curated upstream checks
+from .clang-tidy (plain clang-tidy over --build-dir's
+compile_commands.json) go through the same gate; the CI static-analysis
+job runs that.
 
 Modes:
 
@@ -20,6 +17,8 @@ Modes:
                                                  # 8 engine processes
   scripts/run_static_analysis.py \
       --checks nicmcast-memory-order-audit,nicmcast-shard-state-escape
+  scripts/run_static_analysis.py --clang-tidy clang-tidy-18 \
+      --build-dir build                          # plus upstream checks
 
 The baseline (scripts/static_analysis_baseline.txt) lists findings that
 are acknowledged and suppressed, one `path:check` per line.  The gate is
@@ -37,7 +36,6 @@ import concurrent.futures
 import os
 import pathlib
 import re
-import shutil
 import subprocess
 import sys
 
@@ -95,32 +93,15 @@ def find_lint_bin(args) -> pathlib.Path | None:
     return None
 
 
-def find_plugin(args) -> pathlib.Path | None:
-    if args.plugin:
-        return pathlib.Path(args.plugin)
-    for build in (args.build_dir, REPO_ROOT / "build"):
-        if not build:
-            continue
-        cand = pathlib.Path(build) / "tools" / "nicmcast-tidy" / \
-            "NicMcastTidyModule.so"
-        if cand.exists():
-            return cand
-    return None
-
-
 def shard(items: list, jobs: int) -> list[list]:
     """Round-robin split preserving per-shard sorted order well enough."""
     out = [items[i::jobs] for i in range(jobs)]
     return [s for s in out if s]
 
 
-def run_clang_engine(args, files: list[pathlib.Path],
-                     plugin: pathlib.Path) -> list[str]:
+def run_clang_tidy(args, files: list[pathlib.Path]) -> list[str]:
     build_dir = args.build_dir or (REPO_ROOT / "build")
-    base = [args.clang_tidy, "-load", str(plugin), "-p", str(build_dir),
-            "--quiet"]
-    if args.checks:
-        base.append("-checks=-*," + ",".join(args.checks))
+    base = [args.clang_tidy, "-p", str(build_dir), "--quiet"]
     sources = [str(f) for f in files if f.suffix == ".cpp"]
     if not sources:
         return []
@@ -137,7 +118,7 @@ def run_clang_engine(args, files: list[pathlib.Path],
     return lines
 
 
-def run_portable_engine(args, files: list[pathlib.Path],
+def run_lint(args, files: list[pathlib.Path],
                         lint_bin: pathlib.Path) -> list[str]:
     base = [str(lint_bin), "--root", str(REPO_ROOT)]
     for check in args.checks:
@@ -196,22 +177,20 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--diff", metavar="BASE",
                         help="only analyse files changed since BASE")
-    parser.add_argument("--engine", choices=["auto", "clang", "portable"],
-                        default="auto")
-    parser.add_argument("--clang-tidy", default="clang-tidy")
-    parser.add_argument("--plugin",
-                        help="path to NicMcastTidyModule.so")
+    parser.add_argument("--clang-tidy", metavar="BIN",
+                        help="also run the upstream checks in .clang-tidy "
+                             "with this clang-tidy binary")
     parser.add_argument("--lint-bin", help="path to nicmcast_lint")
     parser.add_argument("--build-dir",
                         help="build tree (compile_commands.json, built "
-                             "engine binaries)")
+                             "nicmcast_lint)")
     parser.add_argument("--update-baseline", action="store_true",
                         help="record current findings as accepted")
     parser.add_argument("--jobs", "-j", type=int, default=1,
                         help="engine processes to run in parallel "
                              "(0 = CPU count)")
     parser.add_argument("--checks",
-                        help="comma-separated check names to run "
+                        help="comma-separated nicmcast-* checks to run "
                              "(default: all)")
     args = parser.parse_args()
     if args.jobs == 0:
@@ -225,26 +204,17 @@ def main() -> int:
         print("static-analysis: no files to analyse")
         return 0
 
-    engine = args.engine
-    plugin = find_plugin(args)
     lint_bin = find_lint_bin(args)
-    if engine == "auto":
-        has_clang = plugin is not None and \
-            shutil.which(args.clang_tidy) is not None
-        engine = "clang" if has_clang else "portable"
-
-    if engine == "clang":
-        if plugin is None:
-            raise SystemExit("clang engine requested but "
-                             "NicMcastTidyModule.so not found")
-        lines = run_clang_engine(args, files, plugin)
-    else:
-        if lint_bin is None:
-            raise SystemExit(
-                "nicmcast_lint not found; build it first "
-                "(cmake --build build --target nicmcast_lint) or pass "
-                "--lint-bin")
-        lines = run_portable_engine(args, files, lint_bin)
+    if lint_bin is None:
+        raise SystemExit(
+            "nicmcast_lint not found; build it first "
+            "(cmake --build build --target nicmcast_lint) or pass "
+            "--lint-bin")
+    lines = run_lint(args, files, lint_bin)
+    engine = "nicmcast_lint"
+    if args.clang_tidy:
+        lines += run_clang_tidy(args, files)
+        engine += " + clang-tidy"
 
     findings = parse_findings(lines)
 

@@ -32,17 +32,11 @@ namespace {
                "default; 1 = the\n"
                "                classic sequential engine, bit-identical "
                "output)\n"
-               "  --batch-horizons  let each shard run to its per-shard "
-               "batched LBTS\n"
-               "                horizon (fewer LBTS rounds; its own "
-               "golden lineage)\n"
-               "  --perf-counters  sample hardware cache/branch-miss "
-               "counters per scenario\n"
-               "                (perf_event_open; zeros when unavailable)\n"
                "  --only LABEL  run just the scenario/point with this label "
-               "(profiling\n"
-               "                aid; the output is not a regression "
-               "baseline)\n",
+               "(sim_microbench,\n"
+               "                ext_scalability; a profiling aid, the "
+               "output is not a\n"
+               "                regression baseline)\n",
                static_cast<int>(bench_name.size()), bench_name.data());
   std::exit(code);
 }
@@ -85,10 +79,6 @@ BenchOptions parse_bench_options(int argc, char** argv,
     } else if (arg == "--shards") {
       options.shards =
           static_cast<std::size_t>(parse_u64(value(), bench_name));
-    } else if (arg == "--batch-horizons") {
-      options.batch_horizons = true;
-    } else if (arg == "--perf-counters") {
-      options.perf_counters = true;
     } else if (arg == "--only") {
       options.only = value();
     } else {
@@ -142,7 +132,6 @@ json::Value spec_to_json(const RunSpec& spec) {
   // Emitted only for sharded runs: every pre-existing document (and the
   // CI thread-count determinism diff over them) stays byte-identical.
   if (spec.shards > 1) out["shards"] = spec.shards;
-  if (spec.batch_horizons) out["batch_horizons"] = true;
   out["aux"] = spec.aux;
   return out;
 }
@@ -226,7 +215,6 @@ json::Value result_to_json(const RunResult& result) {
     // checker gates only their presence.
     engine["null_msgs_sent"] = result.engine.null_msgs_sent;
     engine["null_msgs_demanded"] = result.engine.null_msgs_demanded;
-    engine["eot_advances"] = result.engine.eot_advances;
     engine["blocked_waits"] = result.engine.blocked_waits;
   }
   out["engine"] = std::move(engine);

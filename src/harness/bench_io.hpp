@@ -47,7 +47,7 @@
 //                     "shard_wheel_occupancy_peak": [...],
 //                     /* timing-dependent: presence gated, values never: */
 //                     "null_msgs_sent": ..., "null_msgs_demanded": ...,
-//                     "eot_advances": ..., "blocked_waits": ... },
+//                     "blocked_waits": ... },
 //         "metrics": { "<name>": <number>, ... }
 //       }, ...
 //     ]
@@ -74,17 +74,10 @@ struct BenchOptions {
   /// gm_mcast scale sweeps).  0 = keep each bench point's own default, so
   /// existing BENCH_*.json documents are reproduced byte-identically.
   std::size_t shards = 0;
-  /// Opt sharded points into batched per-shard LBTS horizons (fewer
-  /// rounds, same outcome; a different — but pinned — event-seq lineage,
-  /// so goldens record which mode produced them).
-  bool batch_horizons = false;
-  /// --perf-counters: sample hardware cache-miss/branch-miss counters
-  /// around each timed scenario (Linux perf_event_open; reads as zero
-  /// off-Linux or when the kernel denies access).
-  bool perf_counters = false;
-  /// --only LABEL: run just the scenario/sweep point with this label.
-  /// A profiling/debugging aid — a filtered JSON document is not a valid
-  /// regression baseline (the checker fails on the missing labels).
+  /// --only LABEL: run just the scenario/sweep point with this label
+  /// (sim_microbench and ext_scalability honour it).  A profiling aid — a
+  /// filtered JSON document is not a valid regression baseline (the
+  /// checker fails on the missing labels).
   std::string only;
 
   /// True when `label` passes the --only filter.

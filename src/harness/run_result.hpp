@@ -57,7 +57,6 @@ struct EngineCounters {
   // Null-message protocol counters (timing-dependent, never hashed).
   std::uint64_t null_msgs_sent = 0;      // demand-answer null messages
   std::uint64_t null_msgs_demanded = 0;  // receiver demand flags raised
-  std::uint64_t eot_advances = 0;        // inbound channel-clock advances
   std::uint64_t blocked_waits = 0;       // waits that actually spun
   std::vector<std::uint64_t> shard_order_hashes;         // per-shard, in order
   std::vector<std::uint64_t> shard_wheel_occupancy_peak; // per-shard wheels

@@ -29,10 +29,6 @@ namespace nicmcast::harness {
 /// determinism hash vector (DESIGN.md §4.5-4.6).
 [[nodiscard]] RunResult run_sharded(const RunSpec& spec);
 
-/// Historical alias: the gm_mcast family via run_sharded; throws for
-/// anything else.
-[[nodiscard]] RunResult run_sharded_mcast(const RunSpec& spec);
-
 /// NIC multisend vs host-based multiple unicasts (Fig. 3).  Uses
 /// spec.destinations targets; spec.nodes must be destinations + 1.
 [[nodiscard]] RunResult run_multisend(const RunSpec& spec);

@@ -142,7 +142,6 @@ RunResult run_sharded(const RunSpec& spec) {
   options.iterations = spec.iterations;
   options.loss_rate = spec.loss_rate;
   options.avg_skew_us = spec.avg_skew_us;
-  options.batch_horizons = spec.batch_horizons;
   options.seed = spec.seed;
   options.nic = spec.nic;
 
@@ -182,7 +181,6 @@ RunResult run_sharded(const RunSpec& spec) {
   e.cross_links = fr.cross_links;
   e.null_msgs_sent = fr.null_msgs_sent;
   e.null_msgs_demanded = fr.null_msgs_demanded;
-  e.eot_advances = fr.eot_advances;
   e.blocked_waits = fr.blocked_waits;
   e.shard_order_hashes = fr.shard_order_hashes;
   e.shard_wheel_occupancy_peak = fr.shard_wheel_occupancy_peak;
@@ -214,15 +212,6 @@ RunResult run_sharded(const RunSpec& spec) {
                       sum / static_cast<double>(fr.latency_us.size()));
   }
   return result;
-}
-
-RunResult run_sharded_mcast(const RunSpec& spec) {
-  if (spec.experiment != Experiment::kGmMulticast) {
-    throw std::invalid_argument(
-        "run_sharded_mcast: only the gm_mcast family; use run_sharded for "
-        "the other migrated families");
-  }
-  return run_sharded(spec);
 }
 
 }  // namespace nicmcast::harness

@@ -19,7 +19,6 @@ FabricPartition switch_cut(const Topology& topology, std::size_t shards,
   part.lookahead = config.hop_latency;
   part.vertex_shard.assign(vertices, 0);
   part.link_owner.assign(topology.link_count(), 0);
-  part.channel_lookahead.assign(1, part.lookahead);
   if (shards == 1) return part;  // everything on shard 0, no cross links
 
   // One pass over the links classifies switches (leaf = endpoint-adjacent)
@@ -79,26 +78,11 @@ FabricPartition switch_cut(const Topology& topology, std::size_t shards,
             : part.vertex_shard[endpoint_switch[e]];
   }
 
-  // Per-ordered-pair channel lookahead: fold the cut links into a
-  // shards × shards matrix of minimum crossing latencies.  Every link in
-  // the model crosses in `hop_latency`, so today each direct-link entry
-  // equals the global floor — the derivation still walks the cut so that
-  // per-link latencies slot in without touching callers.  Pairs with no
-  // direct cut link keep the global fallback: the fabric's controller
-  // notifications hop between arbitrary shard pairs at exactly
-  // `now + lookahead`, so no channel may promise more.
-  part.channel_lookahead.assign(shards * shards, part.lookahead);
   for (LinkId l = 0; l < topology.link_count(); ++l) {
     const LinkDesc& link = topology.link(l);
     const std::uint32_t from_shard = part.vertex_shard[link.from];
-    const std::uint32_t to_shard = part.vertex_shard[link.to];
     part.link_owner[l] = from_shard;
-    if (from_shard != to_shard) {
-      ++part.cross_links;
-      sim::Duration& entry =
-          part.channel_lookahead[from_shard * shards + to_shard];
-      entry = std::min(entry, config.hop_latency);
-    }
+    if (from_shard != part.vertex_shard[link.to]) ++part.cross_links;
   }
 
   // Post-condition of the clamp: every shard owns at least one endpoint.

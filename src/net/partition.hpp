@@ -28,27 +28,12 @@ struct FabricPartition {
   /// Links whose endpoints live on different shards.
   std::uint64_t cross_links = 0;
   /// Conservative synchronization window: the minimum latency any packet
-  /// needs to cross a shard boundary.
+  /// needs to cross a shard boundary.  Every link crosses in the same
+  /// `hop_latency`, so this one value is also every shard pair's minimum.
   sim::Duration lookahead{0};
-  /// Per-ordered-pair channel lookahead, row-major [from * shards + to]:
-  /// the minimum latency over the cut links leaving shard `from` for shard
-  /// `to`.  Pairs joined by no direct cut link fall back to the global
-  /// `lookahead` — the fabric also posts controller notifications between
-  /// arbitrary shard pairs at exactly `now + lookahead`, so no channel may
-  /// promise more than the global floor unless a direct link justifies it.
-  /// The engine stamps each channel's EOT nulls with its entry
-  /// (sim::ShardedEngine::set_channel_lookahead).  Every entry is >= the
-  /// global `lookahead`; the diagonal is unused.
-  std::vector<sim::Duration> channel_lookahead;
 
   [[nodiscard]] std::uint32_t shard_of_endpoint(NodeId node) const {
     return vertex_shard[node];
-  }
-
-  /// The channel lookahead of the ordered shard pair from → to.
-  [[nodiscard]] sim::Duration channel_lookahead_of(std::size_t from,
-                                                   std::size_t to) const {
-    return channel_lookahead[from * shards + to];
   }
 };
 

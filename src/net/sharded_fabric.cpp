@@ -54,19 +54,6 @@ ShardedFabric::ShardedFabric(Topology topology, FabricTree tree,
   // leaf-block count so no worker ends up owning zero endpoints.
   engine_ = std::make_unique<sim::ShardedEngine>(
       partition_.shards, partition_.lookahead, options_.seed);
-  engine_->enable_batched_horizons(options_.batch_horizons);
-  // Hand the engine the partition's per-pair channel lookaheads (the EOT
-  // stride; post() enforces them as the send window).  With the
-  // model's uniform hop latency every entry equals the global floor, so
-  // this changes no schedule — it wires the derivation end to end.
-  for (std::size_t from = 0; from < partition_.shards; ++from) {
-    for (std::size_t to = 0; to < partition_.shards; ++to) {
-      if (from != to) {
-        engine_->set_channel_lookahead(
-            from, to, partition_.channel_lookahead_of(from, to));
-      }
-    }
-  }
   shards_.reserve(partition_.shards);
   for (std::size_t s = 0; s < partition_.shards; ++s) {
     shards_.push_back(std::make_unique<ShardState>(topology_));
@@ -655,7 +642,6 @@ FabricResult ShardedFabric::run() {
     out.channel_spills += ss.channel_spills;
     out.null_msgs_sent += ss.null_msgs_sent;
     out.null_msgs_demanded += ss.null_msgs_demanded;
-    out.eot_advances += ss.eot_advances;
     out.blocked_waits += ss.blocked_waits;
   }
   return out;

@@ -113,8 +113,7 @@ struct FabricOptions {
   double avg_skew_us = 0.0;
   /// Host-side MPI entry cost added to every kBcast/kSkewBcast delivery.
   sim::Duration host_entry_overhead = sim::usec(1.0);
-  /// Opt into the engine's batched per-shard horizons (fewer LBTS rounds;
-  /// different event seq assignment, so goldens pin per mode).
+  /// Ignored; goes away at the next benchmark revision (bench/suite sets it).
   bool batch_horizons = false;
   /// Ignored; goes away at the next benchmark revision (bench/suite sets it).
   bool async_sync = false;
@@ -156,7 +155,6 @@ struct FabricResult {
   // Null-message protocol counters, aggregated over shards.
   std::uint64_t null_msgs_sent = 0;
   std::uint64_t null_msgs_demanded = 0;
-  std::uint64_t eot_advances = 0;
   std::uint64_t blocked_waits = 0;
   std::vector<std::uint64_t> shard_order_hashes;
   std::vector<std::uint64_t> shard_wheel_occupancy_peak;

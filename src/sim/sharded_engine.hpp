@@ -24,35 +24,15 @@
 // so emptiness of the queues at the reduce implies emptiness of the
 // system).
 //
-// Batched horizons (opt-in, enable_batched_horizons): instead of the one
-// global horizon LBTS + lookahead, the reduce derives a per-shard horizon
-//
-//   H_i = min( min_{j != i} m_j + la,  min_all m_j + 2*la )
-//
-// where m_j is shard j's earliest pending event at the reduce.  Safety:
-// every message of earlier rounds is drained at the reduce, so any event
-// shard i could still receive is produced by some shard executing a
-// pending event.  A direct send from j != i departs an event at t >= m_j
-// and arrives >= m_j + la >= min_{j != i} m_j + la.  Any relayed chain
-// (including one that starts at i itself) crosses >= 2 shard hops of >= la
-// each from an event at >= min_all, arriving >= min_all + 2*la.  Every H_i
-// >= the classic horizon, so each round executes at least as much work and
-// wide fabrics spend measurably fewer rounds (`lbts_rounds`).  Event seq
-// assignment differs from the unbatched schedule, so per-shard hash
-// goldens are pinned per (scenario, batching mode); the pre-existing
-// mcast goldens all use the unbatched default.
-//
 // Synchronization: there is no global barrier.  Shards wait with
 // Chandy–Misra–Bryant-style per-channel data-flow waits, so a shard only
 // stalls on peers it actually depends on.  The drain batches, reduce
 // values and horizons are exactly those of a lockstep three-barrier round,
 // so the round count and per-shard hashes equal that schedule's:
 //
-//   * Every cross-shard message is stamped with the sender's round and a
-//     piggybacked EOT (earliest output time, sender_now + channel
-//     lookahead).  Round stamps are monotone along a FIFO channel, so a
-//     peeked message from a newer round certifies the drain batch in
-//     progress is fully popped.
+//   * Every cross-shard message is stamped with the sender's round.  Round
+//     stamps are monotone along a FIFO channel, so a peeked message from a
+//     newer round certifies the drain batch in progress is fully popped.
 //   * Every shard store-releases its completed-round clock at each round
 //     boundary, after the round's last push.  In shared memory that clock
 //     is a continuously-available null message: an acquire read covering
@@ -63,10 +43,10 @@
 //     flag; the producer answers — at its round boundaries and from
 //     inside its own spin loops, so mutually-blocked shards always unblock
 //     each other — with an explicit null message (empty action) stamped
-//     with its last completed round and a fresh EOT.
+//     with its last completed round.
 //   * The reduce is a per-shard atomic (round, value) slot: each shard
 //     publishes m_i(r) and reads every peer's slot, computing the
-//     identical LBTS and horizons locally.  A slot is released
+//     identical LBTS and horizon locally.  A slot is released
 //     round-tagged, and cannot be overwritten while any reader still needs
 //     it: shard j only reaches its round r+1 publish after every peer
 //     certified completion of round r, which a peer does only after
@@ -124,7 +104,6 @@ class ShardedEngine {
     // Null-message protocol counters (timing-dependent, never hashed).
     std::uint64_t null_msgs_sent = 0;      // demand answers this shard sent
     std::uint64_t null_msgs_demanded = 0;  // demand flags this shard raised
-    std::uint64_t eot_advances = 0;        // inbound channel-clock advances
     std::uint64_t blocked_waits = 0;       // waits that actually spun
   };
 
@@ -145,8 +124,7 @@ class ShardedEngine {
     for (std::size_t from = 0; from < shard_count; ++from) {
       for (std::size_t to = 0; to < shard_count; ++to) {
         if (from != to) {
-          channels_[from * shard_count + to] =
-              std::make_unique<Channel>(lookahead_);
+          channels_[from * shard_count + to] = std::make_unique<Channel>();
         }
       }
     }
@@ -156,47 +134,12 @@ class ShardedEngine {
   [[nodiscard]] Duration lookahead() const { return lookahead_; }
   [[nodiscard]] Simulator& shard(std::size_t i) { return shards_.at(i)->sim; }
 
-  /// Switches the reduce phase to per-shard batched horizons (see the
-  /// header comment).  Changes each shard's event seq assignment — callers
-  /// that pin hash goldens pin them per batching mode.  Call before run().
-  void enable_batched_horizons(bool on) { batched_horizons_ = on; }
-  [[nodiscard]] bool batched_horizons() const { return batched_horizons_; }
-
-  /// Overrides the lookahead of the ordered channel from → to.  The
-  /// engine stamps this channel's EOTs with it and post() enforces it as the
-  /// send window, so a pair of shards joined only by slow cut links can
-  /// promise more than the fabric-wide floor.  It must be >= the engine's
-  /// global lookahead: safe horizons are derived from the global minimum,
-  /// and a smaller per-channel value would let a send land inside a peer's
-  /// already-released horizon.  Call before run().
-  void set_channel_lookahead(std::size_t from, std::size_t to, Duration la) {
-    if (from >= shards_.size() || to >= shards_.size() || from == to) {
-      throw std::out_of_range(
-          "ShardedEngine::set_channel_lookahead: bad channel");
-    }
-    checked_lookahead(la, "channel lookahead");
-    if (la < lookahead_) {
-      throw std::invalid_argument(
-          "ShardedEngine: channel lookahead below the engine-wide lookahead "
-          "— safe horizons derive from the global minimum");
-    }
-    channels_[from * shards_.size() + to]->lookahead = la;
-  }
-
-  [[nodiscard]] Duration channel_lookahead(std::size_t from,
-                                           std::size_t to) const {
-    if (from >= shards_.size() || to >= shards_.size() || from == to) {
-      throw std::out_of_range("ShardedEngine::channel_lookahead: bad channel");
-    }
-    return channels_[from * shards_.size() + to]->lookahead;
-  }
-
   /// Schedules `action` on shard `to` at absolute time `when`.  Same-shard
-  /// posts schedule directly; cross-shard posts must respect the channel's
-  /// lookahead (when >= sender's now + lookahead; every channel lookahead
-  /// is validated > 0 by checked_lookahead) and travel through the channel
-  /// matrix.  May only be called from shard `from`'s worker thread while
-  /// run() is executing that shard (or from any thread before run()).
+  /// posts schedule directly; cross-shard posts must respect the lookahead
+  /// (when >= sender's now + lookahead, validated > 0 by checked_lookahead)
+  /// and travel through the channel matrix.  May only be called from shard
+  /// `from`'s worker thread while run() is executing that shard (or from
+  /// any thread before run()).
   void post(std::size_t from, std::size_t to, TimePoint when,
             EventQueue::Action action) {
     if (from >= shards_.size() || to >= shards_.size()) {
@@ -208,7 +151,7 @@ class ShardedEngine {
     }
     Shard& sender = *shards_[from];
     Channel& ch = *channels_[from * shards_.size() + to];
-    if (when < sender.sim.now() + ch.lookahead) {
+    if (when < sender.sim.now() + lookahead_) {
       throw std::logic_error(
           "ShardedEngine::post: cross-shard send inside the lookahead "
           "window — the conservative horizon would be violated");
@@ -217,12 +160,10 @@ class ShardedEngine {
     msg.when = when;
     msg.seq = ch.send_seq++;
     msg.src = static_cast<std::uint32_t>(from);
-    // Round stamp + piggybacked EOT: the drain uses the stamp to cut batch
-    // boundaries and the EOT to advance the receiver's channel clock.  A
-    // post made between runs carries the round the last run ended in,
-    // which the next run's first drain takes (see run()).
+    // Round stamp: the drain uses it to cut batch boundaries.  A post made
+    // between runs carries the round the last run ended in, which the next
+    // run's first drain takes (see run()).
     msg.round = sender.round;
-    msg.eot = sender.sim.now() + ch.lookahead;
     msg.action = std::move(action);
     ++sender.stats.cross_shard_msgs_sent;
     // post() runs on shard `from`'s worker thread (the method contract
@@ -303,10 +244,9 @@ class ShardedEngine {
   /// "No null message requested" value of a channel's demand flag.
   static constexpr std::uint64_t kNoDemand = ~std::uint64_t{0};
 
-  /// The one lookahead guard (constructor, per-channel overrides): a
-  /// non-positive lookahead collapses the safe horizon onto LBTS itself
-  /// and conservative PDES cannot guarantee progress, so every lookahead
-  /// the engine accepts passes through here before post() relies on it.
+  /// The constructor's lookahead guard: a non-positive lookahead collapses
+  /// the safe horizon onto LBTS itself and conservative PDES cannot
+  /// guarantee progress.
   static Duration checked_lookahead(Duration la, const char* what) {
     if (la <= Duration{0}) {
       throw std::invalid_argument(std::string("ShardedEngine: ") + what +
@@ -320,14 +260,12 @@ class ShardedEngine {
     std::uint64_t seq = 0;   // per-channel send counter: the merge tiebreak
     std::uint32_t src = 0;
     std::uint64_t round = 0;  // sender's round at post time (drain batching)
-    TimePoint eot{0};         // earliest possible later send on this channel
     EventQueue::Action action;  // empty ⇒ a pure-synchronization null
 
     [[nodiscard]] bool is_null() const { return !action; }
   };
 
   struct Channel {
-    explicit Channel(Duration la) : lookahead(la) {}
     SpscChannel<CrossMsg> ring{1024};
     // Guards `spill`: a producer may overflow the ring while the consumer
     // drains, so the hand-off vector is mutex-protected (rare path).
@@ -336,14 +274,11 @@ class ShardedEngine {
     // Producer-owned monotone counter; writing it requires the ring's
     // producer role, which pins it to the single pushing thread.
     std::uint64_t send_seq NM_GUARDED_BY(ring.producer_role()){0};
-    Duration lookahead;              // per-channel send window / EOT stride
     // Consumer-raised, producer-cleared: the round whose completion the
     // blocked receiver wants certified with a null message.  Release on
     // store / acquire on load so the producer's answer covers everything
     // the consumer published before demanding.
     std::atomic<std::uint64_t> demand{kNoDemand};
-    // Consumer-owned channel clock, advanced only while draining.
-    TimePoint eot NM_GUARDED_BY(ring.consumer_role()){0};
   };
 
   struct Shard {
@@ -370,47 +305,6 @@ class ShardedEngine {
     std::atomic<std::uint64_t> m_round{0};
     alignas(64) char pad_[1]{};  // keep shard hot state off shared lines
   };
-
-  /// The reduce fold: LBTS plus the two smallest contributions (min over
-  /// j != i is then O(1) per shard: m2 when i holds the minimum, m1
-  /// otherwise).
-  struct ReduceSummary {
-    TimePoint lbts = kNever;
-    TimePoint m1 = kNever, m2 = kNever;
-    std::size_t argmin = 0;
-  };
-
-  static ReduceSummary summarize(const std::vector<TimePoint>& mins) {
-    ReduceSummary r;
-    for (std::size_t i = 0; i < mins.size(); ++i) {
-      const TimePoint m = mins[i];
-      if (m < r.m1) {
-        r.m2 = r.m1;
-        r.m1 = m;
-        r.argmin = i;
-      } else if (m < r.m2) {
-        r.m2 = m;
-      }
-    }
-    r.lbts = r.m1;
-    return r;
-  }
-
-  /// Shard i's execute horizon for this round — a pure function of the
-  /// reduce summary, so every shard (same m-vector) computes the same
-  /// horizons bit-for-bit.
-  [[nodiscard]] TimePoint horizon_for(std::size_t i,
-                                      const ReduceSummary& r) const {
-    if (!batched_horizons_) return r.lbts + lookahead_;
-    const TimePoint min_others = i == r.argmin ? r.m2 : r.m1;
-    // kNever marks "every other shard idle": only the relayed-chain bound
-    // applies, and kNever + lookahead must not be formed (the sentinel is
-    // int64 max; the sum would overflow).
-    const TimePoint direct_bound =
-        min_others == kNever ? kNever : min_others + lookahead_;
-    const TimePoint chain_bound = r.lbts + lookahead_ + lookahead_;
-    return std::min(direct_bound, chain_bound);
-  }
 
   /// One shard's round loop.  Phase waits are per-dependency — a channel
   /// drain blocks only until that channel's batch is certified, the reduce
@@ -466,15 +360,15 @@ class ShardedEngine {
         }
       }
       if (aborted) break;
-      const ReduceSummary reduce = summarize(mins);
-      // Every shard folds the same m-vector: all observe the all-idle
-      // LBTS at the same round and exit together.
-      if (reduce.lbts == kNever) break;
+      // Every shard folds the same m-vector into the same LBTS and
+      // horizon: all observe the all-idle LBTS at the same round and exit
+      // together.
+      const TimePoint lbts = *std::min_element(mins.begin(), mins.end());
+      if (lbts == kNever) break;
       if (me == 0) ++lbts_rounds_;
       // ---- Phase 3: execute strictly below the safe horizon ----
       try {
-        const std::size_t executed =
-            my.sim.run_before(horizon_for(me, reduce));
+        const std::size_t executed = my.sim.run_before(lbts + lookahead_);
         if (executed == 0 && my.sim.pending_events() > 0) {
           ++my.stats.horizon_stalls;
         }
@@ -511,8 +405,7 @@ class ShardedEngine {
     RoleGuard consume(ch.ring.consumer_role());
     const std::uint64_t want = round - 1;  // newest round in this batch
     // Pops every available batch message; true once the batch is certified
-    // complete.  Nulls never reach `pending`; both kinds advance the
-    // consumer-side channel clock when they carry a newer EOT.
+    // complete.  Nulls never reach `pending`.
     const auto sweep = [&]() -> bool {
       // Clang's capability analysis treats the lambda as a separate
       // function; re-state the role the enclosing guard holds.
@@ -522,14 +415,10 @@ class ShardedEngine {
         CrossMsg msg;
         const bool popped = ch.ring.try_pop(msg);
         (void)popped;  // cannot fail: the consumer just peeked this slot
-        if (msg.eot > ch.eot) {
-          ch.eot = msg.eot;
-          ++my.stats.eot_advances;
-        }
         if (msg.is_null()) {
           // A null stamped `r` certifies every round <= r fully pushed
           // (FIFO: it was pushed after them).  Stale ones — answers to a
-          // demand this drain no longer needs — just advance the clock.
+          // demand this drain no longer needs — are dropped.
           if (msg.round >= want) return true;
         } else {
           pending.push_back(std::move(msg));
@@ -573,10 +462,6 @@ class ShardedEngine {
           ++keep;
           continue;
         }
-        if (it->eot > ch.eot) {
-          ch.eot = it->eot;
-          ++my.stats.eot_advances;
-        }
         if (!it->is_null()) pending.push_back(std::move(*it));
       }
       ch.spill.erase(keep, ch.spill.end());
@@ -603,7 +488,6 @@ class ShardedEngine {
       null_msg.when = kNever;
       null_msg.src = static_cast<std::uint32_t>(me);
       null_msg.round = completed;
-      null_msg.eot = my.sim.now() + ch.lookahead;
       // action left empty: a null never schedules anything.
       ++my.stats.null_msgs_sent;
       // answer_demands runs on shard `me`'s worker — the producer of every
@@ -668,7 +552,6 @@ class ShardedEngine {
   // only to stop early, and the join at the end of run()
   // provides the ordering for everything written before the abort.
   std::atomic<bool> abort_{false};
-  bool batched_horizons_ = false;
   std::uint64_t lbts_rounds_ = 0;
 };
 

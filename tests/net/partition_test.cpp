@@ -108,43 +108,6 @@ TEST(SwitchCut, ClampedPartitionPopulatesEveryShard) {
   EXPECT_EQ(used.size(), part.shards);
 }
 
-TEST(SwitchCut, ChannelLookaheadMatrixCoversEveryShardPair) {
-  NetworkConfig config;
-  config.hop_latency = sim::usec(0.7);
-  const Topology topo = Topology::clos(128, 16);
-  const FabricPartition part = switch_cut(topo, 8, config);
-  ASSERT_EQ(part.shards, 8u);
-  ASSERT_EQ(part.channel_lookahead.size(), 64u);  // shards^2, row-major
-  // Links carry the uniform hop latency, so every connected pair's entry is
-  // exactly hop_latency == the global lookahead, and unconnected pairs fall
-  // back to the same global floor.  (A future per-link latency model would
-  // differentiate them — this pins the derivation, not just the constant.)
-  for (std::size_t from = 0; from < part.shards; ++from) {
-    for (std::size_t to = 0; to < part.shards; ++to) {
-      EXPECT_EQ(part.channel_lookahead_of(from, to), sim::usec(0.7))
-          << from << "->" << to;
-      EXPECT_GE(part.channel_lookahead_of(from, to), part.lookahead)
-          << from << "->" << to
-          << ": a channel promise below the global floor is unsound";
-    }
-  }
-}
-
-TEST(SwitchCut, ChannelLookaheadSingleShardIsOneEntry) {
-  const FabricPartition part = switch_cut(Topology::single_switch(4), 1, {});
-  ASSERT_EQ(part.channel_lookahead.size(), 1u);
-  EXPECT_EQ(part.channel_lookahead_of(0, 0), part.lookahead);
-}
-
-TEST(SwitchCut, ChannelLookaheadClampedPartitionMatchesShards) {
-  // The clamp (8 requested -> 4 effective) must size the matrix by the
-  // effective shard count.
-  const Topology topo = Topology::clos(64, 32);
-  const FabricPartition part = switch_cut(topo, 8, {});
-  ASSERT_EQ(part.shards, 4u);
-  EXPECT_EQ(part.channel_lookahead.size(), 16u);
-}
-
 TEST(SwitchCut, BackToBackClampsToTheEndpointCount) {
   const Topology topo = Topology::back_to_back();
   const FabricPartition part = switch_cut(topo, 5, {});

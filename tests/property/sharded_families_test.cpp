@@ -13,8 +13,6 @@
 //     shards == 1 *on the fabric itself* (run_sharded), which the gm_mcast
 //     suite cannot check because run_one reroutes 1-shard specs to the
 //     coroutine engine;
-//   - batched per-shard horizons change LBTS pacing but neither results
-//     nor protocol totals, and are themselves bit-reproducible;
 //   - the null-message synchronization replays the lockstep round schedule
 //     these goldens were first pinned under: same vectors, same
 //     lbts_rounds, same mean latency.
@@ -98,9 +96,6 @@ struct Golden {
   /// lbts_rounds and mean latency (us) for shards = 2, 4, 8.
   std::vector<std::uint64_t> lbts_rounds;
   std::vector<double> mean_latency_us;
-  /// Batched-horizon lineage at shards = 4: merged hash and lbts_rounds.
-  std::uint64_t batched_s4_hash;
-  std::uint64_t batched_s4_rounds;
 };
 
 const std::size_t kShardCounts[] = {2, 4, 8};
@@ -185,34 +180,6 @@ TEST(ShardedFamilies, LatencyStableAcrossShallowShardCounts) {
   }
 }
 
-TEST(ShardedFamilies, BatchedHorizonsKeepResultsAndCutRounds) {
-  for (const Golden& g : goldens()) {
-    RunSpec spec = g.spec();
-    spec.shards = 4;
-    const RunResult classic = run_one(spec);
-    spec.batch_horizons = true;
-    const RunResult batched = run_one(spec);
-    const RunResult again = run_one(spec);
-    // Same simulation: identical latencies and protocol totals.
-    EXPECT_DOUBLE_EQ(batched.latency_us.mean(), classic.latency_us.mean())
-        << g.name;
-    EXPECT_EQ(batched.metric("deliveries"), classic.metric("deliveries"))
-        << g.name;
-    EXPECT_EQ(batched.nic_totals.retransmissions,
-              classic.nic_totals.retransmissions)
-        << g.name;
-    // Fewer (never more) LBTS rounds — the widened horizons dominate.
-    EXPECT_LE(batched.engine.lbts_rounds, classic.engine.lbts_rounds)
-        << g.name;
-    // And the batched lineage is itself bit-reproducible.
-    EXPECT_EQ(batched.engine.shard_order_hashes,
-              again.engine.shard_order_hashes)
-        << g.name;
-    EXPECT_EQ(batched.engine.lbts_rounds, again.engine.lbts_rounds)
-        << g.name;
-  }
-}
-
 // The round schedule golden: lbts_rounds and mean latency per shard count
 // were recorded when a lockstep three-barrier loop was the reference
 // implementation; the null-message protocol must reproduce them with the
@@ -230,22 +197,6 @@ TEST(ShardedFamilies, AsyncSyncMatchesPinnedBarrierGoldens) {
       EXPECT_DOUBLE_EQ(r.latency_us.mean(), g.mean_latency_us[i])
           << g.name << " s" << shards;
     }
-  }
-}
-
-// Batched horizons on the family workloads: the pinned batched lineage
-// (merged hash, rounds) and the unbatched deliveries.
-TEST(ShardedFamilies, AsyncComposesWithBatchedHorizonsOnFamilies) {
-  for (const Golden& g : goldens()) {
-    RunSpec spec = g.spec();
-    spec.shards = 4;
-    const RunResult classic = run_one(spec);
-    spec.batch_horizons = true;
-    const RunResult batched = run_one(spec);
-    EXPECT_EQ(batched.engine.event_order_hash, g.batched_s4_hash) << g.name;
-    EXPECT_EQ(batched.engine.lbts_rounds, g.batched_s4_rounds) << g.name;
-    EXPECT_EQ(batched.metric("deliveries"), classic.metric("deliveries"))
-        << g.name;
   }
 }
 
@@ -304,13 +255,7 @@ TEST(ShardedFamilies, DISABLED_PrintGoldens) {
     for (const RunResult& r : runs) {
       std::printf("%.17g, ", r.latency_us.mean());
     }
-    RunSpec batched = g.spec();
-    batched.shards = 4;
-    batched.batch_horizons = true;
-    const RunResult b = run_one(batched);
-    std::printf("},\n 0x%016llxULL, %llu},\n",
-                static_cast<unsigned long long>(b.engine.event_order_hash),
-                static_cast<unsigned long long>(b.engine.lbts_rounds));
+    std::printf("}},\n");
   }
 }
 
@@ -330,8 +275,7 @@ std::vector<Golden> goldens() {
             0xae13ed6e4885e265ULL, 0x464570a3a1d71c05ULL},
        },
        {768, 768, 772},
-       {164.602, 164.602, 164.602},
-       0xaa2d8a465fa6e902ULL, 716},
+       {164.602, 164.602, 164.602},},
       {"bcast", &bcast, 0x076b31edcfbcb01aULL,
        {
            {0xd8665ee54e4c4cf4ULL, 0xadcc26e46ea0db32ULL},
@@ -343,8 +287,7 @@ std::vector<Golden> goldens() {
             0xe090342679bf0d69ULL, 0x379acb6841b90fc7ULL},
        },
        {876, 876, 788},
-       {124.145, 124.145, 102.69499999999999},
-       0x02ee22e94778e131ULL, 570},
+       {124.145, 124.145, 102.69499999999999},},
       {"skew", &skew, 0xf6c542606ba7d310ULL,
        {
            {0x2183a0521d4935bdULL, 0x94d5f9ea012d9e05ULL},
@@ -356,8 +299,7 @@ std::vector<Golden> goldens() {
             0x50eeaf4faf1301d5ULL, 0xa3bc4562e1a3cdb1ULL},
        },
        {872, 872, 784},
-       {124.145, 124.145, 102.69499999999999},
-       0x97a03cca01ef7729ULL, 564},
+       {124.145, 124.145, 102.69499999999999},},
       {"barrier", &barrier, 0xdbd738ce28044686ULL,
        {
            {0xf1b1425a0d7c752cULL, 0x92a4328e9985addfULL},
@@ -369,8 +311,7 @@ std::vector<Golden> goldens() {
             0x26710254f9f8edc1ULL, 0xbf34025e851191d4ULL},
        },
        {252, 252, 252},
-       {30.869666666666667, 30.869666666666667, 30.869666666666667},
-       0x3d41b0bf2543636fULL, 235},
+       {30.869666666666667, 30.869666666666667, 30.869666666666667},},
   };
 }
 

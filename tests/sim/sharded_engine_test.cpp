@@ -34,9 +34,8 @@ struct PingPong {
 };
 
 // A 50-hop ping-pong storm across 4 shards.
-PingPong run_ping_pong(bool batched_horizons) {
+PingPong run_ping_pong() {
   ShardedEngine engine(4, kLookahead);
-  engine.enable_batched_horizons(batched_horizons);
   seed_ping_pong(engine, 50);
   engine.run();
   return {engine.shard_order_hashes(), engine.merged_order_hash(),
@@ -44,7 +43,7 @@ PingPong run_ping_pong(bool batched_horizons) {
 }
 
 // The ping-pong's schedule, pinned when a lockstep three-barrier loop was
-// the reference implementation; batched horizons happen to match it.
+// the reference implementation.
 const std::vector<std::uint64_t> kPingPongHashes{
     0xe0a7c8653e89dcb4ULL, 0xa9f737d52939ad2cULL, 0xbe70e8a4fc03c2e4ULL,
     0x41a0a2fe5498257cULL};
@@ -154,8 +153,8 @@ TEST(ShardedEngine, CrossShardAckCancelsInFlightTimer) {
 // counters must be bit-identical — thread scheduling may not leak into the
 // executed order.
 TEST(ShardedEngine, RepeatableAcrossRunsWithFourShards) {
-  const PingPong a = run_ping_pong(false);
-  const PingPong b = run_ping_pong(false);
+  const PingPong a = run_ping_pong();
+  const PingPong b = run_ping_pong();
   EXPECT_EQ(a.hashes, b.hashes);
   EXPECT_EQ(a.merged, b.merged);
   EXPECT_EQ(a.rounds, b.rounds);
@@ -254,80 +253,47 @@ void hop(ShardedEngine& engine, std::size_t at, int remaining) {
               [&engine, next, remaining] { hop(engine, next, remaining - 1); });
 }
 
-// ---- Batched per-shard horizons (opt-in) ----
+// ---- The horizon rule: LBTS + lookahead ----
 
-// Safety under batching: every cross-shard message must still land in the
+// Staggered pings with replies: every cross-shard message must land in the
 // receiver's future (Simulator::schedule_at throws on a time in the past),
-// and the protocol outcome must match the unbatched schedule exactly.
-// The staggered start times + reply traffic exercise the case that makes
-// the naive "min over others + lookahead" horizon unsound: an almost-idle
-// shard reacting to a post and sending back within the round.
-TEST(ShardedEngine, BatchedHorizonsPreserveOutcomeWithFewerRounds) {
-  auto run_once = [](bool batched, std::uint64_t& rounds,
-                     std::uint64_t& replies) {
-    ShardedEngine engine(4, kLookahead);
-    engine.enable_batched_horizons(batched);
-    std::uint64_t* count = &replies;
-    // Shard 0 drives: a dense local event train (so its own horizon
-    // matters) plus pings to every other shard; each target replies, and
-    // the reply bumps the shared count on shard 0.
-    for (int i = 0; i < 200; ++i) {
-      engine.shard(0).schedule_at(t_us(1.0 + 0.25 * i), [] {});
-    }
-    for (std::size_t target = 1; target < 4; ++target) {
-      const double at = 2.0 + 17.0 * static_cast<double>(target);
-      engine.shard(0).schedule_at(t_us(at), [&engine, target, count] {
-        Simulator& s0 = engine.shard(0);
-        engine.post(0, target, s0.now() + kLookahead,
-                    [&engine, target, count] {
-                      Simulator& st = engine.shard(target);
-                      engine.post(target, 0, st.now() + kLookahead,
-                                  [count] { ++*count; });
-                    });
+// including an almost-idle shard reacting to a post and replying within
+// the round.  The round count pins the horizon rule.
+TEST(ShardedEngine, StaggeredRepliesKeepPinnedRounds) {
+  ShardedEngine engine(4, kLookahead);
+  std::uint64_t replies = 0;
+  std::uint64_t* count = &replies;
+  // Shard 0 drives: a dense local event train plus pings to every other
+  // shard; each target replies, and the reply bumps the count on shard 0.
+  for (int i = 0; i < 200; ++i) {
+    engine.shard(0).schedule_at(t_us(1.0 + 0.25 * i), [] {});
+  }
+  for (std::size_t target = 1; target < 4; ++target) {
+    const double at = 2.0 + 17.0 * static_cast<double>(target);
+    engine.shard(0).schedule_at(t_us(at), [&engine, target, count] {
+      Simulator& s0 = engine.shard(0);
+      engine.post(0, target, s0.now() + kLookahead, [&engine, target, count] {
+        Simulator& st = engine.shard(target);
+        engine.post(target, 0, st.now() + kLookahead, [count] { ++*count; });
       });
-    }
-    engine.run();
-    rounds = engine.lbts_rounds();
-  };
-
-  std::uint64_t unbatched_rounds = 0, unbatched_replies = 0;
-  std::uint64_t batched_rounds = 0, batched_replies = 0;
-  run_once(false, unbatched_rounds, unbatched_replies);
-  run_once(true, batched_rounds, batched_replies);
-  EXPECT_EQ(batched_replies, unbatched_replies);
-  EXPECT_EQ(batched_replies, 3u);
-  // Batched horizons dominate the classic one, so rounds can only drop.
-  EXPECT_LE(batched_rounds, unbatched_rounds);
-  EXPECT_LT(batched_rounds, unbatched_rounds);  // and here they must
+    });
+  }
+  engine.run();
+  EXPECT_EQ(replies, 3u);
+  EXPECT_EQ(engine.lbts_rounds(), 53u);
 }
 
-TEST(ShardedEngine, BatchedHorizonsAreRepeatable) {
-  const PingPong a = run_ping_pong(true);
-  const PingPong b = run_ping_pong(true);
-  EXPECT_EQ(a.hashes, b.hashes);
-  EXPECT_EQ(a.rounds, b.rounds);
-}
-
-// The shape where batching pays most: one shard holds a long local event
-// train while every other shard is idle.  Unbatched, the horizon advances
-// one lookahead per round (one event when the train is spaced exactly at
-// the lookahead); batched, only the min_all + 2*lookahead chain bound
-// applies and each round covers two events — half the rounds.
-TEST(ShardedEngine, BatchedHorizonsHalveRoundsOnALocalEventTrain) {
+// One shard holds a local event train spaced exactly at the lookahead while
+// the other is idle: the horizon advances one lookahead per round, so each
+// round runs one event.
+TEST(ShardedEngine, LocalEventTrainTakesOneRoundPerEvent) {
   constexpr int kTrain = 40;
-  auto rounds_for = [](bool batched) {
-    ShardedEngine engine(2, kLookahead);
-    engine.enable_batched_horizons(batched);
-    for (int i = 0; i < kTrain; ++i) {
-      engine.shard(0).schedule_at(t_us(1.0 + static_cast<double>(i)), [] {});
-    }
-    engine.run();
-    return engine.lbts_rounds();
-  };
-  const std::uint64_t unbatched = rounds_for(false);
-  const std::uint64_t batched = rounds_for(true);
-  EXPECT_EQ(unbatched, static_cast<std::uint64_t>(kTrain));
-  EXPECT_LE(batched, unbatched / 2 + 1);
+  ShardedEngine engine(2, kLookahead);
+  for (int i = 0; i < kTrain; ++i) {
+    engine.shard(0).schedule_at(t_us(1.0 + static_cast<double>(i)), [] {});
+  }
+  engine.run();
+  EXPECT_EQ(engine.lbts_rounds(), static_cast<std::uint64_t>(kTrain));
 }
 
 // ---- Null-message synchronization ----
@@ -336,7 +302,7 @@ TEST(ShardedEngine, BatchedHorizonsHalveRoundsOnALocalEventTrain) {
 // exactly — it changes how shards wait, never what they execute or how
 // many rounds it takes.
 TEST(ShardedEngine, AsyncMatchesBarrierHashesOnPingPong) {
-  const PingPong r = run_ping_pong(false);
+  const PingPong r = run_ping_pong();
   EXPECT_EQ(r.hashes, kPingPongHashes);
   EXPECT_EQ(r.merged, 0x261e67479f69c99eULL);
   EXPECT_EQ(r.rounds, kPingPongRounds);
@@ -344,7 +310,7 @@ TEST(ShardedEngine, AsyncMatchesBarrierHashesOnPingPong) {
 
 TEST(ShardedEngine, AsyncIsRepeatableAcrossRuns) {
   for (int run = 0; run < 3; ++run) {
-    EXPECT_EQ(run_ping_pong(false).hashes, kPingPongHashes) << run;
+    EXPECT_EQ(run_ping_pong().hashes, kPingPongHashes) << run;
   }
 }
 
@@ -382,12 +348,6 @@ TEST(ShardedEngine, AsyncShardFailurePropagatesWithoutDeadlock) {
     engine.shard(s).schedule_at(t_us(1000), [] {});
   }
   EXPECT_THROW(engine.run(), std::runtime_error);
-}
-
-TEST(ShardedEngine, AsyncComposesWithBatchedHorizons) {
-  const PingPong r = run_ping_pong(true);
-  EXPECT_EQ(r.hashes, kPingPongHashes);
-  EXPECT_EQ(r.rounds, kPingPongRounds);
 }
 
 // One shard has no peers: no channels, no nulls, no waits — the worker
@@ -434,53 +394,6 @@ TEST(ShardedEngine, SecondRunSynchronizesLikeAFreshEngine) {
   reused.run();
   EXPECT_EQ(ran, 5);
   EXPECT_EQ(reused.lbts_rounds() - first_rounds, fresh.lbts_rounds());
-}
-
-// ---- Per-channel lookahead ----
-
-TEST(ShardedEngine, ChannelLookaheadValidation) {
-  ShardedEngine engine(2, kLookahead);
-  EXPECT_EQ(engine.channel_lookahead(0, 1), kLookahead);  // default: global
-  // Must be positive, and never below the engine-wide floor (safe horizons
-  // derive from the global minimum).
-  EXPECT_THROW(engine.set_channel_lookahead(0, 1, Duration{0}),
-               std::invalid_argument);
-  EXPECT_THROW(engine.set_channel_lookahead(0, 1, Duration{-5}),
-               std::invalid_argument);
-  EXPECT_THROW(engine.set_channel_lookahead(0, 1, usec(0.5)),
-               std::invalid_argument);
-  // No self-channel, no out-of-range shards.
-  EXPECT_THROW(engine.set_channel_lookahead(0, 0, kLookahead),
-               std::out_of_range);
-  EXPECT_THROW(engine.set_channel_lookahead(0, 2, kLookahead),
-               std::out_of_range);
-  EXPECT_THROW(engine.set_channel_lookahead(2, 1, kLookahead),
-               std::out_of_range);
-  engine.set_channel_lookahead(0, 1, usec(2));
-  EXPECT_EQ(engine.channel_lookahead(0, 1), usec(2));
-  EXPECT_EQ(engine.channel_lookahead(1, 0), kLookahead);  // untouched
-}
-
-// The post() guard enforces the CHANNEL'S lookahead: a 2us promise on the
-// 0->1 channel rejects a post only 1us ahead even though the engine-wide
-// floor would allow it.
-TEST(ShardedEngine, PostGuardUsesChannelLookahead) {
-  ShardedEngine engine(2, kLookahead);
-  engine.set_channel_lookahead(0, 1, usec(2));
-  engine.shard(0).schedule_at(t_us(2), [&] {
-    engine.post(0, 1, engine.shard(0).now() + kLookahead, [] {});
-  });
-  EXPECT_THROW(engine.run(), std::logic_error);
-
-  ShardedEngine ok(2, kLookahead);
-  ok.set_channel_lookahead(0, 1, usec(2));
-  TimePoint delivered{-1};
-  ok.shard(0).schedule_at(t_us(2), [&] {
-    ok.post(0, 1, ok.shard(0).now() + usec(2),
-            [&] { delivered = ok.shard(1).now(); });
-  });
-  ok.run();
-  EXPECT_EQ(delivered, TimePoint{0} + usec(4));
 }
 
 }  // namespace

@@ -1,7 +1,3 @@
-// PORTABLE-ONLY: nicmcast-bare-nolint audits suppression comments, which
-// the clang-tidy plugin never sees (comments are stripped before the AST);
-// scripts/check_fixtures.py skips this fixture for the clang engine.
-//
 // Fixture: nicmcast-bare-nolint
 //
 // A suppression is a waived contract: it must name the check it waives and

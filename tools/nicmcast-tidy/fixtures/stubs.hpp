@@ -1,12 +1,9 @@
-// Minimal stand-in declarations so the check fixtures parse standalone —
-// under clang-tidy (plugin engine, full AST) with no real system headers,
-// and under nicmcast_lint (portable engine, which skips #include lines and
-// reads the declarations the fixtures make themselves).
+// Minimal stand-in declarations so the check fixtures read standalone:
+// nicmcast_lint skips #include lines and reads the declarations the
+// fixtures make themselves.
 //
-// Only what the fixtures touch is declared, with the same names and shapes
-// as the real types: the plugin's matchers are keyed on qualified names
-// (::std::unordered_map, ::nicmcast::nic::DescriptorRef, ...), so the
-// namespaces here must match the real ones.
+// Only what the fixtures touch is declared, with the same names, shapes
+// and namespaces as the real types.
 #pragma once
 
 namespace std {
@@ -199,7 +196,7 @@ class InlineFunction<R(Args...), InlineBytes> {
   InlineFunction(InlineFunction&&);
   InlineFunction& operator=(InlineFunction&&);
   // Implicit converting constructor, like the real one: assigning a lambda
-  // constructs a temporary here first, which is what the plugin matches.
+  // constructs a temporary here first, which is what the check matches.
   template <typename F>
   InlineFunction(F&& f);  // NOLINT(google-explicit-constructor): mirrors the real type
   R operator()(Args...);

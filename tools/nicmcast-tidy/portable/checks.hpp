@@ -1,10 +1,9 @@
 // The nicmcast-* determinism- and concurrency-contract checks, portable
 // engine.
 //
-// Nine checks.  Eight mirror the clang-tidy plugin in ../plugin (same
-// names, same fixtures, same `NOLINT(<check>): reason` annotations); the
-// ninth, nicmcast-bare-nolint, audits the annotations themselves and is
-// portable-engine-only:
+// Nine checks, each pinned by a fixture under ../fixtures and honouring
+// `NOLINT(<check>): reason` annotations; the ninth, nicmcast-bare-nolint,
+// audits the annotations themselves:
 //
 //   nicmcast-nondeterministic-iteration  range-for over an unordered
 //       container whose body feeds an ordering-sensitive sink (schedules
@@ -39,8 +38,7 @@
 // The engine is two-pass: collect_declarations() over every input file
 // builds a name -> kind table (so auditor.cpp's loop over a member
 // declared in nic.hpp still resolves), then run_checks() walks each file's
-// token stream.  Everything here is a conservative textual approximation;
-// the clang plugin is the precise implementation.
+// token stream.  Everything here is a conservative textual approximation.
 #pragma once
 
 #include <cstddef>

@@ -1,15 +1,12 @@
-// Minimal C++ tokenizer for the portable nicmcast-* analyzer.
+// Minimal C++ tokenizer for nicmcast_lint, the nicmcast-* analyzer.
 //
-// The real enforcement engine is the clang-tidy plugin next door in
-// plugin/ — full semantic analysis over the AST.  This lexer exists so the
-// same check family can run where no clang development environment is
-// available (the default build container has only g++): it produces a
-// token stream with source positions, strips comments and literals, and
-// records `NOLINT(<check>): reason`-style suppressions (current-line and
-// next-line forms) so both engines honour the same annotations.  It is deliberately not a preprocessor: directives are
-// skipped line-wise, macros are not expanded.  The checks built on top are
-// conservative textual approximations of the AST checks and share their
-// names, fixtures, and diagnostics format.
+// It needs no clang development environment, so the checks run wherever
+// the simulator builds: it produces a token stream with source positions,
+// strips comments and literals, and records `NOLINT(<check>): reason`-style
+// suppressions (current-line and next-line forms).  It is deliberately not
+// a preprocessor: directives are skipped line-wise, macros are not
+// expanded.  The checks built on top are conservative textual
+// approximations of the patterns they ban.
 #pragma once
 
 #include <string>

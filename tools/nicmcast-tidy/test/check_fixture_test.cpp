@@ -6,9 +6,9 @@
 // sets exactly — both directions, so a silent check regression (missed
 // positive) and an overeager check (flagged negative) both fail.
 //
-// The clang-tidy plugin engine runs over the same fixtures and the same
-// EXPECT annotations via scripts/check_fixtures.py in the static-analysis
-// CI job, where a clang toolchain is available.
+// scripts/check_fixtures.py runs the nicmcast_lint binary over the same
+// fixtures and EXPECT annotations (the nicmcast_fixture_driver_portable
+// ctest), parsing its output the way run_static_analysis.py does.
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -27,7 +27,7 @@ namespace {
 using LineCheck = std::pair<int, std::string>;
 
 std::string read_fixture(const std::string& name) {
-  const std::string path = std::string(NICMCAST_TIDY_FIXTURE_DIR) + "/" +
+  const std::string path = std::string(NICMCAST_LINT_FIXTURE_DIR) + "/" +
                            name;
   std::ifstream in(path, std::ios::binary);
   EXPECT_TRUE(in.good()) << "cannot open fixture " << path;
@@ -111,9 +111,6 @@ TEST(NicmcastTidyFixtures, ThreadNondeterminism) {
   run_fixture("thread_nondeterminism.cpp");
 }
 
-// Portable-engine-only fixture (the clang plugin cannot see comments);
-// scripts/check_fixtures.py skips it via the PORTABLE-ONLY marker when
-// driving the clang engine.
 TEST(NicmcastTidyFixtures, BareNolint) { run_fixture("bare_nolint.cpp"); }
 
 // Every fixture must exercise both polarities: at least one EXPECT line
