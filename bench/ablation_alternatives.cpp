@@ -70,9 +70,7 @@ RunResult forward_policy(const RunSpec& spec) {
   RunResult out;
   out.spec = spec;
   out.latency_us.add(leaf_done->microseconds());
-  for (std::size_t i = 0; i < cluster.size(); ++i) {
-    nic::accumulate(out.nic_totals, cluster.nic(i).stats());
-  }
+  collect(cluster, out);
   return out;
 }
 
@@ -105,9 +103,7 @@ RunResult buffer_policy(const RunSpec& spec) {
   RunResult out;
   out.spec = spec;
   out.latency_us.add(healthy_done->microseconds());
-  for (std::size_t i = 0; i < cluster.size(); ++i) {
-    nic::accumulate(out.nic_totals, cluster.nic(i).stats());
-  }
+  collect(cluster, out);
   return out;
 }
 

@@ -8,8 +8,8 @@
 //     vs host dissemination barrier;
 //  2. the scale sweep: single NIC-based multicasts on 128 -> 512 -> 2048 ->
 //     4096-node Clos fabrics at radix 16 and 32, timed sequentially, with
-//     per-point events/sec, process peak RSS, and the engine's lazy-route /
-//     timing-wheel counters in the JSON ("scale-<nodes>x<radix>" labels).
+//     per-point events/sec, per-point peak RSS, and the engine's lazy-route
+//     / timing-wheel counters in the JSON ("scale-<nodes>x<radix>" labels).
 //     The 128/512 points are pinned (exact event_order_hash + events/sec
 //     floor) by scripts/check_bench_regression.py --scale in CI, which caps
 //     the sweep with --max-nodes to stay fast; the larger points document
@@ -19,11 +19,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <string>
 #include <vector>
 
-#if defined(__linux__)
-#include <sys/resource.h>
+#if defined(__linux__) && defined(__GLIBC__)
+#include <malloc.h>
 #endif
 
 #include "harness/bench_io.hpp"
@@ -36,17 +38,55 @@ namespace {
 
 using namespace nicmcast::harness;
 
-/// Process peak RSS in KiB (0 where unsupported).  Monotonic, so the scale
-/// sweep runs smallest point first and each reading is effectively that
-/// point's high water.
-std::uint64_t peak_rss_kb() {
-#if defined(__linux__)
-  rusage usage{};
-  if (getrusage(RUSAGE_SELF, &usage) == 0) {
-    return static_cast<std::uint64_t>(usage.ru_maxrss);
-  }
+/// Resets the kernel's peak-RSS mark (VmHWM) to the current RSS, so the
+/// next peak_rss_kb() covers only what runs in between; false where that
+/// is unavailable.  malloc_trim comes first: glibc otherwise keeps freed
+/// small blocks resident, and the reset would keep earlier points' peak.
+bool reset_peak_rss() {
+#if defined(__linux__) && defined(__GLIBC__)
+  malloc_trim(0);
+  std::ofstream clear_refs("/proc/self/clear_refs");
+  clear_refs << "5" << std::flush;
+  return static_cast<bool>(clear_refs);
+#else
+  return false;
 #endif
+}
+
+/// VmHWM, the peak resident set since the last reset, in KiB (0 where
+/// /proc/self/status is unavailable).
+std::uint64_t peak_rss_kb() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::strtoull(line.c_str() + 6, nullptr, 10);
+    }
+  }
   return 0;
+}
+
+/// Runs one sweep point on its own and records its host cost: wall time,
+/// events/sec, the point's own peak RSS (0 where it cannot be measured)
+/// and the all-pairs route count the lazy routes are judged against.
+RunResult timed_point(const RunSpec& spec) {
+  const bool rss = reset_peak_rss();
+  // NOLINTNEXTLINE(nicmcast-wall-clock): host wall time measures bench throughput, not simulated time
+  const auto start = std::chrono::steady_clock::now();
+  RunResult result = run_one(spec);
+  const double wall_s =
+      // NOLINTNEXTLINE(nicmcast-wall-clock): host wall time measures bench throughput, not simulated time
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+
+  const auto events = static_cast<double>(result.engine.events_executed);
+  const auto nodes = static_cast<double>(spec.nodes);
+  result.set_metric("events", events);
+  result.set_metric("wall_ms", wall_s * 1e3);
+  result.set_metric("events_per_sec", events / wall_s);
+  result.set_metric("peak_rss_kb",
+                    rss ? static_cast<double>(peak_rss_kb()) : 0.0);
+  result.set_metric("full_pairs", nodes * (nodes - 1));
+  return result;
 }
 
 /// "<family>-<nodes>x<radix>", plus "-s<shards>" for the sharded axes: the
@@ -96,8 +136,8 @@ std::vector<RunSpec> specs_for(std::size_t nodes, int iterations) {
 
 /// One scale-sweep point: a NIC-based multicast on an `nodes`-endpoint
 /// radix-`radix` Clos, run sequentially so wall clock and RSS are its own.
-RunResult run_scale_point(const BenchOptions& options, std::size_t nodes,
-                          std::size_t radix, std::size_t index) {
+RunSpec scale_spec(const BenchOptions& options, std::size_t nodes,
+                   std::size_t radix, std::size_t index) {
   RunSpec spec;
   spec.experiment = Experiment::kGmMulticast;
   spec.label = point_label("scale", nodes, radix);
@@ -110,37 +150,21 @@ RunResult run_scale_point(const BenchOptions& options, std::size_t nodes,
   spec.warmup = 1;
   spec.iterations = 2;
   spec.seed = derive_seed(options.base_seed, 1000 + index);
-
-  // NOLINTNEXTLINE(nicmcast-wall-clock): host wall time measures bench throughput, not simulated time
-  const auto start = std::chrono::steady_clock::now();
-  RunResult result = run_gm_mcast(spec);
-  const double wall_s =
-      // NOLINTNEXTLINE(nicmcast-wall-clock): host wall time measures bench throughput, not simulated time
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-
-  const auto events = static_cast<double>(result.engine.events_executed);
-  const double full_pairs =
-      static_cast<double>(nodes) * static_cast<double>(nodes - 1);
-  result.set_metric("events", events);
-  result.set_metric("wall_ms", wall_s * 1e3);
-  result.set_metric("events_per_sec", events / wall_s);
-  result.set_metric("peak_rss_kb", static_cast<double>(peak_rss_kb()));
-  result.set_metric("full_pairs", full_pairs);
-  return result;
+  return spec;
 }
 
-/// One sharded-sweep point.  shards == 1 goes through run_one and thus the
-/// classic sequential engine — the bit-identical baseline the determinism
-/// contract pins — while shards > 1 runs the conservative-PDES fabric.
-RunResult run_sharded_point(const BenchOptions& options, std::size_t nodes,
-                            std::size_t radix, std::size_t shards) {
+/// One sharded-sweep point on a radix-16 Clos.  shards == 1 goes through
+/// run_one and thus the classic sequential engine — the bit-identical
+/// baseline the determinism contract pins — while shards > 1 runs the
+/// conservative-PDES fabric.
+RunSpec pshard_spec(const BenchOptions& options, std::size_t nodes,
+                    std::size_t shards) {
   RunSpec spec;
   spec.experiment = Experiment::kGmMulticast;
-  spec.label = point_label("pshard", nodes, radix, shards);
+  spec.label = point_label("pshard", nodes, 16, shards);
   spec.nodes = nodes;
   spec.wiring = Wiring::kClos;
-  spec.switch_radix = radix;
+  spec.switch_radix = 16;
   spec.message_bytes = 512;
   spec.algo = Algo::kNicBased;
   // Binomial, not postal: flat-array construction stays trivial at 65536
@@ -153,88 +177,22 @@ RunResult run_sharded_point(const BenchOptions& options, std::size_t nodes,
   // answers for the same seeded scenario, which is what makes the
   // cross-shard-count invariance rows in BENCH_scale.json comparable.
   spec.seed = derive_seed(options.base_seed, 3000 + nodes);
-
-  // NOLINTNEXTLINE(nicmcast-wall-clock): host wall time measures bench throughput, not simulated time
-  const auto start = std::chrono::steady_clock::now();
-  RunResult result = run_one(spec);
-  const double wall_s =
-      // NOLINTNEXTLINE(nicmcast-wall-clock): host wall time measures bench throughput, not simulated time
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-
-  const auto events = static_cast<double>(result.engine.events_executed);
-  result.set_metric("events", events);
-  result.set_metric("wall_ms", wall_s * 1e3);
-  result.set_metric("events_per_sec", events / wall_s);
-  result.set_metric("peak_rss_kb", static_cast<double>(peak_rss_kb()));
-  result.set_metric("full_pairs",
-                    static_cast<double>(nodes) *
-                        static_cast<double>(nodes - 1));
-  return result;
-}
-
-void run_sharded_sweep(const BenchOptions& options,
-                       std::vector<RunResult>& results) {
-  struct Point {
-    std::size_t nodes;
-    std::size_t shards;
-  };
-  // shards == 1 points are the classic-engine baselines.  65536 keeps no
-  // classic baseline: it dates from the 16-bit NodeId days (the coroutine
-  // stack topped out one node short), and re-baselining now would redate
-  // every recorded comparison — the widened id is covered by the multisend
-  // family sweep below instead.  The blocked_waits column is the
-  // synchronization-stall report.
-  const std::vector<Point> points{
-      {512, 1},   {512, 4},  // CI-pinned pair
-      {4096, 1},  {4096, 4},
-      {16384, 1}, {16384, 2}, {16384, 4}, {16384, 8},
-      {32768, 1}, {32768, 4},
-      {65536, 2}, {65536, 4}, {65536, 8},
-  };
-
-  std::printf("\n%22s | %10s | %9s | %12s | %11s | %9s | %9s\n",
-              "sharded point", "events", "wall ms", "events/s", "x-shard msg",
-              "lbts rnds", "blk waits");
-  std::size_t skipped = 0;
-  for (const auto& [nodes, shards] : points) {
-    if (options.max_nodes != 0 && nodes > options.max_nodes) {
-      ++skipped;
-      continue;
-    }
-    const std::size_t effective = options.shards_or(shards);
-    if (!options.selected(point_label("pshard", nodes, 16, effective))) {
-      continue;
-    }
-    RunResult r = run_sharded_point(options, nodes, 16, effective);
-    std::printf(
-        "%14zux16-s%-3zu | %10.0f | %9.1f | %12.0f | %11llu | %9llu | %9llu\n",
-        nodes, effective, r.metric("events"),
-        r.metric("wall_ms"), r.metric("events_per_sec"),
-        static_cast<unsigned long long>(r.engine.cross_shard_msgs),
-        static_cast<unsigned long long>(r.engine.lbts_rounds),
-        static_cast<unsigned long long>(r.engine.blocked_waits));
-    results.push_back(std::move(r));
-  }
-  if (skipped > 0) {
-    std::printf("  (%zu points above --max-nodes %zu skipped)\n", skipped,
-                options.max_nodes);
-  }
+  return spec;
 }
 
 /// One migrated-coroutine-family point: the paper's flat NIC-based
-/// multisend (Fig. 3's star, no forwarding) on the sharded fabric.
+/// multisend (Fig. 3's star, no forwarding) on a radix-16 Clos.
 /// shards == 1 dispatches to the classic gm::Cluster coroutine stack, the
 /// bit-identical baseline.
-RunResult run_multisend_point(const BenchOptions& options, std::size_t nodes,
-                              std::size_t radix, std::size_t shards) {
+RunSpec msend_spec(const BenchOptions& options, std::size_t nodes,
+                   std::size_t shards) {
   RunSpec spec;
   spec.experiment = Experiment::kMultisend;
-  spec.label = point_label("msend", nodes, radix, shards);
+  spec.label = point_label("msend", nodes, 16, shards);
   spec.nodes = nodes;
   spec.destinations = nodes - 1;
   spec.wiring = Wiring::kClos;
-  spec.switch_radix = radix;
+  spec.switch_radix = 16;
   spec.message_bytes = 512;
   spec.algo = Algo::kNicBased;
   spec.warmup = 1;
@@ -243,44 +201,24 @@ RunResult run_multisend_point(const BenchOptions& options, std::size_t nodes,
   // Seeded per node count, like the pshard points: every shard count of
   // one fabric answers for the same seeded scenario.
   spec.seed = derive_seed(options.base_seed, 5000 + nodes);
-
-  // NOLINTNEXTLINE(nicmcast-wall-clock): host wall time measures bench throughput, not simulated time
-  const auto start = std::chrono::steady_clock::now();
-  RunResult result = run_one(spec);
-  const double wall_s =
-      // NOLINTNEXTLINE(nicmcast-wall-clock): host wall time measures bench throughput, not simulated time
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-
-  const auto events = static_cast<double>(result.engine.events_executed);
-  result.set_metric("events", events);
-  result.set_metric("wall_ms", wall_s * 1e3);
-  result.set_metric("events_per_sec", events / wall_s);
-  result.set_metric("peak_rss_kb", static_cast<double>(peak_rss_kb()));
-  result.set_metric("full_pairs",
-                    static_cast<double>(nodes) *
-                        static_cast<double>(nodes - 1));
-  return result;
+  return spec;
 }
 
-void run_family_sweep(const BenchOptions& options,
-                      std::vector<RunResult>& results) {
-  struct Point {
-    std::size_t nodes;
-    std::size_t shards;
-  };
-  // The msend-512 s1/s4 pair is CI-pinned like the pshard pair.  16384 and
-  // 65536 document the migrated family at fabric sizes the coroutine stack
-  // reaches slowly (16384) or only since the 32-bit NodeId (65536).
-  const std::vector<Point> points{
-      {512, 1},   {512, 4},  // CI-pinned pair
-      {16384, 1}, {16384, 4},
-      {65536, 4},
-  };
+struct ShardPoint {
+  std::size_t nodes;
+  std::size_t shards;
+};
 
-  std::printf("\n%22s | %10s | %9s | %12s | %11s | %9s | %9s\n",
-              "multisend point", "events", "wall ms", "events/s",
-              "x-shard msg", "lbts rnds", "blk waits");
+/// One sharded sweep: the points `spec_of` builds, timed in order under
+/// the table heading `heading`.
+void run_shard_sweep(const BenchOptions& options, const char* heading,
+                     RunSpec (*spec_of)(const BenchOptions&, std::size_t,
+                                        std::size_t),
+                     const std::vector<ShardPoint>& points,
+                     std::vector<RunResult>& results) {
+  std::printf("\n%22s | %10s | %9s | %12s | %11s | %9s | %9s\n", heading,
+              "events", "wall ms", "events/s", "x-shard msg", "lbts rnds",
+              "blk waits");
   std::size_t skipped = 0;
   for (const auto& [nodes, shards] : points) {
     if (options.max_nodes != 0 && nodes > options.max_nodes) {
@@ -288,10 +226,9 @@ void run_family_sweep(const BenchOptions& options,
       continue;
     }
     const std::size_t effective = options.shards_or(shards);
-    if (!options.selected(point_label("msend", nodes, 16, effective))) {
-      continue;
-    }
-    RunResult r = run_multisend_point(options, nodes, 16, effective);
+    const RunSpec spec = spec_of(options, nodes, effective);
+    if (!options.selected(spec.label)) continue;
+    RunResult r = timed_point(spec);
     std::printf(
         "%14zux16-s%-3zu | %10.0f | %9.1f | %12.0f | %11llu | %9llu | %9llu\n",
         nodes, effective, r.metric("events"), r.metric("wall_ms"),
@@ -326,8 +263,9 @@ void run_scale_sweep(const BenchOptions& options,
       ++skipped;
       continue;
     }
-    if (!options.selected(point_label("scale", nodes, radix))) continue;
-    RunResult r = run_scale_point(options, nodes, radix, i);
+    const RunSpec spec = scale_spec(options, nodes, radix, i);
+    if (!options.selected(spec.label)) continue;
+    RunResult r = timed_point(spec);
     std::printf("%8zux%-3zu | %10.0f | %9.1f | %12.0f | %6llu/%-6.0f | %8.0f KB\n",
                 nodes, radix, r.metric("events"), r.metric("wall_ms"),
                 r.metric("events_per_sec"),
@@ -404,7 +342,19 @@ void run(const BenchOptions& options) {
       "Conservative synchronization at switch-cut granularity: s1 = the "
       "classic sequential engine, s>1 = the sharded fabric "
       "(DESIGN.md 4.5).");
-  run_sharded_sweep(options, results);
+  // shards == 1 points are the classic-engine baselines.  65536 keeps no
+  // classic baseline: it dates from the 16-bit NodeId days (the coroutine
+  // stack topped out one node short), and re-baselining now would redate
+  // every recorded comparison — the widened id is covered by the multisend
+  // family sweep below instead.  The blocked_waits column is the
+  // synchronization-stall report.
+  run_shard_sweep(options, "sharded point", pshard_spec,
+                  {{512, 1}, {512, 4},  // CI-pinned pair
+                   {4096, 1}, {4096, 4},
+                   {16384, 1}, {16384, 2}, {16384, 4}, {16384, 8},
+                   {32768, 1}, {32768, 4},
+                   {65536, 2}, {65536, 4}, {65536, 8}},
+                  results);
 
   print_header(
       "Extension — migrated-family sharded sweep (flat multisend, 512 -> "
@@ -412,7 +362,14 @@ void run(const BenchOptions& options) {
       "The coroutine experiment families on the conservative-PDES fabric "
       "(DESIGN.md 4.6): s1 = the gm::Cluster stack, s>1 = the sharded "
       "fabric.");
-  run_family_sweep(options, results);
+  // The msend-512 s1/s4 pair is CI-pinned like the pshard pair.  16384 and
+  // 65536 document the migrated family at fabric sizes the coroutine stack
+  // reaches slowly (16384) or only since the 32-bit NodeId (65536).
+  run_shard_sweep(options, "multisend point", msend_spec,
+                  {{512, 1}, {512, 4},  // CI-pinned pair
+                   {16384, 1}, {16384, 4},
+                   {65536, 4}},
+                  results);
 
   write_bench_json("ext_scalability", options, results);
 }

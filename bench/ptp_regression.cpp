@@ -11,6 +11,7 @@
 
 #include "harness/bench_io.hpp"
 #include "harness/experiment_util.hpp"
+#include "harness/runners.hpp"
 #include "mcast/bcast.hpp"
 
 namespace nicmcast::bench {
@@ -92,9 +93,7 @@ RunResult measure(const RunSpec& spec) {
   cluster.run();
   out.set_metric("bandwidth_mbps", static_cast<double>(chunk) * chunks /
                                        (*t1 - *t0).microseconds());
-  for (std::size_t i = 0; i < cluster.size(); ++i) {
-    nic::accumulate(out.nic_totals, cluster.nic(i).stats());
-  }
+  collect(cluster, out);
   return out;
 }
 

@@ -43,26 +43,19 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 }
 
 /// What one timed repetition of a scenario produced.  `events` and the
-/// engine counters are identical across repetitions (runs are
-/// deterministic); only `wall_s` varies.
+/// counters are identical across repetitions (runs are deterministic);
+/// only `wall_s` varies.
 struct Repetition {
   double wall_s = 0.0;
   std::uint64_t events = 0;
-  harness::EngineCounters engine;
+  net::EngineCounters engine;
+  nic::NicStats nic_totals;
 };
 
-void fill_engine(const sim::Simulator& sim, harness::EngineCounters& engine) {
-  const sim::EventQueue::Stats& q = sim.queue_stats();
-  engine.events_scheduled = q.scheduled;
-  engine.events_executed = q.executed;
-  engine.events_cancelled = q.cancelled;
-  engine.heap_actions = q.heap_actions;
-  engine.pool_slots = q.pool_slots;
-  engine.wheel_occupancy_peak = q.wheel_occupancy_peak;
-  engine.wheel_cascades = q.wheel_cascades;
-  engine.overflow_scheduled = q.overflow_scheduled;
-  engine.overflow_promotions = q.overflow_promotions;
-  engine.event_order_hash = sim.event_order_hash();
+void fill_engine(const sim::Simulator& sim, Repetition& rep) {
+  net::accumulate(rep.engine, sim.queue_stats());
+  rep.engine.event_order_hash = sim.event_order_hash();
+  rep.events = rep.engine.events_executed;
 }
 
 // ---- Scenario 1: raw event-queue churn ------------------------------------
@@ -105,8 +98,7 @@ Repetition run_event_churn() {
 
   Repetition rep;
   rep.wall_s = seconds_since(start);
-  fill_engine(sim, rep.engine);
-  rep.events = rep.engine.events_executed;
+  fill_engine(sim, rep);
   return rep;
 }
 
@@ -135,8 +127,7 @@ Repetition run_coroutine_chain() {
 
   Repetition rep;
   rep.wall_s = seconds_since(start);
-  fill_engine(sim, rep.engine);
-  rep.events = rep.engine.events_executed;
+  fill_engine(sim, rep);
   return rep;
 }
 
@@ -164,6 +155,7 @@ Repetition run_mcast_forwarding(std::uint64_t base_seed) {
   Repetition rep;
   rep.wall_s = seconds_since(start);
   rep.engine = result.engine;
+  rep.nic_totals = result.nic_totals;
   rep.events = result.engine.events_executed;
   if (result.metric("delivered") != 1.0) {
     throw std::logic_error("sim_microbench: multicast payload corrupted");
@@ -223,6 +215,7 @@ harness::RunResult time_scenario(const char* name, int repeats,
   out.spec.warmup = 0;
   out.spec.iterations = repeats;
   out.engine = best.engine;
+  out.nic_totals = best.nic_totals;
   out.set_metric("events", static_cast<double>(best.events));
   out.set_metric("wall_ms", best.wall_s * 1e3);
   out.set_metric("events_per_sec", events_per_sec);

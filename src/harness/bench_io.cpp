@@ -129,9 +129,7 @@ json::Value spec_to_json(const RunSpec& spec) {
   // Seeds are full 64-bit values; a JSON number would lose precision past
   // 2^53, so the exact value is recorded as a decimal string.
   out["seed"] = std::to_string(spec.seed);
-  // Emitted only for sharded runs: every pre-existing document (and the
-  // CI thread-count determinism diff over them) stays byte-identical.
-  if (spec.shards > 1) out["shards"] = spec.shards;
+  out["shards"] = spec.shards;
   out["aux"] = spec.aux;
   return out;
 }
@@ -155,68 +153,51 @@ json::Value result_to_json(const RunResult& result) {
     out["latency_us"] = nullptr;
   }
 
-  const nic::NicStats& nic = result.nic_totals;
   json::Value counters = json::Value::object();
-  counters["packets_sent"] = nic.packets_sent;
-  counters["packets_received"] = nic.packets_received;
-  counters["acks_sent"] = nic.acks_sent;
-  counters["retransmissions"] = nic.retransmissions;
-  counters["forwards"] = nic.forwards;
-  counters["header_rewrites"] = nic.header_rewrites;
-  counters["crc_drops"] = nic.crc_drops;
-  counters["out_of_order_drops"] = nic.out_of_order_drops;
-  counters["duplicate_drops"] = nic.duplicate_drops;
-  counters["no_token_drops"] = nic.no_token_drops;
-  counters["nic_buffer_drops"] = nic.nic_buffer_drops;
-  counters["map_growths"] = nic.map_growths;
+  for (const nic::NicStatsField& field : nic::kNicStatsFields) {
+    counters[field.name] = result.nic_totals.*field.member;
+  }
   out["nic"] = std::move(counters);
 
-  // Engine memory-model counters live under their own key so the protocol
-  // fields above stay byte-identical across engine optimisations.
+  // One key set for every run: the sequential engine writes zeros and
+  // empty vectors for the shard counters.
+  const net::EngineCounters& e = result.engine;
   json::Value engine = json::Value::object();
-  engine["events_scheduled"] = result.engine.events_scheduled;
-  engine["events_executed"] = result.engine.events_executed;
-  engine["events_cancelled"] = result.engine.events_cancelled;
-  engine["heap_actions"] = result.engine.heap_actions;
-  engine["pool_slots"] = result.engine.pool_slots;
-  engine["descriptor_allocs"] = result.engine.descriptor_allocs;
-  engine["descriptor_reuses"] = result.engine.descriptor_reuses;
-  engine["payload_bytes_copied"] = result.engine.payload_bytes_copied;
-  engine["payload_refs"] = result.engine.payload_refs;
-  engine["wheel_occupancy_peak"] = result.engine.wheel_occupancy_peak;
-  engine["wheel_cascades"] = result.engine.wheel_cascades;
-  engine["overflow_scheduled"] = result.engine.overflow_scheduled;
-  engine["overflow_promotions"] = result.engine.overflow_promotions;
-  engine["routes_materialized"] = result.engine.routes_materialized;
-  engine["route_links_stored"] = result.engine.route_links_stored;
-  engine["route_links_shared"] = result.engine.route_links_shared;
-  // Decimal string, like seeds: 64-bit hashes do not fit a JSON double.
-  engine["event_order_hash"] = std::to_string(result.engine.event_order_hash);
-  // Sharded-PDES counters, present only when the sharded engine ran —
-  // sequential documents keep their historical key set.
-  if (result.engine.shard_count > 0) {
-    engine["shard_count"] = result.engine.shard_count;
-    engine["cross_shard_msgs"] = result.engine.cross_shard_msgs;
-    engine["lbts_rounds"] = result.engine.lbts_rounds;
-    engine["horizon_stalls"] = result.engine.horizon_stalls;
-    engine["channel_spills"] = result.engine.channel_spills;
-    engine["cross_links"] = result.engine.cross_links;
-    json::Value hashes = json::Value::array();
-    for (const std::uint64_t h : result.engine.shard_order_hashes) {
-      hashes.push_back(std::to_string(h));  // decimal strings, like seeds
-    }
-    engine["shard_order_hashes"] = std::move(hashes);
-    json::Value peaks = json::Value::array();
-    for (const std::uint64_t p : result.engine.shard_wheel_occupancy_peak) {
-      peaks.push_back(p);
-    }
-    engine["shard_wheel_occupancy_peak"] = std::move(peaks);
-    // Timing-dependent (spin episodes, demand answers), so the regression
-    // checker gates only their presence.
-    engine["null_msgs_sent"] = result.engine.null_msgs_sent;
-    engine["null_msgs_demanded"] = result.engine.null_msgs_demanded;
-    engine["blocked_waits"] = result.engine.blocked_waits;
+  engine["events_scheduled"] = e.events_scheduled;
+  engine["events_executed"] = e.events_executed;
+  engine["events_cancelled"] = e.events_cancelled;
+  engine["heap_actions"] = e.heap_actions;
+  engine["pool_slots"] = e.pool_slots;
+  engine["wheel_occupancy_peak"] = e.wheel_occupancy_peak;
+  engine["wheel_cascades"] = e.wheel_cascades;
+  engine["overflow_scheduled"] = e.overflow_scheduled;
+  engine["overflow_promotions"] = e.overflow_promotions;
+  engine["routes_materialized"] = e.routes_materialized;
+  engine["route_links_stored"] = e.route_links_stored;
+  engine["route_links_shared"] = e.route_links_shared;
+  // Decimal strings, like seeds: 64-bit hashes do not fit a JSON double.
+  engine["event_order_hash"] = std::to_string(e.event_order_hash);
+  engine["shard_count"] = e.shard_count;
+  engine["cross_shard_msgs"] = e.cross_shard_msgs;
+  engine["lbts_rounds"] = e.lbts_rounds;
+  engine["horizon_stalls"] = e.horizon_stalls;
+  engine["channel_spills"] = e.channel_spills;
+  engine["cross_links"] = e.cross_links;
+  json::Value hashes = json::Value::array();
+  for (const std::uint64_t h : e.shard_order_hashes) {
+    hashes.push_back(std::to_string(h));
   }
+  engine["shard_order_hashes"] = std::move(hashes);
+  json::Value peaks = json::Value::array();
+  for (const std::uint64_t p : e.shard_wheel_occupancy_peak) {
+    peaks.push_back(p);
+  }
+  engine["shard_wheel_occupancy_peak"] = std::move(peaks);
+  // Timing-dependent (spin episodes, demand answers), so the regression
+  // checker gates only their presence.
+  engine["null_msgs_sent"] = e.null_msgs_sent;
+  engine["null_msgs_demanded"] = e.null_msgs_demanded;
+  engine["blocked_waits"] = e.blocked_waits;
   out["engine"] = std::move(engine);
 
   json::Value metrics = json::Value::object();

@@ -19,27 +19,26 @@
 //                   "skew_us": 0, "destinations": 0, "lanes": 1,
 //                   "rdma": false, "warmup": 4, "iterations": 30,
 //                   "seed": "123" /* decimal string: 64-bit exact */,
-//                   "aux": 0 },
+//                   "shards": 1, "aux": 0 },
 //         "latency_us": { "count": 30, "mean": ..., "min": ..., "max": ...,
 //                         "stddev": ..., "p50": ..., "p95": ..., "p99": ... },
 //                       // null when the experiment reports only metrics
-//         "nic": { "packets_sent": ..., "packets_received": ...,
-//                  "acks_sent": ..., "retransmissions": ..., "forwards": ...,
-//                  "header_rewrites": ..., "crc_drops": ...,
-//                  "out_of_order_drops": ..., "duplicate_drops": ...,
-//                  "no_token_drops": ..., "nic_buffer_drops": ... },
-//         "engine": { "events_scheduled": ..., "events_executed": ...,
+//         "nic": { "packets_sent": ..., ... },
+//                /* every nic::NicStats field, in nic::kNicStatsFields
+//                   order, summed over the run's NICs (descriptor_allocs,
+//                   descriptor_reuses, payload_bytes_copied and
+//                   payload_refs included) */
+//         "engine": { /* every net::EngineCounters field, one key set for
+//                        every run; the sequential engine writes 0 and []
+//                        for the shard counters */
+//                     "events_scheduled": ..., "events_executed": ...,
 //                     "events_cancelled": ..., "heap_actions": ...,
-//                     "pool_slots": ..., "descriptor_allocs": ...,
-//                     "descriptor_reuses": ..., "payload_bytes_copied": ...,
-//                     "payload_refs": ...,
+//                     "pool_slots": ...,
 //                     "wheel_occupancy_peak": ..., "wheel_cascades": ...,
 //                     "overflow_scheduled": ..., "overflow_promotions": ...,
 //                     "routes_materialized": ..., "route_links_stored": ...,
 //                     "route_links_shared": ...,
 //                     "event_order_hash": "<decimal string: 64-bit exact>",
-//                     /* sharded runs only (spec carries "shards" > 1 and
-//                        the spec object gains a "shards" key): */
 //                     "shard_count": ..., "cross_shard_msgs": ...,
 //                     "lbts_rounds": ..., "horizon_stalls": ...,
 //                     "channel_spills": ..., "cross_links": ...,

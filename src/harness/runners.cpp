@@ -77,36 +77,16 @@ void install_faults(gm::Cluster& cluster, const RunSpec& spec) {
   }
 }
 
-void collect_engine(const sim::Simulator& sim, RunResult& result) {
-  const sim::EventQueue::Stats& q = sim.queue_stats();
-  result.engine.events_scheduled = q.scheduled;
-  result.engine.events_executed = q.executed;
-  result.engine.events_cancelled = q.cancelled;
-  result.engine.heap_actions = q.heap_actions;
-  result.engine.pool_slots = q.pool_slots;
-  result.engine.wheel_occupancy_peak = q.wheel_occupancy_peak;
-  result.engine.wheel_cascades = q.wheel_cascades;
-  result.engine.overflow_scheduled = q.overflow_scheduled;
-  result.engine.overflow_promotions = q.overflow_promotions;
-  result.engine.event_order_hash = sim.event_order_hash();
-  result.engine.descriptor_allocs = result.nic_totals.descriptor_allocs;
-  result.engine.descriptor_reuses = result.nic_totals.descriptor_reuses;
-  result.engine.payload_bytes_copied = result.nic_totals.payload_bytes_copied;
-  result.engine.payload_refs = result.nic_totals.payload_refs;
-}
-
-void collect_nic_totals(gm::Cluster& cluster, RunResult& result) {
-  for (std::size_t i = 0; i < cluster.size(); ++i) {
-    accumulate(result.nic_totals, cluster.nic(i).stats());
-  }
-  collect_engine(cluster.simulator(), result);
-  const net::RouteTableStats& r = cluster.network().route_stats();
-  result.engine.routes_materialized = r.routes_materialized;
-  result.engine.route_links_stored = r.links_stored;
-  result.engine.route_links_shared = r.links_shared;
-}
-
 }  // namespace
+
+void collect(gm::Cluster& cluster, RunResult& result) {
+  for (std::size_t i = 0; i < cluster.size(); ++i) {
+    nic::accumulate(result.nic_totals, cluster.nic(i).stats());
+  }
+  net::accumulate(result.engine, cluster.simulator().queue_stats());
+  net::accumulate(result.engine, cluster.network().route_stats());
+  result.engine.event_order_hash = cluster.simulator().event_order_hash();
+}
 
 gm::ClusterConfig::Wiring resolve_wiring(const RunSpec& spec) {
   switch (spec.wiring) {
@@ -219,7 +199,7 @@ RunResult run_gm_mcast(const RunSpec& spec) {
     result.latency_us.add(
         ((*done)[iter] - (*started)[iter]).microseconds());
   }
-  collect_nic_totals(cluster, result);
+  collect(cluster, result);
   result.set_metric("delivered", *delivered ? 1.0 : 0.0);
   return result;
 }
@@ -288,7 +268,7 @@ RunResult run_multisend(const RunSpec& spec) {
   }(cluster, k, bytes, nic_based, warmup, total, latency));
   cluster.run();
 
-  collect_nic_totals(cluster, result);
+  collect(cluster, result);
   return result;
 }
 
@@ -334,7 +314,7 @@ RunResult run_mpi_bcast(const RunSpec& spec) {
     result.latency_us.add(
         ((*done)[iter] - (*started)[iter]).microseconds());
   }
-  collect_nic_totals(cluster, result);
+  collect(cluster, result);
   return result;
 }
 
@@ -358,20 +338,8 @@ RunResult run_skew_bcast(const RunSpec& spec) {
   const mpi::SkewResult skew = mpi::run_skew_experiment(config);
 
   result.nic_totals = skew.nic_totals;
-  result.engine.events_scheduled = skew.queue_stats.scheduled;
-  result.engine.events_executed = skew.queue_stats.executed;
-  result.engine.events_cancelled = skew.queue_stats.cancelled;
-  result.engine.heap_actions = skew.queue_stats.heap_actions;
-  result.engine.pool_slots = skew.queue_stats.pool_slots;
-  result.engine.wheel_occupancy_peak = skew.queue_stats.wheel_occupancy_peak;
-  result.engine.wheel_cascades = skew.queue_stats.wheel_cascades;
-  result.engine.overflow_scheduled = skew.queue_stats.overflow_scheduled;
-  result.engine.overflow_promotions = skew.queue_stats.overflow_promotions;
+  net::accumulate(result.engine, skew.queue_stats);
   result.engine.event_order_hash = skew.event_order_hash;
-  result.engine.descriptor_allocs = skew.nic_totals.descriptor_allocs;
-  result.engine.descriptor_reuses = skew.nic_totals.descriptor_reuses;
-  result.engine.payload_bytes_copied = skew.nic_totals.payload_bytes_copied;
-  result.engine.payload_refs = skew.nic_totals.payload_refs;
   result.set_metric("avg_bcast_cpu_us", skew.avg_bcast_cpu_us);
   result.set_metric("max_bcast_cpu_us", skew.max_bcast_cpu_us);
   result.set_metric("avg_applied_skew_us", skew.avg_applied_skew_us);
@@ -414,7 +382,7 @@ RunResult run_barrier(const RunSpec& spec) {
   });
   world.run();
 
-  collect_nic_totals(cluster, result);
+  collect(cluster, result);
   result.set_metric("wall_us_per_round", wall->microseconds() / rounds);
   return result;
 }
@@ -458,7 +426,7 @@ RunResult run_allreduce(const RunSpec& spec) {
     result.latency_us.add(
         ((*done)[iter] - (*started)[iter]).microseconds());
   }
-  collect_nic_totals(cluster, result);
+  collect(cluster, result);
   return result;
 }
 

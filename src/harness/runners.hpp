@@ -12,7 +12,18 @@
 #include "harness/run_result.hpp"
 #include "harness/run_spec.hpp"
 
+namespace nicmcast::gm {
+class Cluster;
+}  // namespace nicmcast::gm
+
 namespace nicmcast::harness {
+
+/// Adds a finished cluster's counters to `result` (every NIC's NicStats
+/// into nic_totals, the event queue and route cache into engine) and
+/// records the simulator's event-order hash.  The stock runners end with
+/// it; a bench with its own run body calls it the same way, once per
+/// cluster.
+void collect(gm::Cluster& cluster, RunResult& result);
 
 /// GM-level broadcast over a spanning tree (Fig. 5, tree/loss ablations).
 /// Metrics: "delivered" (1 when every payload arrived bit-exact).

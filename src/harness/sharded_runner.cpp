@@ -153,41 +153,7 @@ RunResult run_sharded(const RunSpec& spec) {
   result.spec = spec;
   for (const double us : fr.latency_us) result.latency_us.add(us);
   result.nic_totals = fr.nic_totals;
-
-  EngineCounters& e = result.engine;
-  e.events_scheduled = fr.events_scheduled;
-  e.events_executed = fr.events_executed;
-  e.events_cancelled = fr.events_cancelled;
-  e.heap_actions = fr.heap_actions;
-  e.pool_slots = fr.pool_slots;
-  e.descriptor_allocs = fr.nic_totals.descriptor_allocs;
-  e.descriptor_reuses = fr.nic_totals.descriptor_reuses;
-  e.payload_bytes_copied = fr.nic_totals.payload_bytes_copied;
-  e.payload_refs = fr.nic_totals.payload_refs;
-  e.wheel_cascades = fr.wheel_cascades;
-  e.overflow_scheduled = fr.overflow_scheduled;
-  e.overflow_promotions = fr.overflow_promotions;
-  e.routes_materialized = fr.routes_materialized;
-  e.route_links_stored = fr.route_links_stored;
-  e.route_links_shared = fr.route_links_shared;
-  e.event_order_hash = fr.merged_order_hash;
-  // Effective count: switch_cut clamps the request to its leaf-block count,
-  // so small topologies may run on fewer shards than the spec asked for.
-  e.shard_count = fr.shard_order_hashes.size();
-  e.cross_shard_msgs = fr.cross_shard_msgs;
-  e.lbts_rounds = fr.lbts_rounds;
-  e.horizon_stalls = fr.horizon_stalls;
-  e.channel_spills = fr.channel_spills;
-  e.cross_links = fr.cross_links;
-  e.null_msgs_sent = fr.null_msgs_sent;
-  e.null_msgs_demanded = fr.null_msgs_demanded;
-  e.blocked_waits = fr.blocked_waits;
-  e.shard_order_hashes = fr.shard_order_hashes;
-  e.shard_wheel_occupancy_peak = fr.shard_wheel_occupancy_peak;
-  // The scalar peak keeps its sequential meaning (busiest single wheel).
-  for (const std::uint64_t peak : fr.shard_wheel_occupancy_peak) {
-    if (peak > e.wheel_occupancy_peak) e.wheel_occupancy_peak = peak;
-  }
+  result.engine = fr;  // the FabricResult's EngineCounters base
 
   const auto iters =
       static_cast<std::uint64_t>(spec.warmup) +

@@ -609,10 +609,12 @@ FabricResult ShardedFabric::run() {
       out.avg_applied_skew_us = ctrl_skew_sum_us_ / n;
     }
   }
+  out.shard_count = engine_->shard_count();
   out.cross_links = partition_.cross_links;
   out.lbts_rounds = engine_->lbts_rounds();
   out.shard_order_hashes = engine_->shard_order_hashes();
-  out.merged_order_hash = engine_->merged_order_hash();
+  out.event_order_hash = engine_->merged_order_hash();
+  out.merged_order_hash = out.event_order_hash;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const ShardState& st = *shards_[s];
     nic::accumulate(out.nic_totals, st.nic);
@@ -621,28 +623,10 @@ FabricResult ShardedFabric::run() {
     out.deliveries += st.deliveries;
 
     const sim::EventQueue::Stats& q = engine_->shard(s).queue_stats();
-    out.events_scheduled += q.scheduled;
-    out.events_executed += q.executed;
-    out.events_cancelled += q.cancelled;
-    out.heap_actions += q.heap_actions;
-    out.pool_slots += q.pool_slots;
-    out.wheel_cascades += q.wheel_cascades;
-    out.overflow_scheduled += q.overflow_scheduled;
-    out.overflow_promotions += q.overflow_promotions;
+    accumulate(out, q);
     out.shard_wheel_occupancy_peak.push_back(q.wheel_occupancy_peak);
-
-    const RouteTableStats& r = st.routes.stats();
-    out.routes_materialized += r.routes_materialized;
-    out.route_links_stored += r.links_stored;
-    out.route_links_shared += r.links_shared;
-
-    const sim::ShardedEngine::ShardStats& ss = engine_->shard_stats(s);
-    out.cross_shard_msgs += ss.cross_shard_msgs_sent;
-    out.horizon_stalls += ss.horizon_stalls;
-    out.channel_spills += ss.channel_spills;
-    out.null_msgs_sent += ss.null_msgs_sent;
-    out.null_msgs_demanded += ss.null_msgs_demanded;
-    out.blocked_waits += ss.blocked_waits;
+    accumulate(out, st.routes.stats());
+    accumulate(out, engine_->shard_stats(s));
   }
   return out;
 }

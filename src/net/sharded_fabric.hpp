@@ -28,6 +28,7 @@
 #include <memory>
 #include <vector>
 
+#include "net/engine_counters.hpp"
 #include "net/network.hpp"
 #include "net/packet.hpp"
 #include "net/partition.hpp"
@@ -122,8 +123,9 @@ struct FabricOptions {
   NetworkConfig net;
 };
 
-/// Everything the harness folds into a RunResult.
-struct FabricResult {
+/// Everything the harness folds into a RunResult.  The engine counters are
+/// the inherited EngineCounters, aggregated over shards.
+struct FabricResult : EngineCounters {
   std::vector<double> latency_us;          // timed iterations only
   nic::NicStats nic_totals;
   std::uint64_t deliveries = 0;            // first deliveries, all iters
@@ -133,31 +135,8 @@ struct FabricResult {
   double max_bcast_cpu_us = 0.0;   // worst rank
   double avg_applied_skew_us = 0.0;
 
-  // Engine counters, aggregated over shards.
-  std::uint64_t events_scheduled = 0;
-  std::uint64_t events_executed = 0;
-  std::uint64_t events_cancelled = 0;
-  std::uint64_t heap_actions = 0;
-  std::uint64_t pool_slots = 0;
-  std::uint64_t wheel_cascades = 0;
-  std::uint64_t overflow_scheduled = 0;
-  std::uint64_t overflow_promotions = 0;
-  std::uint64_t routes_materialized = 0;
-  std::uint64_t route_links_stored = 0;
-  std::uint64_t route_links_shared = 0;
-
-  // Shard-boundary counters (the new observability surface).
-  std::uint64_t cross_shard_msgs = 0;
-  std::uint64_t lbts_rounds = 0;
-  std::uint64_t horizon_stalls = 0;
-  std::uint64_t channel_spills = 0;
-  std::uint64_t cross_links = 0;
-  // Null-message protocol counters, aggregated over shards.
-  std::uint64_t null_msgs_sent = 0;
-  std::uint64_t null_msgs_demanded = 0;
-  std::uint64_t blocked_waits = 0;
-  std::vector<std::uint64_t> shard_order_hashes;
-  std::vector<std::uint64_t> shard_wheel_occupancy_peak;
+  /// Equals event_order_hash; bench/suite reads it.  Goes away at the next
+  /// benchmark revision.
   std::uint64_t merged_order_hash = 0;
 };
 

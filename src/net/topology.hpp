@@ -117,7 +117,7 @@ class Topology {
 };
 
 /// Observability counters for RouteTable (surfaced per run through
-/// harness::EngineCounters so the scale benches can record route memory).
+/// net::EngineCounters so the scale benches can record route memory).
 struct RouteTableStats {
   std::uint64_t routes_materialized = 0;  // distinct (src, dst) pairs computed
   std::uint64_t sources_touched = 0;      // sources with >= 1 route

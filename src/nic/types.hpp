@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -137,35 +138,52 @@ struct NicStats {
   std::uint64_t map_growths = 0;  // conn/group/op table rehashes after setup
 };
 
+/// The one list of NicStats fields: each counter's name (its bench-JSON
+/// key) and member.  Summing and serialising NicStats go through this list
+/// only, so a new counter is one field plus one entry here.
+struct NicStatsField {
+  const char* name;
+  std::uint64_t NicStats::*member;
+};
+
+inline constexpr NicStatsField kNicStatsFields[] = {
+    {"packets_sent", &NicStats::packets_sent},
+    {"packets_received", &NicStats::packets_received},
+    {"crc_drops", &NicStats::crc_drops},
+    {"out_of_order_drops", &NicStats::out_of_order_drops},
+    {"no_token_drops", &NicStats::no_token_drops},
+    {"duplicate_drops", &NicStats::duplicate_drops},
+    {"acks_sent", &NicStats::acks_sent},
+    {"retransmissions", &NicStats::retransmissions},
+    {"forwards", &NicStats::forwards},
+    {"header_rewrites", &NicStats::header_rewrites},
+    {"send_tokens_in_use_high_water", &NicStats::send_tokens_in_use_high_water},
+    {"barriers_completed", &NicStats::barriers_completed},
+    {"barrier_resends", &NicStats::barrier_resends},
+    {"reductions_combined", &NicStats::reductions_combined},
+    {"reduce_resends", &NicStats::reduce_resends},
+    {"nic_buffer_drops", &NicStats::nic_buffer_drops},
+    {"rx_buffers_high_water", &NicStats::rx_buffers_high_water},
+    {"ctrl_packets", &NicStats::ctrl_packets},
+    {"conn_resets", &NicStats::conn_resets},
+    {"conns_reclaimed", &NicStats::conns_reclaimed},
+    {"descriptor_allocs", &NicStats::descriptor_allocs},
+    {"descriptor_reuses", &NicStats::descriptor_reuses},
+    {"payload_bytes_copied", &NicStats::payload_bytes_copied},
+    {"payload_refs", &NicStats::payload_refs},
+    {"map_growths", &NicStats::map_growths},
+};
+static_assert(std::size(kNicStatsFields) * sizeof(std::uint64_t) ==
+                  sizeof(NicStats),
+              "every NicStats field needs a kNicStatsFields entry");
+
 /// Memberwise sum — aggregates per-NIC counters into cluster-wide totals
 /// (high-water marks are summed too: the totals are a traffic-volume view,
 /// not a point-in-time snapshot).
 inline void accumulate(NicStats& into, const NicStats& from) {
-  into.packets_sent += from.packets_sent;
-  into.packets_received += from.packets_received;
-  into.crc_drops += from.crc_drops;
-  into.out_of_order_drops += from.out_of_order_drops;
-  into.no_token_drops += from.no_token_drops;
-  into.duplicate_drops += from.duplicate_drops;
-  into.acks_sent += from.acks_sent;
-  into.retransmissions += from.retransmissions;
-  into.forwards += from.forwards;
-  into.header_rewrites += from.header_rewrites;
-  into.send_tokens_in_use_high_water += from.send_tokens_in_use_high_water;
-  into.barriers_completed += from.barriers_completed;
-  into.barrier_resends += from.barrier_resends;
-  into.reductions_combined += from.reductions_combined;
-  into.reduce_resends += from.reduce_resends;
-  into.nic_buffer_drops += from.nic_buffer_drops;
-  into.rx_buffers_high_water += from.rx_buffers_high_water;
-  into.ctrl_packets += from.ctrl_packets;
-  into.conn_resets += from.conn_resets;
-  into.conns_reclaimed += from.conns_reclaimed;
-  into.descriptor_allocs += from.descriptor_allocs;
-  into.descriptor_reuses += from.descriptor_reuses;
-  into.payload_bytes_copied += from.payload_bytes_copied;
-  into.payload_refs += from.payload_refs;
-  into.map_growths += from.map_growths;
+  for (const NicStatsField& field : kNicStatsFields) {
+    into.*field.member += from.*field.member;
+  }
 }
 
 }  // namespace nicmcast::nic
