@@ -23,7 +23,11 @@ scenario against the *last* trajectory entry (the current engine):
 --scale mode (ext_scalability vs BENCH_scale.json) applies the same two
 checks, but only to scenarios the baseline marks "pinned" (the 128- and
 512-node points plus the pshard-512 shards-axis pair; CI caps the sweep
-with --max-nodes so the larger points never run there).  Unpinned points
+with --max-nodes so the larger points never run there).  A pinned point
+also fails when its fresh per-point peak_rss_kb exceeds 1.5x the recorded
+value, so per-endpoint state that goes back to being sized by the
+configuration shows up; the margin absorbs a different libc.  A value of
+0 (not measured) on either side skips that check.  Unpinned points
 are checked only when present, and only for route memory:
 routes_materialized must stay >= 10x below the all-pairs route count
 (full_pairs), the lazy-RouteTable guarantee the 4096-node sweep exists to
@@ -52,6 +56,7 @@ import json
 import sys
 
 THRESHOLD = 0.80  # fresh events/sec must be >= 80% of the recorded value
+RSS_FACTOR = 1.5  # fresh peak_rss_kb must be <= 1.5x the recorded value
 ROUTE_FACTOR = 10  # lazy routes must undercut all-pairs by at least this
 
 
@@ -83,6 +88,22 @@ def check_hash_and_eps(label, want, run, failures):
         failures.append(
             f"{label}: {got_eps:,.0f} ev/s is more than 20% below the "
             f"recorded {want['events_per_sec']:,}")
+
+
+def check_peak_rss(label, want, run, failures):
+    got = run["metrics"].get("peak_rss_kb", 0)
+    rec = want.get("peak_rss_kb", 0)
+    if not got or not rec:
+        print(f"{label}: peak RSS not measured -> skipped")
+        return
+    ceiling = RSS_FACTOR * rec
+    ok = got <= ceiling
+    print(f"{label}: peak RSS {got:,.0f} kB vs recorded {rec:,} kB "
+          f"(ceiling {ceiling:,.0f}) -> {'ok' if ok else 'TOO BIG'}")
+    if not ok:
+        failures.append(
+            f"{label}: peak RSS {got:,.0f} kB is more than {RSS_FACTOR}x "
+            f"the recorded {rec:,} kB")
 
 
 def check_sync_counters(label, want, run, failures):
@@ -193,6 +214,8 @@ def main() -> int:
             continue
         if not scale_mode or pinned:
             check_hash_and_eps(label, want, run, failures)
+        if scale_mode and pinned:
+            check_peak_rss(label, want, run, failures)
         if scale_mode:
             check_route_memory(label, run, failures)
     if scale_mode:

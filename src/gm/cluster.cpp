@@ -1,6 +1,5 @@
 #include "gm/cluster.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace nicmcast::gm {
@@ -28,17 +27,10 @@ Cluster::Cluster(ClusterConfig config)
     : config_(config), sim_(config.seed) {
   network_ = std::make_unique<net::Network>(sim_, build_topology(config_),
                                             config_.network);
-  // Default the NIC connection-table hint to the realistic per-node peer
-  // population (tree fan-in/out plus unicast traffic), capped so large
-  // fabrics don't pre-reserve quadratic state.
-  nic::NicConfig nic_config = config_.nic;
-  if (nic_config.expected_peers == 0) {
-    nic_config.expected_peers = std::min<std::size_t>(config_.nodes, 64);
-  }
   nics_.reserve(config_.nodes);
   for (std::size_t i = 0; i < config_.nodes; ++i) {
     nics_.push_back(std::make_unique<nic::Nic>(
-        sim_, *network_, static_cast<net::NodeId>(i), nic_config,
+        sim_, *network_, static_cast<net::NodeId>(i), config_.nic,
         config_.nic_options));
   }
   ports_.resize(config_.nodes * config_.nic_options.num_ports);

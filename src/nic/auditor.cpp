@@ -131,9 +131,10 @@ void ProtocolAuditor::on_rx_buffers(const Nic& nic, std::size_t in_use) {
 
 void ProtocolAuditor::check_drained(const Nic& nic) {
   for (std::size_t p = 0; p < nic.ports_.size(); ++p) {
-    if (nic.ports_[p]->send_tokens_in_use != 0) {
+    const auto& port = nic.ports_[p];  // null: never used
+    if (port && port->send_tokens_in_use != 0) {
       violation(nic, "port " + std::to_string(p) + " still holds " +
-                         std::to_string(nic.ports_[p]->send_tokens_in_use) +
+                         std::to_string(port->send_tokens_in_use) +
                          " send token(s) at drain");
     }
   }

@@ -83,14 +83,6 @@ struct NicConfig {
   /// apart when debugging cross-shard scheduling.
   std::uint32_t shard = 0;
 
-  /// Expected peer-connection population: how many distinct (port, peer,
-  /// peer port) connections this NIC is likely to hold at once.  The
-  /// sender/receiver Go-back-N tables pre-reserve to this at construction
-  /// so steady-state traffic never rehashes mid-packet; growth past the
-  /// hint still works and is counted in NicStats::map_growths.  0 skips
-  /// the reservation (gm::Cluster defaults it to min(nodes, 64)).
-  std::size_t expected_peers = 0;
-
   /// NIC SRAM packet-staging buffers.  Each accepted data packet occupies
   /// one until its RDMA (and, at intermediate nodes, its forwarding
   /// transmissions) complete.  The paper's §5 rationale for releasing at

@@ -52,17 +52,7 @@ Nic::Nic(sim::Simulator& sim, net::Network& network, net::NodeId id,
   if (options_.num_ports == 0) {
     throw std::invalid_argument("NIC needs at least one port");
   }
-  ports_.reserve(options_.num_ports);
-  for (std::size_t i = 0; i < options_.num_ports; ++i) {
-    ports_.push_back(std::make_unique<Port>());
-  }
-  // Pre-size the Go-back-N tables to the expected peer population so the
-  // packet path never pays a rehash; anything that does grow past the hint
-  // is churn worth seeing, so every table reports into one counter.
-  if (config_.expected_peers > 0) {
-    sender_conns_.reserve(config_.expected_peers);
-    receiver_conns_.reserve(config_.expected_peers);
-  }
+  ports_.resize(options_.num_ports);
   sender_conns_.bind_growth_counter(&stats_.map_growths);
   receiver_conns_.bind_growth_counter(&stats_.map_growths);
   groups_.bind_growth_counter(&stats_.map_growths);
@@ -282,7 +272,7 @@ void Nic::post_recv_buffer(RecvBuffer buffer) {
     throw std::out_of_range("post_recv_buffer: bad port");
   }
   cpu_.run(config_.recv_token_processing, [this, buffer] {
-    ports_[buffer.port]->recv_buffers.push_back(buffer);
+    port_state(buffer.port).recv_buffers.push_back(buffer);
   });
 }
 
@@ -353,15 +343,23 @@ void Nic::debug_set_group_seq(net::GroupId group, SeqNum seq) {
 }
 
 sim::Channel<HostEvent>& Nic::events(net::PortId port) {
-  return ports_.at(port)->events;
+  return port_state(port).events;
 }
 
 std::size_t Nic::send_tokens_available(net::PortId port) const {
-  return config_.send_tokens_per_port - ports_.at(port)->send_tokens_in_use;
+  const Port* p = ports_.at(port).get();
+  return config_.send_tokens_per_port - (p ? p->send_tokens_in_use : 0);
 }
 
 std::size_t Nic::recv_buffers_posted(net::PortId port) const {
-  return ports_.at(port)->recv_buffers.size();
+  const Port* p = ports_.at(port).get();
+  return p ? p->recv_buffers.size() : 0;
+}
+
+Nic::Port& Nic::port_state(net::PortId port) {
+  std::unique_ptr<Port>& slot = ports_.at(port);
+  if (!slot) slot = std::make_unique<Port>();
+  return *slot;
 }
 
 // ---------------------------------------------------------------------------
@@ -784,8 +782,8 @@ void Nic::handle_ctrl(const net::Packet& packet) {
           // back to the pool (in-flight RDMA completions hold their own
           // reference to the assembly and release their staging buffers as
           // they land).
-          ports_.at(packet.header.dst_port)
-              ->recv_buffers.push_back(conn.assembly->buffer);
+          port_state(packet.header.dst_port)
+              .recv_buffers.push_back(conn.assembly->buffer);
           conn.assembly.reset();
         }
         conn.expected_seq = packet.header.seq;
@@ -992,7 +990,7 @@ bool Nic::ensure_assembly(net::PortId port, AssemblyRef& slot,
   // GM matches receive buffers by size: take the first posted buffer large
   // enough for the whole message.  No fit => receiver overrun; the sender's
   // Go-back-N retries until the host posts a suitable buffer.
-  auto& buffers = ports_.at(port)->recv_buffers;
+  auto& buffers = port_state(port).recv_buffers;
   const auto fit = std::find_if(
       buffers.begin(), buffers.end(), [&](const RecvBuffer& b) {
         return b.capacity >= packet.header.msg_length;
@@ -1388,7 +1386,7 @@ void Nic::start_forward(net::GroupId group_id, const net::Packet& packet,
     // Ablation: the rejected design — forwarding draws from the finite
     // send-token pool and stalls when it is empty.
     const net::PortId port_id = groups_.at(group_id).entry.port;
-    Port& port = *ports_.at(port_id);
+    Port& port = port_state(port_id);
     if (port.send_tokens_in_use >= config_.send_tokens_per_port) {
       deferred_forwards_.push_back(
           DeferredForward{group_id, packet, std::move(on_forwarded)});
@@ -1612,7 +1610,7 @@ void Nic::deliver_event(net::PortId port, HostEvent event) {
   if (auditor_) auditor_->on_event(*this, port, event);
   sim_.schedule_after(config_.event_delivery,
                       [this, port, event = std::move(event)] {
-                        ports_.at(port)->events.push(event);
+                        port_state(port).events.push(event);
                       });
 }
 
@@ -1634,7 +1632,7 @@ void Nic::release_rx_buffer() {
 }
 
 void Nic::consume_send_token(net::PortId port) {
-  Port& p = *ports_.at(port);
+  Port& p = port_state(port);
   if (p.send_tokens_in_use >= config_.send_tokens_per_port) {
     throw std::logic_error("send-token pool exhausted; the GM layer must "
                            "wait for a completion before posting");
@@ -1646,7 +1644,7 @@ void Nic::consume_send_token(net::PortId port) {
 }
 
 void Nic::release_send_token(net::PortId port) {
-  Port& p = *ports_.at(port);
+  Port& p = port_state(port);
   if (p.send_tokens_in_use == 0) {
     throw std::logic_error("send-token release underflow");
   }

@@ -427,6 +427,10 @@ class Nic final : public net::PacketSink {
   void op_packet_acked(OpHandle handle);
   void deliver_event(net::PortId port, HostEvent event);
 
+  /// The record of `port`, created on first use; throws std::out_of_range
+  /// past num_ports.
+  Port& port_state(net::PortId port);
+
   // -- Send tokens --
   void consume_send_token(net::PortId port);
   void release_send_token(net::PortId port);
@@ -458,11 +462,13 @@ class Nic final : public net::PacketSink {
   Engine sdma_;
   Engine rdma_;
 
+  // num_ports slots, each null until port_state() first names the port,
+  // so a NIC pays only for the ports its host opens or its peers address.
   std::vector<std::unique_ptr<Port>> ports_;
   // Flat open-addressing tables (sim/flat_map.hpp): inline probe index,
   // pooled entries with stable references, insertion-order iteration.
-  // Pre-reserved from NicConfig::expected_peers at construction; any
-  // rehash after that shows up in NicStats::map_growths.
+  // Each grows from empty as peers appear; every rehash shows up in
+  // NicStats::map_growths.
   sim::FlatMap<std::uint64_t, SenderConn> sender_conns_;
   sim::FlatMap<std::uint64_t, ReceiverConn> receiver_conns_;
   sim::FlatMap<net::GroupId, GroupState> groups_;
@@ -473,7 +479,7 @@ class Nic final : public net::PacketSink {
     net::Packet packet;
     ReleaseFn on_forwarded;
   };
-  std::deque<DeferredForward> deferred_forwards_;
+  std::vector<DeferredForward> deferred_forwards_;
   std::size_t rx_buffers_in_use_ = 0;
 
   ProtocolAuditor* auditor_ = nullptr;

@@ -135,7 +135,7 @@ struct NicStats {
   std::uint64_t descriptor_reuses = 0;   // descriptor served from free list
   std::uint64_t payload_bytes_copied = 0;  // bytes physically memcpy'd
   std::uint64_t payload_refs = 0;          // zero-copy buffer shares instead
-  std::uint64_t map_growths = 0;  // conn/group/op table rehashes after setup
+  std::uint64_t map_growths = 0;  // conn/group/op table index doublings
 };
 
 /// The one list of NicStats fields: each counter's name (its bench-JSON

@@ -60,7 +60,9 @@ class FlatMap {
   // 8 entries per chunk: small enough that a NIC whose tables hold a
   // handful of peers (the common soak/short-run shape) touches one small
   // allocation per map, not a 64-entry arena it then default-destroys.
-  static constexpr std::size_t kChunkShift = 3;
+  // Entries over 256 bytes (the NIC's GroupState) get one-entry chunks, so
+  // a NIC in one group allocates one entry, not eight.
+  static constexpr std::size_t kChunkShift = sizeof(Entry) > 256 ? 0 : 3;
   static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkShift;
   static constexpr std::size_t kChunkMask = kChunkSize - 1;
 

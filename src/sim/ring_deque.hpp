@@ -1,12 +1,13 @@
 // Allocation-stable FIFO window.
 //
 // A power-of-two ring buffer with deque surface (push_back / pop_front /
-// front / back / bidirectional iteration).  Unlike std::deque — which
-// allocates a chunk on first insertion and returns it to the heap when the
-// window drains — a RingDeque keeps its capacity across drain/refill
+// front / back / bidirectional iteration).  Unlike std::deque — which in
+// libstdc++ allocates a map and a 512-byte chunk on construction and
+// returns chunks to the heap as the window drains — a RingDeque allocates
+// nothing before its first push and keeps its capacity across drain/refill
 // cycles, so a Go-back-N send window that oscillates between empty and a
 // few in-flight records settles into zero steady-state allocation.  Used
-// for the NIC's per-connection and per-group unacked-record windows.
+// for the NIC's unacked-record windows and sim::Channel's queues.
 #pragma once
 
 #include <cstddef>
@@ -166,10 +167,12 @@ class RingDeque {
   }
 
   void grow() {
+    // Relocation has no exception path: a move that threw halfway would
+    // leave elements in both rings.
+    static_assert(std::is_nothrow_move_constructible_v<T>,
+                  "RingDeque relocates elements with noexcept moves");
     const std::size_t next = capacity_ == 0 ? 4 : capacity_ * 2;
     T* fresh = allocate(next);
-    // T is a record struct with noexcept moves; relocate then free the old
-    // ring.  (No exception path: a throwing move would be a bug upstream.)
     for (std::size_t i = 0; i < size_; ++i) {
       T* src = slot(head_ + i);
       ::new (fresh + i) T(std::move(*src));

@@ -10,10 +10,11 @@
 #pragma once
 
 #include <coroutine>
-#include <deque>
 #include <optional>
 #include <utility>
 #include <vector>
+
+#include "sim/ring_deque.hpp"
 
 namespace nicmcast::sim {
 
@@ -81,7 +82,8 @@ class Gate {
 
 /// Unbounded FIFO channel.  Any number of producers (plain code or
 /// coroutines) push; consumers `co_await ch.pop()`.  Values are handed to
-/// waiters in push order; waiters are served in wait order.
+/// waiters in push order; waiters are served in wait order.  A channel
+/// that never sees a push allocates nothing.
 template <class T>
 class Channel {
  public:
@@ -124,8 +126,8 @@ class Channel {
   PopAwaiter pop() { return PopAwaiter{*this}; }
 
  private:
-  std::deque<T> items_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  RingDeque<T> items_;
+  RingDeque<std::coroutine_handle<>> waiters_;
 };
 
 }  // namespace nicmcast::sim

@@ -1,0 +1,200 @@
+// Per-endpoint heap footprint of the classic stack.
+//
+// The binary replaces every global operator new/delete form with one that
+// counts live bytes, so the test can state how much a gm::Cluster holds
+// per endpoint before any traffic, and after every node opens a GM port
+// and joins a multicast group.  NIC port records, Go-back-N tables and
+// group entries are built on first use; these bounds fail if per-node
+// state goes back to being sized by the configuration instead.
+//
+// Each block carries a header that records its size, which works for the
+// aligned forms (sim::RingDeque allocates with std::align_val_t) and under
+// ASan, where the runtime's own operator new is replaced as well.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <atomic>
+#include <cstddef>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <new>
+#include <numeric>
+#include <vector>
+
+#include "gm/cluster.hpp"
+#include "mcast/bcast.hpp"
+#include "mcast/tree.hpp"
+
+namespace {
+
+std::atomic<std::int64_t> g_live_bytes{0};
+
+constexpr std::size_t kMinHeader = alignof(std::max_align_t);
+
+std::size_t header_for(std::size_t align) {
+  return std::max(align, kMinHeader);
+}
+
+void* counted_alloc(std::size_t size, std::size_t align) noexcept {
+  const std::size_t header = header_for(align);
+  if (size > SIZE_MAX - header) return nullptr;
+  void* base = nullptr;
+  if (posix_memalign(&base, header, header + size) != 0) return nullptr;
+  auto* user = static_cast<unsigned char*>(base) + header;
+  std::memcpy(user - sizeof(size), &size, sizeof(size));
+  g_live_bytes.fetch_add(static_cast<std::int64_t>(size),
+                         std::memory_order_relaxed);
+  return user;
+}
+
+void* counted_alloc_or_throw(std::size_t size, std::size_t align) {
+  void* p = counted_alloc(size, align);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+void counted_free(void* p, std::size_t align) noexcept {
+  if (p == nullptr) return;
+  auto* user = static_cast<unsigned char*>(p);
+  std::size_t size = 0;
+  std::memcpy(&size, user - sizeof(size), sizeof(size));
+  g_live_bytes.fetch_sub(static_cast<std::int64_t>(size),
+                         std::memory_order_relaxed);
+  std::free(user - header_for(align));
+}
+
+constexpr std::size_t kDefault = __STDCPP_DEFAULT_NEW_ALIGNMENT__;
+
+std::size_t align_of(std::align_val_t a) {
+  return static_cast<std::size_t>(a);
+}
+
+}  // namespace
+
+void* operator new(std::size_t n) {
+  return counted_alloc_or_throw(n, kDefault);
+}
+void* operator new[](std::size_t n) {
+  return counted_alloc_or_throw(n, kDefault);
+}
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_alloc(n, kDefault);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_alloc(n, kDefault);
+}
+void* operator new(std::size_t n, std::align_val_t a) {
+  return counted_alloc_or_throw(n, align_of(a));
+}
+void* operator new[](std::size_t n, std::align_val_t a) {
+  return counted_alloc_or_throw(n, align_of(a));
+}
+void* operator new(std::size_t n, std::align_val_t a,
+                   const std::nothrow_t&) noexcept {
+  return counted_alloc(n, align_of(a));
+}
+void* operator new[](std::size_t n, std::align_val_t a,
+                     const std::nothrow_t&) noexcept {
+  return counted_alloc(n, align_of(a));
+}
+
+void operator delete(void* p) noexcept { counted_free(p, kDefault); }
+void operator delete[](void* p) noexcept { counted_free(p, kDefault); }
+void operator delete(void* p, std::size_t) noexcept {
+  counted_free(p, kDefault);
+}
+void operator delete[](void* p, std::size_t) noexcept {
+  counted_free(p, kDefault);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  counted_free(p, kDefault);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  counted_free(p, kDefault);
+}
+void operator delete(void* p, std::align_val_t a) noexcept {
+  counted_free(p, align_of(a));
+}
+void operator delete[](void* p, std::align_val_t a) noexcept {
+  counted_free(p, align_of(a));
+}
+void operator delete(void* p, std::size_t, std::align_val_t a) noexcept {
+  counted_free(p, align_of(a));
+}
+void operator delete[](void* p, std::size_t, std::align_val_t a) noexcept {
+  counted_free(p, align_of(a));
+}
+void operator delete(void* p, std::align_val_t a,
+                     const std::nothrow_t&) noexcept {
+  counted_free(p, align_of(a));
+}
+void operator delete[](void* p, std::align_val_t a,
+                       const std::nothrow_t&) noexcept {
+  counted_free(p, align_of(a));
+}
+
+namespace nicmcast::gm {
+namespace {
+
+constexpr std::size_t kEndpoints = 1024;
+
+std::int64_t live_bytes() {
+  return g_live_bytes.load(std::memory_order_relaxed);
+}
+
+double per_endpoint(std::int64_t bytes) {
+  return static_cast<double>(bytes) / static_cast<double>(kEndpoints);
+}
+
+// Stores through a volatile pointer keep the compiler from eliding the
+// new/delete pairs under test.
+void* volatile g_sink = nullptr;
+
+TEST(Footprint, CountsPlainAndAlignedForms) {
+  const std::int64_t before = live_bytes();
+  auto* plain = new std::uint64_t[100];
+  g_sink = plain;
+  EXPECT_EQ(live_bytes() - before, 800);
+  struct alignas(64) Line {
+    std::byte bytes[64];
+  };
+  auto* aligned = new Line[3];
+  g_sink = aligned;
+  // NOLINTNEXTLINE(nicmcast-pointer-order): checks alignment, feeds no simulation state
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(aligned) % 64, 0u);
+  EXPECT_EQ(live_bytes() - before, 800 + 192);
+  delete[] plain;
+  delete[] aligned;
+  EXPECT_EQ(live_bytes(), before);
+}
+
+TEST(Footprint, ClusterStateFollowsTraffic) {
+  // The tree is host-side input, built before the baseline so only the
+  // cluster's own state is counted.
+  std::vector<net::NodeId> dests(kEndpoints - 1);
+  std::iota(dests.begin(), dests.end(), net::NodeId{1});
+  const mcast::Tree tree = mcast::build_binomial_tree(0, std::move(dests));
+
+  const std::int64_t before = live_bytes();
+  Cluster cluster(ClusterConfig{.nodes = kEndpoints,
+                                .wiring = ClusterConfig::Wiring::kClos,
+                                .switch_radix = 16});
+  const double built = per_endpoint(live_bytes() - before);
+
+  for (std::size_t node = 0; node < kEndpoints; ++node) {
+    static_cast<void>(cluster.port(node, 0));
+  }
+  mcast::install_group(cluster, tree, 1);
+  const double joined = per_endpoint(live_bytes() - before);
+
+  std::printf("bytes per endpoint at %zu endpoints: %.0f after construction, "
+              "%.0f with port 0 open and one group installed\n",
+              kEndpoints, built, joined);
+  EXPECT_LE(built, 2048.0);
+  EXPECT_LE(joined, 4096.0);
+}
+
+}  // namespace
+}  // namespace nicmcast::gm

@@ -58,6 +58,21 @@ TEST(Protection, PerPortSendTokenPoolsAreIndependent) {
   EXPECT_EQ(c.nic(0).send_tokens_available(2), 2u);
 }
 
+TEST(Protection, UntouchedPortReportsAFullPoolAndNoBuffers) {
+  NicConfig config;
+  config.send_tokens_per_port = 5;
+  TestCluster c(2, config);
+  c.nic(0).post_send(SendRequest{0, 1, 0, make_payload(8), 0, 1});
+  for (net::PortId port = 1; port < 4; ++port) {
+    EXPECT_EQ(c.nic(0).send_tokens_available(port), 5u);
+    EXPECT_EQ(c.nic(0).recv_buffers_posted(port), 0u);
+  }
+  EXPECT_THROW(static_cast<void>(c.nic(0).send_tokens_available(4)),
+               std::out_of_range);
+  EXPECT_THROW(static_cast<void>(c.nic(0).recv_buffers_posted(4)),
+               std::out_of_range);
+}
+
 TEST(Protection, ConcurrentGroupsOnDistinctPortsOfOneNic) {
   // Two "processes" (ports 0 and 1) on every node, each with its own
   // multicast group over the same physical NICs; payloads never cross.

@@ -2,6 +2,7 @@
 // acks, bursty loss, peer death.
 #include <gtest/gtest.h>
 
+#include "nic/auditor.hpp"
 #include "nic_test_util.hpp"
 
 namespace nicmcast::nic {
@@ -238,6 +239,25 @@ TEST(Reliability, ConnectionRecoversAfterMaxRetriesFailure) {
   const auto recv = c.drain_events(1);
   ASSERT_EQ(recv.size(), 1u);
   EXPECT_EQ(recv[0].data, msg);
+}
+
+TEST(Reliability, DrainAuditSkipsUnusedPortsAndFlagsHeldTokens) {
+  TestCluster c(2);
+  ProtocolAuditor auditor;
+  for (auto& nic : c.nics) nic->set_auditor(&auditor);
+  c.post_buffers(1, 1, 4096);
+  c.nic(0).post_send(SendRequest{0, 1, 0, make_payload(64), 0, 1});
+  c.sim.run();
+  // Ports 1-3 of both NICs were never used.
+  auditor.check_drained(c.nic(0));
+  auditor.check_drained(c.nic(1));
+  EXPECT_TRUE(auditor.ok()) << auditor.report();
+
+  c.nic(0).post_send(SendRequest{2, 1, 0, make_payload(8), 0, 2});
+  auditor.check_drained(c.nic(0));
+  EXPECT_NE(auditor.report().find("port 2 still holds 1 send token(s)"),
+            std::string::npos)
+      << auditor.report();
 }
 
 TEST(Reliability, IdleConnectionsReclaimed) {

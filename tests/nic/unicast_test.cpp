@@ -2,6 +2,8 @@
 // protection and completion events.
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "nic_test_util.hpp"
 
 namespace nicmcast::nic {
@@ -144,6 +146,29 @@ TEST(Unicast, NoBufferStallsUntilPosted) {
   ASSERT_EQ(recv.size(), 1u);
   EXPECT_EQ(recv[0].data, make_payload(64));
   EXPECT_GE(c.nic(0).stats().retransmissions, 1u);
+}
+
+TEST(Unicast, PacketToUntouchedPortIsAnOverrunLikeAnyOther) {
+  // Port 3 of node 1 is named first by the arriving packet.  The overrun
+  // must play out exactly as on a port the host had already opened.
+  const auto run = [](bool open_first) {
+    TestCluster c(2);
+    if (open_first) static_cast<void>(c.nic(1).events(3));
+    c.nic(0).post_send(SendRequest{0, 1, 3, make_payload(64), 5, 1});
+    c.sim.run_for(sim::usec(2500));
+    EXPECT_EQ(c.nic(1).recv_buffers_posted(3), 0u);
+    const NicStats before_post = c.nic(1).stats();
+    c.nic(1).post_recv_buffer(RecvBuffer{3, 4096, 77});
+    c.sim.run();
+    auto ev = c.nic(1).events(3).try_pop();
+    EXPECT_TRUE(ev.has_value() && ev->handle == 77u);
+    return std::tuple{before_post.no_token_drops,
+                      c.nic(0).stats().retransmissions, c.sim.now()};
+  };
+  const auto untouched = run(false);
+  EXPECT_GE(std::get<0>(untouched), 2u);
+  EXPECT_GE(std::get<1>(untouched), 2u);
+  EXPECT_EQ(untouched, run(true));
 }
 
 TEST(Unicast, SendTokensConsumedAndReleased) {
