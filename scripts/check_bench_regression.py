@@ -38,7 +38,10 @@ Sharded scenarios (the "pshard-<nodes>x<radix>-s<shards>" and
 baseline entry that records "shard_order_hashes" also pins the full
 per-shard hash vector exactly — the sharded half of the determinism
 contract.  The merged event_order_hash check covers the fold; the vector
-check localises a divergence to the shard that re-timed.
+check localises a divergence to the shard that re-timed.  A baseline
+entry that records "lbts_rounds" pins the round schedule exactly too
+(pshard-512x16-s4: 1,236 rounds, msend-512x16-s4: 4,608): how shards
+wait for each other may change, how many LBTS rounds a run takes may not.
 
 --scale mode also sanity-checks the whole baseline trajectory, not just
 the entry it gates against: every recorded sharded scenario must pin a
@@ -46,11 +49,13 @@ hash vector consistent with its shard count.  Entries recorded before the
 shards axis existed carry no sharded counters at all — that is legal
 history and is skipped, never failed.
 
-Every sharded scenario of the fresh run must carry the null-message
-counters (null_msgs_sent, blocked_waits); their timing-dependent values
-are informational.  History entries from when a lockstep barrier was the
+Every sharded scenario of the fresh run must carry the blocked_waits
+counter (slot reads that spun); its timing-dependent value is
+informational.  (null_msgs_sent stays in the JSON at a constant 0 and is
+no longer gated.)  History entries from when a lockstep barrier was the
 other sync mode carry "…-async" twins ("sync": "async"): those must
-record the counters and equal their suffix-less twin in every hash.
+record the null-message counters of their day and equal their
+suffix-less twin in every hash.
 """
 import json
 import sys
@@ -79,6 +84,13 @@ def check_hash_and_eps(label, want, run, failures):
                 f"{label}: per-shard hash vector diverged from the recorded "
                 f"golden (shards {diverged}); the sharded determinism "
                 f"contract is broken")
+    want_rounds = want.get("lbts_rounds")
+    if want_rounds is not None:
+        got_rounds = run["engine"].get("lbts_rounds")
+        if got_rounds != want_rounds:
+            failures.append(
+                f"{label}: lbts_rounds {got_rounds} != recorded "
+                f"{want_rounds} (the round schedule changed)")
     got_eps = run["metrics"]["events_per_sec"]
     floor = THRESHOLD * want["events_per_sec"]
     verdict = "ok" if got_eps >= floor else "REGRESSED"
@@ -107,25 +119,23 @@ def check_peak_rss(label, want, run, failures):
 
 
 def check_sync_counters(label, want, run, failures):
-    """Gate the *presence* of the null-message counters, print the values.
+    """Gate the *presence* of the blocked_waits counter, print its value.
 
-    How often a receiver actually blocked (and therefore demanded a null
-    message) depends on thread timing, so the values legitimately vary
-    between runs and are never compared.  Losing the keys entirely means
-    the sync instrumentation or JSON plumbing regressed.
+    How often a shard found a peer's published value not yet there
+    depends on thread timing, so the value legitimately varies between
+    runs and is never compared.  Losing the key entirely means the sync
+    instrumentation or JSON plumbing regressed.
     """
-    engine = run["engine"]
-    for key in ("null_msgs_sent", "blocked_waits"):
-        got = engine.get(key)
-        if got is None:
-            failures.append(
-                f"{label}: sharded run reports no '{key}' counter; the "
-                f"sync instrumentation regressed")
-            continue
-        rec = want.get(key)
-        rec_text = f"{int(rec):,}" if rec is not None else "n/a"
-        print(f"{label}:   {key} {int(got):,} "
-              f"(recorded {rec_text}; informational)")
+    got = run["engine"].get("blocked_waits")
+    if got is None:
+        failures.append(
+            f"{label}: sharded run reports no 'blocked_waits' counter; "
+            f"the sync instrumentation regressed")
+        return
+    rec = want.get("blocked_waits")
+    rec_text = f"{int(rec):,}" if rec is not None else "n/a"
+    print(f"{label}:   blocked_waits {int(got):,} "
+          f"(recorded {rec_text}; informational)")
 
 
 def check_route_memory(label, run, failures):

@@ -41,11 +41,13 @@
 //                     "event_order_hash": "<decimal string: 64-bit exact>",
 //                     "shard_count": ..., "cross_shard_msgs": ...,
 //                     "lbts_rounds": ..., "horizon_stalls": ...,
-//                     "channel_spills": ..., "cross_links": ...,
+//                     "channel_spills": 0, "cross_links": ...,
 //                     "shard_order_hashes": ["<decimal string>", ...],
 //                     "shard_wheel_occupancy_peak": [...],
-//                     /* timing-dependent: presence gated, values never: */
-//                     "null_msgs_sent": ..., "null_msgs_demanded": ...,
+//                     "null_msgs_sent": 0,
+//                     /* channel_spills and null_msgs_sent are always 0;
+//                        blocked_waits is timing-dependent: presence
+//                        gated, value never */
 //                     "blocked_waits": ... },
 //         "metrics": { "<name>": <number>, ... }
 //       }, ...

@@ -48,12 +48,14 @@ struct EngineCounters {
   std::uint64_t cross_shard_msgs = 0;  // timestamped inter-shard messages
   std::uint64_t lbts_rounds = 0;       // LBTS synchronization rounds
   std::uint64_t horizon_stalls = 0;    // shard-rounds that ran zero events
-  std::uint64_t channel_spills = 0;    // SPSC ring overflows to spill vector
   std::uint64_t cross_links = 0;       // topology links cut by the partition
-  // Null-message protocol counters (timing-dependent, never hashed).
-  std::uint64_t null_msgs_sent = 0;      // demand-answer null messages
-  std::uint64_t null_msgs_demanded = 0;  // receiver demand flags raised
-  std::uint64_t blocked_waits = 0;       // waits that actually spun
+  std::uint64_t blocked_waits = 0;     // slot reads that spun (timing-
+                                       // dependent, never hashed)
+  // Always 0: the engine has no ring to spill and sends no null messages.
+  // Kept, with their JSON keys, while the frozen bench/suite still reads
+  // them.
+  std::uint64_t channel_spills = 0;
+  std::uint64_t null_msgs_sent = 0;
   std::vector<std::uint64_t> shard_order_hashes;         // per-shard, in order
   std::vector<std::uint64_t> shard_wheel_occupancy_peak; // per-shard wheels
 };
@@ -85,9 +87,6 @@ inline void accumulate(EngineCounters& into,
                        const sim::ShardedEngine::ShardStats& s) {
   into.cross_shard_msgs += s.cross_shard_msgs_sent;
   into.horizon_stalls += s.horizon_stalls;
-  into.channel_spills += s.channel_spills;
-  into.null_msgs_sent += s.null_msgs_sent;
-  into.null_msgs_demanded += s.null_msgs_demanded;
   into.blocked_waits += s.blocked_waits;
 }
 

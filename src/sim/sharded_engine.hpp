@@ -1,65 +1,40 @@
 // Sharded conservative-synchronization PDES engine.
 //
 // N independent Simulators (one timing wheel, RNG stream, and clock each)
-// advance in LBTS rounds on worker threads:
+// advance in LBTS rounds on worker threads.  Each shard publishes one value
+// per round, e(r): the earliest time it may still act.  Round r of shard i:
 //
-//   1. drain   — each shard takes every message its peers sent in earlier
-//                rounds, sorts them by (when, src_shard, send_seq), and
-//                schedules them locally.  The sort makes local seq
+//   1. wait    — acquire-read every shard's e(r-1), its own included.
+//                LBTS is their minimum; every shard folds the same values,
+//                so all of them see LBTS = +inf (nothing pending, nothing
+//                in flight) at the same round and return together.
+//   2. drain   — take every message each peer posted to i during round
+//                r-1, sort them by (when, src_shard, send_seq), and
+//                schedule them locally.  The sort makes local seq
 //                assignment — and therefore each shard's event_order_hash —
 //                independent of thread timing.
-//   2. reduce  — each shard publishes its earliest pending event time m_i
-//                and reads every peer's; all of them fold the same values
-//                into LBTS = min over shards, and the safe horizon is
-//                LBTS + lookahead.
-//   3. execute — each shard runs every event strictly BEFORE the horizon
-//                (Simulator::run_before).  Cross-shard sends made while
-//                executing must carry `when >= sender_now + lookahead`,
-//                which post() enforces; combined with events never running
-//                before LBTS, every send lands at or past the horizon, so
-//                no shard can receive an event in its own past.
+//   3. execute — run every event strictly BEFORE the horizon LBTS +
+//                lookahead (Simulator::run_before).  Cross-shard sends must
+//                carry `when >= sender_now + lookahead`, which post()
+//                enforces; with events never running before LBTS, every
+//                send lands at or past the horizon, so no shard can receive
+//                an event in its own past.
+//   4. publish — e_i(r) = min(next local event, earliest `when` that i
+//                posted cross-shard during r): the value stored relaxed,
+//                then the round tag r store-released.
 //
-// The engine terminates when LBTS is +inf (every queue empty and no
-// message in flight — each drain takes every message of earlier rounds,
-// so emptiness of the queues at the reduce implies emptiness of the
-// system).
+// Exactness: the acquire of e_j(r-1) happens after every post j made in
+// round r-1, so the drained batch is complete.  After the drain every
+// pending event is a local event or a round-(r-1) post, so min e(r-1)
+// equals the minimum over every shard's queue after its drain: the LBTS a
+// lockstep drain/reduce/execute round computes.  Rounds, horizons and the
+// merge are that schedule's, and so is every per-shard hash.
 //
-// Synchronization: there is no global barrier.  Shards wait with
-// Chandy–Misra–Bryant-style per-channel data-flow waits, so a shard only
-// stalls on peers it actually depends on.  The drain batches, reduce
-// values and horizons are exactly those of a lockstep three-barrier round,
-// so the round count and per-shard hashes equal that schedule's:
-//
-//   * Every cross-shard message is stamped with the sender's round.  Round
-//     stamps are monotone along a FIFO channel, so a peeked message from a
-//     newer round certifies the drain batch in progress is fully popped.
-//   * Every shard store-releases its completed-round clock at each round
-//     boundary, after the round's last push.  In shared memory that clock
-//     is a continuously-available null message: an acquire read covering
-//     round - 1 certifies the drain batch with no message traffic, and it
-//     handles the dominant case of a producer blocked in its own next
-//     drain (clock already at round - 1, reduce slot not yet published).
-//   * A receiver still blocked after that raises the channel's demand
-//     flag; the producer answers — at its round boundaries and from
-//     inside its own spin loops, so mutually-blocked shards always unblock
-//     each other — with an explicit null message (empty action) stamped
-//     with its last completed round.
-//   * The reduce is a per-shard atomic (round, value) slot: each shard
-//     publishes m_i(r) and reads every peer's slot, computing the
-//     identical LBTS and horizon locally.  A slot is released
-//     round-tagged, and cannot be overwritten while any reader still needs
-//     it: shard j only reaches its round r+1 publish after every peer
-//     certified completion of round r, which a peer does only after
-//     consuming m_j(r).
-//
-// Deadlock freedom: order shards by the round they are in; a least-round
-// shard's drain only needs peers' previous rounds, which they have all
-// completed, so each of those peers either answers its demand flag from a
-// spin loop (it is blocked itself), or reaches its next round boundary in
-// finitely many events and answers there.  Termination is symmetric: every
-// shard computes the same m-vector, so all observe LBTS = kNever at the
-// same round and exit together; shard failures trip an abort flag that
-// every spin loop polls.
+// Two slots, two batches: e(r) goes to slot[r % 2] and round-r posts to
+// batch[r % 2].  Shard j rewrites index r % 2 only in round r+2, after
+// its round-(r+2) wait read every peer's e(r+1); a peer publishes e(r+1)
+// only after its round-(r+1) wait read e_j(r) and its drain emptied j's
+// round-r batch.  So no slot or batch is reused while a reader needs it.
 //
 // Determinism: with shard count fixed, the executed (when, seq) order of
 // every shard is a pure function of the initial events and seeds — the
@@ -69,13 +44,14 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
+#include <iterator>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -84,8 +60,6 @@
 
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
-#include "sim/spsc_channel.hpp"
-#include "sim/thread_annotations.hpp"
 #include "sim/time.hpp"
 
 namespace nicmcast::sim {
@@ -100,16 +74,14 @@ class ShardedEngine {
     std::uint64_t cross_shard_msgs_sent = 0;
     std::uint64_t cross_shard_msgs_received = 0;
     std::uint64_t horizon_stalls = 0;  // rounds this shard ran zero events
-    std::uint64_t channel_spills = 0;  // sends that overflowed the ring
-    // Null-message protocol counters (timing-dependent, never hashed).
-    std::uint64_t null_msgs_sent = 0;      // demand answers this shard sent
-    std::uint64_t null_msgs_demanded = 0;  // demand flags this shard raised
-    std::uint64_t blocked_waits = 0;       // waits that actually spun
+    // Slot reads that spun: timing-dependent, never hashed.
+    std::uint64_t blocked_waits = 0;
   };
 
   ShardedEngine(std::size_t shard_count, Duration lookahead,
                 std::uint64_t base_seed = 0x9e3779b97f4a7c15ULL)
-      : lookahead_(checked_lookahead(lookahead, "lookahead")) {
+      : lookahead_(checked_lookahead(lookahead, "lookahead")),
+        channels_(shard_count * shard_count) {
     if (shard_count == 0) {
       throw std::invalid_argument("ShardedEngine: shard_count must be >= 1");
     }
@@ -120,14 +92,6 @@ class ShardedEngine {
       shards_.push_back(std::make_unique<Shard>(
           base_seed + 0x2545f4914f6cdd1dULL * (i + 1)));
     }
-    channels_.resize(shard_count * shard_count);
-    for (std::size_t from = 0; from < shard_count; ++from) {
-      for (std::size_t to = 0; to < shard_count; ++to) {
-        if (from != to) {
-          channels_[from * shard_count + to] = std::make_unique<Channel>();
-        }
-      }
-    }
   }
 
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
@@ -137,9 +101,9 @@ class ShardedEngine {
   /// Schedules `action` on shard `to` at absolute time `when`.  Same-shard
   /// posts schedule directly; cross-shard posts must respect the lookahead
   /// (when >= sender's now + lookahead, validated > 0 by checked_lookahead)
-  /// and travel through the channel matrix.  May only be called from shard
-  /// `from`'s worker thread while run() is executing that shard (or from
-  /// any thread before run()).
+  /// and wait in the channel's batch for the receiver's next drain.  May
+  /// only be called from shard `from`'s worker thread while run() is
+  /// executing that shard (or from any thread before run()).
   void post(std::size_t from, std::size_t to, TimePoint when,
             EventQueue::Action action) {
     if (from >= shards_.size() || to >= shards_.size()) {
@@ -150,32 +114,19 @@ class ShardedEngine {
       return;
     }
     Shard& sender = *shards_[from];
-    Channel& ch = *channels_[from * shards_.size() + to];
     if (when < sender.sim.now() + lookahead_) {
       throw std::logic_error(
           "ShardedEngine::post: cross-shard send inside the lookahead "
           "window — the conservative horizon would be violated");
     }
-    CrossMsg msg;
-    msg.when = when;
-    msg.seq = ch.send_seq++;
-    msg.src = static_cast<std::uint32_t>(from);
-    // Round stamp: the drain uses it to cut batch boundaries.  A post made
-    // between runs carries the round the last run ended in, which the next
-    // run's first drain takes (see run()).
-    msg.round = sender.round;
-    msg.action = std::move(action);
+    Channel& ch = channel(from, to);
+    // A post made between runs joins the round the last run ended in,
+    // which the next run's first drain takes (see run()).
+    ch.batch[sender.round % 2].msgs.push_back(
+        CrossMsg{when, ch.send_seq++, static_cast<std::uint32_t>(from),
+                 std::move(action)});
+    sender.min_posted = std::min(sender.min_posted, when);
     ++sender.stats.cross_shard_msgs_sent;
-    // post() runs on shard `from`'s worker thread (the method contract
-    // above), which is by construction the single producer of this channel.
-    RoleGuard produce(ch.ring.producer_role());
-    if (!ch.ring.try_push(std::move(msg))) {
-      ++sender.stats.channel_spills;
-      // Overflow hand-off is mutex-guarded: a producer may spill while the
-      // consumer drains.  The spill path is rare by design.
-      MutexLock lock(ch.spill_mu);
-      ch.spill.push_back(std::move(msg));
-    }
   }
 
   /// Runs every shard to completion.  Worker 0 executes on the calling
@@ -184,18 +135,16 @@ class ShardedEngine {
   /// a failure the engine's queues and channels are unspecified.
   ///
   /// An engine may run again after a clean run.  Round numbering then
-  /// continues: every shard ended the last run in the same round R, every
-  /// post made since carries R, and R counts as complete before any worker
-  /// starts, so the first drain takes those posts and no stale reduce slot
-  /// or round clock can stand in for a round of the new run.
+  /// continues: every shard ended the last run in the same round R and
+  /// every post made since joined round R's batches.  Each shard's e(R) is
+  /// published here, before any worker starts, so the first wait covers
+  /// those posts and the first drain takes them.
   void run() {
     const std::size_t n = shards_.size();
     errors_.assign(n, nullptr);
     abort_.store(false, std::memory_order_relaxed);
-    // Relaxed: thread creation below orders these stores for every worker.
-    for (const auto& s : shards_) {
-      s->completed.store(s->round, std::memory_order_relaxed);
-    }
+    // Thread creation below orders these stores for every worker.
+    for (const auto& s : shards_) publish(*s);
     {
       std::vector<std::jthread> workers;
       workers.reserve(n - 1);
@@ -241,9 +190,6 @@ class ShardedEngine {
   }
 
  private:
-  /// "No null message requested" value of a channel's demand flag.
-  static constexpr std::uint64_t kNoDemand = ~std::uint64_t{0};
-
   /// The constructor's lookahead guard: a non-positive lookahead collapses
   /// the safe horizon onto LBTS itself and conservative PDES cannot
   /// guarantee progress.
@@ -257,254 +203,112 @@ class ShardedEngine {
 
   struct CrossMsg {
     TimePoint when{0};
-    std::uint64_t seq = 0;   // per-channel send counter: the merge tiebreak
+    std::uint64_t seq = 0;  // per-channel send counter: the merge tiebreak
     std::uint32_t src = 0;
-    std::uint64_t round = 0;  // sender's round at post time (drain batching)
-    EventQueue::Action action;  // empty ⇒ a pure-synchronization null
-
-    [[nodiscard]] bool is_null() const { return !action; }
+    EventQueue::Action action;
   };
 
+  /// One ordered shard pair.  The sender appends its round-r posts to
+  /// batch[r % 2]; the receiver drains that batch in round r+1 while the
+  /// sender fills the other one, so the two sit on separate cache lines.
   struct Channel {
-    SpscChannel<CrossMsg> ring{1024};
-    // Guards `spill`: a producer may overflow the ring while the consumer
-    // drains, so the hand-off vector is mutex-protected (rare path).
-    Mutex spill_mu;
-    std::vector<CrossMsg> spill NM_GUARDED_BY(spill_mu);  // ring overflow
-    // Producer-owned monotone counter; writing it requires the ring's
-    // producer role, which pins it to the single pushing thread.
-    std::uint64_t send_seq NM_GUARDED_BY(ring.producer_role()){0};
-    // Consumer-raised, producer-cleared: the round whose completion the
-    // blocked receiver wants certified with a null message.  Release on
-    // store / acquire on load so the producer's answer covers everything
-    // the consumer published before demanding.
-    std::atomic<std::uint64_t> demand{kNoDemand};
+    struct alignas(64) Batch {
+      std::vector<CrossMsg> msgs;
+    };
+    std::array<Batch, 2> batch;
+    std::uint64_t send_seq = 0;  // sender-owned
+  };
+
+  /// Where a shard publishes e(r): slot[r % 2].  e_ns is stored relaxed,
+  /// then e_round is store-released, so an acquire of e_round == r sees
+  /// e(r) and every post the shard made before it.
+  struct PublishSlot {
+    std::atomic<std::int64_t> e_ns{0};
+    std::atomic<std::uint64_t> e_round{0};
   };
 
   struct Shard {
     explicit Shard(std::uint64_t seed) : sim(seed) {}
     Simulator sim;
     ShardStats stats;
-    // Owner-written: the round in progress, stamped onto outbound messages.
+    // Owner-written: the round in progress, which picks post()'s batch.
     std::uint64_t round = 0;
-    // The producer's clock: the last round whose sends are all pushed,
-    // store-released after the final push of that round.  Consumers read
-    // it (acquire) as drain evidence — in shared memory this published
-    // clock is a continuously-available null message, so the explicit
-    // demand-null path below only fires when the producer is strictly
-    // behind the round the consumer is draining.  Also the newest round a
-    // demand null from this shard may certify.
-    std::atomic<std::uint64_t> completed{0};
-    // Single-slot reduce publication: value stored relaxed, round released
-    // after it, so an acquire of m_round >= r sees the round-r value and
-    // every channel push that preceded the publish.  One slot suffices —
-    // the shard cannot reach its round r+1 publish until every peer has
-    // certified round r complete, which a peer does only after consuming
-    // m(r) in its own reduce (see the header deadlock/overwrite argument).
-    std::atomic<std::int64_t> m_value{0};
-    std::atomic<std::uint64_t> m_round{0};
-    alignas(64) char pad_[1]{};  // keep shard hot state off shared lines
+    // Owner-written: the earliest cross-shard post since the last publish.
+    TimePoint min_posted = kNever;
+    // Every peer reads these each round: keep them off the owner's hot
+    // lines.
+    alignas(64) std::array<PublishSlot, 2> slot;
   };
 
-  /// One shard's round loop.  Phase waits are per-dependency — a channel
-  /// drain blocks only until that channel's batch is certified, the reduce
-  /// blocks only on peers whose slot has not reached this round yet.
+  Channel& channel(std::size_t from, std::size_t to) {
+    return channels_[from * shards_.size() + to];
+  }
+
+  /// Step 4: publish e(s.round) and start the next round's post minimum.
+  void publish(Shard& s) {
+    const TimePoint next_local =
+        s.sim.pending_events() > 0 ? s.sim.next_event_time() : kNever;
+    PublishSlot& out = s.slot[s.round % 2];
+    out.e_ns.store(std::min(next_local, s.min_posted).nanoseconds(),
+                   std::memory_order_relaxed);
+    out.e_round.store(s.round, std::memory_order_release);
+    s.min_posted = kNever;
+  }
+
+  /// One shard's round loop (the four steps of the header comment).
   void worker_loop(std::size_t me) {
     Shard& my = *shards_[me];
-    const std::size_t n = shards_.size();
     std::vector<CrossMsg> pending;
-    std::vector<TimePoint> mins(n);
     for (std::uint64_t round = my.round + 1;; ++round) {
       my.round = round;
-      // ---- Phase 1: drain, per channel, gated on round certification ----
-      pending.clear();
-      bool aborted = false;
-      try {
-        for (std::size_t src = 0; src < n; ++src) {
-          if (src == me) continue;
-          if (!drain_channel(src, me, round, pending)) {
-            aborted = true;
-            break;
-          }
-        }
-        if (!aborted) merge_and_schedule(me, pending);
-      } catch (...) {
-        fail(me);
-      }
-      if (aborted || abort_.load(std::memory_order_relaxed)) break;
-      // ---- Phase 2: slot-publish m(round); read every peer's m(round) ----
-      const TimePoint local_min =
-          my.sim.pending_events() > 0 ? my.sim.next_event_time() : kNever;
-      my.m_value.store(local_min.nanoseconds(), std::memory_order_relaxed);
-      my.m_round.store(round, std::memory_order_release);
-      for (std::size_t j = 0; j < n && !aborted; ++j) {
-        if (j == me) {
-          mins[j] = local_min;
-          continue;
-        }
-        Shard& peer = *shards_[j];
-        if (peer.m_round.load(std::memory_order_acquire) < round) {
+      const std::uint64_t prev = round - 1;
+      // ---- 1. wait: LBTS = min over every shard's e(round - 1) ----
+      TimePoint lbts = kNever;
+      for (const auto& s : shards_) {
+        const PublishSlot& in = s->slot[prev % 2];
+        if (in.e_round.load(std::memory_order_acquire) != prev) {
           ++my.stats.blocked_waits;
           unsigned spins = 0;
-          while (peer.m_round.load(std::memory_order_acquire) < round) {
-            if (abort_.load(std::memory_order_relaxed)) {
-              aborted = true;
-              break;
-            }
-            answer_demands(me);
+          while (in.e_round.load(std::memory_order_acquire) != prev &&
+                 !abort_.load(std::memory_order_relaxed)) {
             spin_relax(spins);
           }
         }
-        if (!aborted) {
-          mins[j] = TimePoint{peer.m_value.load(std::memory_order_relaxed)};
-        }
+        lbts = std::min(
+            lbts, TimePoint{in.e_ns.load(std::memory_order_relaxed)});
       }
-      if (aborted) break;
-      // Every shard folds the same m-vector into the same LBTS and
-      // horizon: all observe the all-idle LBTS at the same round and exit
-      // together.
-      const TimePoint lbts = *std::min_element(mins.begin(), mins.end());
-      if (lbts == kNever) break;
+      if (abort_.load(std::memory_order_relaxed) || lbts == kNever) break;
       if (me == 0) ++lbts_rounds_;
-      // ---- Phase 3: execute strictly below the safe horizon ----
       try {
+        // ---- 2. drain round - 1's posts; 3. execute below the horizon ----
+        drain(me, prev % 2, pending);
         const std::size_t executed = my.sim.run_before(lbts + lookahead_);
         if (executed == 0 && my.sim.pending_events() > 0) {
           ++my.stats.horizon_stalls;
         }
       } catch (...) {
         fail(me);
-      }
-      // Round complete: every send of this round is pushed.  Release the
-      // clock before re-entering the drain — blocked receivers certify off
-      // it directly, and any demand raised meanwhile is answered below.
-      my.completed.store(round, std::memory_order_release);
-      answer_demands(me);
-      if (abort_.load(std::memory_order_relaxed)) break;
-    }
-  }
-
-  /// Drains every message the producer sent during rounds < `round` from
-  /// channel src → me into `pending`.  Returns false only when the global
-  /// abort flag tripped while waiting.  Completion of the batch is
-  /// certified by (a) a peeked or spilled message from a newer round
-  /// (stamps are FIFO-monotone), (b) a null message stamped at or past
-  /// round - 1, or (c) the producer's completed-round clock reaching
-  /// round - 1 (released after its last push of that round, so the acquire
-  /// read covers every batch message — and, unlike the reduce slot, it is
-  /// published at the round *boundary*, which certifies the common case of
-  /// a producer blocked in its own next drain without any null traffic).
-  /// While none of those hold the receiver raises the channel's demand
-  /// flag and spins — answering its own inbound demands so mutually-
-  /// blocked shards make progress.
-  bool drain_channel(std::size_t src, std::size_t me, std::uint64_t round,
-                     std::vector<CrossMsg>& pending) {
-    Shard& my = *shards_[me];
-    Channel& ch = *channels_[src * shards_.size() + me];
-    // The drain runs on shard `me`'s worker — the channel's one consumer.
-    RoleGuard consume(ch.ring.consumer_role());
-    const std::uint64_t want = round - 1;  // newest round in this batch
-    // Pops every available batch message; true once the batch is certified
-    // complete.  Nulls never reach `pending`.
-    const auto sweep = [&]() -> bool {
-      // Clang's capability analysis treats the lambda as a separate
-      // function; re-state the role the enclosing guard holds.
-      ch.ring.consumer_role().assert_held();
-      while (const CrossMsg* head = ch.ring.try_peek()) {
-        if (head->round > want) return true;  // newer round: batch is done
-        CrossMsg msg;
-        const bool popped = ch.ring.try_pop(msg);
-        (void)popped;  // cannot fail: the consumer just peeked this slot
-        if (msg.is_null()) {
-          // A null stamped `r` certifies every round <= r fully pushed
-          // (FIFO: it was pushed after them).  Stale ones — answers to a
-          // demand this drain no longer needs — are dropped.
-          if (msg.round >= want) return true;
-        } else {
-          pending.push_back(std::move(msg));
-        }
-      }
-      return false;
-    };
-    bool demanded = false;
-    unsigned spins = 0;
-    for (;;) {
-      if (sweep()) break;
-      if (shards_[src]->completed.load(std::memory_order_acquire) >= want) {
-        // Every batch message is already pushed (the clock's release
-        // ordered them first); one final sweep collects stragglers the
-        // first pass raced.
-        sweep();
         break;
       }
-      if (abort_.load(std::memory_order_relaxed)) return false;
-      if (!demanded) {
-        demanded = true;
-        ++my.stats.null_msgs_demanded;
-        ++my.stats.blocked_waits;
-      }
-      // Re-asserted every iteration: the producer may have cleared the
-      // flag while answering an older demand.
-      ch.demand.store(want, std::memory_order_release);
-      answer_demands(me);
-      spin_relax(spins);
-    }
-    if (demanded) ch.demand.store(kNoDemand, std::memory_order_release);
-    // Spilled messages: lift this batch's rounds out under the spill
-    // mutex.  Newer-round spills (the producer ran ahead while its ring
-    // was full) stay behind for the next drain.
-    {
-      MutexLock lock(ch.spill_mu);
-      auto keep = ch.spill.begin();
-      for (auto it = ch.spill.begin(); it != ch.spill.end(); ++it) {
-        if (it->round > want) {
-          if (keep != it) *keep = std::move(*it);
-          ++keep;
-          continue;
-        }
-        if (!it->is_null()) pending.push_back(std::move(*it));
-      }
-      ch.spill.erase(keep, ch.spill.end());
-    }
-    return true;
-  }
-
-  /// Producer-side demand service: push a null message certifying this
-  /// shard's last completed round on every outbound channel whose consumer
-  /// raised a demand it can satisfy.  Called at round boundaries and from
-  /// inside every spin loop, so a blocked shard still serves its peers.
-  void answer_demands(std::size_t me) {
-    Shard& my = *shards_[me];
-    // Owner thread: relaxed is enough, the release happened at the store.
-    const std::uint64_t completed =
-        my.completed.load(std::memory_order_relaxed);
-    for (std::size_t to = 0; to < shards_.size(); ++to) {
-      if (to == me) continue;
-      Channel& ch = *channels_[me * shards_.size() + to];
-      const std::uint64_t want = ch.demand.load(std::memory_order_acquire);
-      if (want == kNoDemand || completed < want) continue;
-      ch.demand.store(kNoDemand, std::memory_order_release);
-      CrossMsg null_msg;
-      null_msg.when = kNever;
-      null_msg.src = static_cast<std::uint32_t>(me);
-      null_msg.round = completed;
-      // action left empty: a null never schedules anything.
-      ++my.stats.null_msgs_sent;
-      // answer_demands runs on shard `me`'s worker — the producer of every
-      // outbound channel it services.
-      RoleGuard produce(ch.ring.producer_role());
-      if (!ch.ring.try_push(std::move(null_msg))) {
-        ++my.stats.channel_spills;
-        MutexLock lock(ch.spill_mu);
-        ch.spill.push_back(std::move(null_msg));
-      }
+      // ---- 4. publish e(round) ----
+      publish(my);
     }
   }
 
-  /// The deterministic merge: sort the drained batch by (when, src_shard, send_seq) and schedule, so local seq assignment
-  /// never depends on thread timing.
-  void merge_and_schedule(std::size_t me, std::vector<CrossMsg>& pending) {
+  /// Moves batch `parity` of every channel into `me`, then schedules the
+  /// messages in (when, src_shard, send_seq) order, so local seq
+  /// assignment never depends on thread timing.  clear() keeps each
+  /// batch's capacity for the sender's next use.
+  void drain(std::size_t me, std::size_t parity,
+             std::vector<CrossMsg>& pending) {
     Shard& my = *shards_[me];
+    pending.clear();
+    for (std::size_t src = 0; src < shards_.size(); ++src) {
+      if (src == me) continue;
+      std::vector<CrossMsg>& msgs = channel(src, me).batch[parity].msgs;
+      std::move(msgs.begin(), msgs.end(), std::back_inserter(pending));
+      msgs.clear();
+    }
     std::sort(pending.begin(), pending.end(),
               [](const CrossMsg& a, const CrossMsg& b) {
                 if (a.when != b.when) return a.when < b.when;
@@ -535,7 +339,7 @@ class ShardedEngine {
     }
   }
 
-  /// Records the shard's failure and trips the abort flag; every spin loop
+  /// Records the shard's failure and trips the abort flag; every wait
   /// polls the flag and unwinds.
   void fail(std::size_t me) {
     if (!errors_[me]) errors_[me] = std::current_exception();
@@ -544,7 +348,7 @@ class ShardedEngine {
 
   Duration lookahead_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<std::unique_ptr<Channel>> channels_;  // [from * N + to]
+  std::vector<Channel> channels_;  // [from * N + to]; diagonal unused
   // Indexed by shard; each slot written only by its own worker (fail()),
   // read after the workers joined.
   std::vector<std::exception_ptr> errors_;

@@ -1,22 +1,22 @@
-// Clang thread-safety annotation vocabulary for the sharded PDES core.
+// Clang thread-safety annotation vocabulary for the multithreaded code.
 //
-// The sharded engine's concurrency contract (DESIGN.md §4.9) is mostly
-// *structural*: each SpscChannel has exactly one producer and one consumer
-// thread, spill vectors are mutex-guarded, and controller state lives on
-// one shard.  None of that is visible to the compiler from the types
-// alone, so this header wraps Clang's capability analysis
-// (-Wthread-safety) in NM_* macros that expand to nothing under other
-// compilers.  The Clang CI job builds the tree with
-// -Wthread-safety -Wthread-safety-beta -Werror, turning contract
-// violations — a consumer calling SpscChannel::try_push, a spill vector
-// touched without its mutex — into compile errors.
+// The concurrency contract (DESIGN.md §4.9) is mostly *structural*: the
+// sharded fabric's controller state is touched only by the shard that
+// owns it, and the harness thread pool captures its first error under a
+// mutex.  None of that is visible to the compiler from the types alone,
+// so this header wraps Clang's capability analysis (-Wthread-safety) in
+// NM_* macros that expand to nothing under other compilers.  The Clang CI
+// job builds the tree with -Wthread-safety -Wthread-safety-beta -Werror,
+// turning contract violations — a controller-only method called without
+// the controller role, a guarded member touched without its mutex — into
+// compile errors.
 //
 // Three kinds of capability are used in the tree:
 //  * Mutex / MutexLock — an annotated std::mutex wrapper.  libstdc++'s
 //    std::mutex carries no capability attributes, so NM_GUARDED_BY on a
 //    member only analyzes if the guarding mutex is this wrapper.
 //  * Role — a phantom (zero-state) capability naming a structural right,
-//    e.g. "I am the producer of this channel".  Acquiring a RoleGuard
+//    e.g. "I am the fabric controller".  Acquiring a RoleGuard
 //    documents and checks the claim; it compiles to nothing.
 //  * NM_ASSERT_CAPABILITY via Role::assert_held() — used inside lambdas.
 //    Clang's analysis is intraprocedural and treats a lambda body as a
@@ -82,7 +82,7 @@ class NM_SCOPED_CAPABILITY MutexLock {
 };
 
 /// A phantom capability: no state, no blocking — purely a name for a
-/// structural right ("producer of channel (a,b)", "fabric controller").
+/// structural right ("fabric controller").
 /// Methods annotated NM_REQUIRES(role) can only be called from scopes that
 /// hold a RoleGuard on (or assert) that role; under Clang the claim is
 /// checked, everywhere it compiles to nothing.

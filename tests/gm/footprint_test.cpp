@@ -1,11 +1,14 @@
-// Per-endpoint heap footprint of the classic stack.
+// Per-endpoint heap footprint of the classic stack, and per-channel
+// footprint of the sharded engine.
 //
 // The binary replaces every global operator new/delete form with one that
 // counts live bytes, so the test can state how much a gm::Cluster holds
 // per endpoint before any traffic, and after every node opens a GM port
 // and joins a multicast group.  NIC port records, Go-back-N tables and
 // group entries are built on first use; these bounds fail if per-node
-// state goes back to being sized by the configuration instead.
+// state goes back to being sized by the configuration instead.  A
+// sharded engine's cross-shard channels are likewise empty until posts
+// fill them.
 //
 // Each block carries a header that records its size, which works for the
 // aligned forms (sim::RingDeque allocates with std::align_val_t) and under
@@ -19,6 +22,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <new>
 #include <numeric>
 #include <vector>
@@ -26,6 +30,8 @@
 #include "gm/cluster.hpp"
 #include "mcast/bcast.hpp"
 #include "mcast/tree.hpp"
+#include "sim/sharded_engine.hpp"
+#include "sim/simulator.hpp"
 
 namespace {
 
@@ -194,6 +200,34 @@ TEST(Footprint, ClusterStateFollowsTraffic) {
               kEndpoints, built, joined);
   EXPECT_LE(built, 2048.0);
   EXPECT_LE(joined, 4096.0);
+}
+
+// The engine's channels hold no preallocated storage: beyond its shards'
+// own Simulators, an 8-shard engine costs at most 1 KiB per ordered shard
+// pair.
+TEST(Footprint, ShardedEngineChannelsStartEmpty) {
+  constexpr std::size_t kShards = 8;
+  constexpr std::size_t kPairs = kShards * (kShards - 1);
+
+  std::int64_t before = live_bytes();
+  std::vector<std::unique_ptr<sim::Simulator>> standalone;
+  for (std::size_t i = 0; i < kShards; ++i) {
+    standalone.push_back(std::make_unique<sim::Simulator>(i + 1));
+  }
+  const std::int64_t simulators = live_bytes() - before;
+  standalone.clear();
+
+  before = live_bytes();
+  const sim::ShardedEngine engine(kShards, sim::usec(1));
+  const std::int64_t total = live_bytes() - before;
+  const double per_pair =
+      static_cast<double>(total - simulators) / static_cast<double>(kPairs);
+
+  std::printf("ShardedEngine(%zu): %lld bytes, %lld of them in %zu "
+              "Simulators; %.0f bytes per ordered shard pair beyond them\n",
+              kShards, static_cast<long long>(total),
+              static_cast<long long>(simulators), kShards, per_pair);
+  EXPECT_LE(per_pair, 1024.0);
 }
 
 }  // namespace

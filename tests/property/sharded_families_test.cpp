@@ -13,7 +13,7 @@
 //     shards == 1 *on the fabric itself* (run_sharded), which the gm_mcast
 //     suite cannot check because run_one reroutes 1-shard specs to the
 //     coroutine engine;
-//   - the null-message synchronization replays the lockstep round schedule
+//   - the engine's one-exchange rounds replay the lockstep round schedule
 //     these goldens were first pinned under: same vectors, same
 //     lbts_rounds, same mean latency.
 //
@@ -182,8 +182,8 @@ TEST(ShardedFamilies, LatencyStableAcrossShallowShardCounts) {
 
 // The round schedule golden: lbts_rounds and mean latency per shard count
 // were recorded when a lockstep three-barrier loop was the reference
-// implementation; the null-message protocol must reproduce them with the
-// same pinned hash vectors, so no family forks a golden lineage.
+// implementation; the engine's one-exchange rounds must reproduce them
+// with the same pinned hash vectors, so no family forks a golden lineage.
 TEST(ShardedFamilies, AsyncSyncMatchesPinnedBarrierGoldens) {
   for (const Golden& g : goldens()) {
     for (std::size_t i = 0; i < std::size(kShardCounts); ++i) {

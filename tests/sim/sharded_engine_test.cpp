@@ -175,14 +175,13 @@ TEST(ShardedEngine, ShardFailurePropagatesWithoutDeadlock) {
   EXPECT_THROW(engine.run(), std::runtime_error);
 }
 
-// Channel-spill path: more in-flight messages in one round than the ring
-// holds.  The spill vector must preserve the deterministic merge.  A drain
-// may pop while its producer still pushes, so shard 1 holds a same-round
-// event until the burst is pushed: no pop overlaps it, and exactly
-// kBurst - capacity sends spill.
-TEST(ShardedEngine, RingOverflowSpillsDeterministically) {
-  constexpr int kBurst = 3000;  // ring capacity is 1024
-  auto run_once = [](std::uint64_t& spills) {
+// A burst of 3,000 posts in one round, appended while the receiver is
+// still inside the same round's execute (shard 1 holds an event until the
+// burst is in).  The drain must take all of it and the merge must not
+// depend on thread timing.
+TEST(ShardedEngine, LargeBurstMergesDeterministically) {
+  constexpr int kBurst = 3000;
+  auto run_once = [] {
     ShardedEngine engine(2, kLookahead);
     std::atomic<bool> pushed{false};
     engine.shard(0).schedule_at(t_us(1), [&engine, &pushed] {
@@ -198,27 +197,20 @@ TEST(ShardedEngine, RingOverflowSpillsDeterministically) {
       }
     });
     engine.run();
-    spills = engine.shard_stats(0).channel_spills;
     EXPECT_EQ(engine.shard_stats(1).cross_shard_msgs_received,
               static_cast<std::uint64_t>(kBurst));
     return engine.shard_order_hashes();
   };
-  std::uint64_t spills1 = 0, spills2 = 0;
-  const auto h1 = run_once(spills1);
-  const auto h2 = run_once(spills2);
-  EXPECT_EQ(h1, h2);
-  EXPECT_EQ(spills1, static_cast<std::uint64_t>(kBurst) - 1024);
-  EXPECT_EQ(spills2, spills1);
+  EXPECT_EQ(run_once(), run_once());
 }
 
-// Both shards overflow their rings toward each other across several
-// waves, so a producer is pushing into its spill vector while the peer —
-// the consumer of the opposite direction — drains its own.  The spill
-// hand-off is mutex-guarded (spill_mu, NM_GUARDED_BY); under the TSan job
-// this test is the regression net for that discipline, and the hash
-// comparison keeps the merge deterministic besides.
-TEST(ShardedEngine, BidirectionalSpillWavesStayDeterministic) {
-  constexpr int kBurst = 3000;  // ring capacity is 1024
+// Both shards post bursts toward each other across several waves, so a
+// shard appends to one batch of a channel while its peer drains the other
+// batch of the opposite channel.  Under the TSan job this test is the
+// regression net for the batches' only guard, the e(r) acquire/release;
+// the hash comparison keeps the merge deterministic besides.
+TEST(ShardedEngine, BidirectionalBurstWavesStayDeterministic) {
+  constexpr int kBurst = 3000;
   constexpr int kWaves = 3;
   auto run_once = [] {
     ShardedEngine engine(2, kLookahead);
@@ -239,7 +231,6 @@ TEST(ShardedEngine, BidirectionalSpillWavesStayDeterministic) {
     for (std::size_t r = 0; r < 2; ++r) {
       EXPECT_EQ(engine.shard_stats(r).cross_shard_msgs_received,
                 static_cast<std::uint64_t>(kBurst) * kWaves);
-      EXPECT_GT(engine.shard_stats(r).channel_spills, 0u);
     }
     return engine.shard_order_hashes();
   };
@@ -296,9 +287,9 @@ TEST(ShardedEngine, LocalEventTrainTakesOneRoundPerEvent) {
   EXPECT_EQ(engine.lbts_rounds(), static_cast<std::uint64_t>(kTrain));
 }
 
-// ---- Null-message synchronization ----
+// ---- One exchange per round ----
 
-// The null-message protocol must replay the pinned lockstep schedule
+// Publishing e(r) once per round must replay the pinned lockstep schedule
 // exactly — it changes how shards wait, never what they execute or how
 // many rounds it takes.
 TEST(ShardedEngine, AsyncMatchesBarrierHashesOnPingPong) {
@@ -314,11 +305,10 @@ TEST(ShardedEngine, AsyncIsRepeatableAcrossRuns) {
   }
 }
 
-// Ring overflow: a producer may spill while its consumer drains, so the
-// spill vector is shared under a mutex — the merge must still reproduce
-// the pinned lockstep schedule.
+// A 3,000-post burst in one round: the merge must still reproduce the
+// pinned lockstep schedule.
 TEST(ShardedEngine, AsyncRingOverflowMatchesBarrier) {
-  constexpr int kBurst = 3000;  // ring capacity is 1024
+  constexpr int kBurst = 3000;
   ShardedEngine engine(2, kLookahead);
   engine.shard(0).schedule_at(t_us(1), [&engine] {
     Simulator& s0 = engine.shard(0);
@@ -341,7 +331,7 @@ TEST(ShardedEngine, AsyncShardFailurePropagatesWithoutDeadlock) {
     throw std::runtime_error("shard 2 exploded");
   });
   // The healthy shards hold far-future events, so without abort polling in
-  // the spin loops they would wait forever on shard 2's round.
+  // the wait they would spin forever on shard 2's e(r).
   for (std::size_t s = 0; s < 4; ++s) {
     if (s == 2) continue;
     engine.shard(s).schedule_at(t_us(1), [] {});
@@ -350,23 +340,21 @@ TEST(ShardedEngine, AsyncShardFailurePropagatesWithoutDeadlock) {
   EXPECT_THROW(engine.run(), std::runtime_error);
 }
 
-// One shard has no peers: no channels, no nulls, no waits — the worker
-// must degenerate to a plain event loop.
-TEST(ShardedEngine, AsyncSingleShardSendsNoNullMessages) {
+// One shard has no peers: it reads only the e(r) it published itself, so
+// it never waits — the worker degenerates to a plain event loop.
+TEST(ShardedEngine, SingleShardNeverWaits) {
   ShardedEngine engine(1, kLookahead);
   std::vector<int> order;
   engine.shard(0).schedule_at(t_us(5), [&] { order.push_back(2); });
   engine.shard(0).schedule_at(t_us(1), [&] { order.push_back(1); });
   engine.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
-  EXPECT_EQ(engine.shard_stats(0).null_msgs_sent, 0u);
-  EXPECT_EQ(engine.shard_stats(0).null_msgs_demanded, 0u);
   EXPECT_EQ(engine.shard_stats(0).blocked_waits, 0u);
 }
 
 // A second run() on the same engine synchronizes like a fresh engine: the
-// first run's round clocks and reduce slots must not let the second run
-// skip rounds, and a post made between runs must be delivered.
+// first run's published e(r) slots must not let the second run skip
+// rounds, and a post made between runs must be delivered.
 TEST(ShardedEngine, SecondRunSynchronizesLikeAFreshEngine) {
   int ran = 0;
   // One local event per shard, 50us apart, plus a cross-shard post made

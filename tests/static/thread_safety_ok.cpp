@@ -3,40 +3,34 @@
 //   -fsyntax-only -Wthread-safety -Wthread-safety-beta
 //   -Werror=thread-safety-analysis
 // under Clang (tests/static/CMakeLists.txt); must compile cleanly.
-#include "sim/spsc_channel.hpp"
 #include "sim/thread_annotations.hpp"
+#include "two_roles.hpp"
 
 namespace nicmcast::sim {
 
-// Producer pushes while holding the producer role; consumer drains while
-// holding the consumer role.  This is the shape every shard worker uses.
-inline int roles_allow_the_contractual_split(SpscChannel<int>& ch) {
+// The producer calls producer-only methods while holding the producer
+// role; the consumer calls consumer-only ones while holding its own.
+inline int roles_allow_the_contractual_split(TwoRoles& t) {
   {
-    RoleGuard claim(ch.producer_role());
-    (void)ch.try_push(7);
+    RoleGuard claim(t.producer_role());
+    t.produce(7);
   }
-  int out = 0;
-  int sum = 0;
-  RoleGuard claim(ch.consumer_role());
-  while (ch.try_pop(out)) sum += out;
-  if (const int* head = ch.try_peek()) sum += *head;
-  return ch.empty() ? sum : -sum;
+  RoleGuard claim(t.consumer_role());
+  return t.consume();
 }
 
 // A worker lambda cannot inherit the spawner's capabilities (the analysis
 // is intraprocedural); assert_held() re-states the structural guarantee.
-inline void lambda_reasserts_its_role(SpscChannel<int>& ch) {
-  auto drain = [&ch] {
-    ch.consumer_role().assert_held();
-    int out = 0;
-    while (ch.try_pop(out)) {
-    }
+inline int lambda_reasserts_its_role(TwoRoles& t) {
+  auto drain = [&t] {
+    t.consumer_role().assert_held();
+    return t.consume();
   };
-  drain();
+  return drain();
 }
 
 // Mutex-guarded state through the annotated wrapper.
-struct Spill {
+struct Guarded {
   Mutex mu;
   int pending NM_GUARDED_BY(mu) = 0;
 

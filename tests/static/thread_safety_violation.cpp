@@ -1,18 +1,20 @@
 // Compile-only proof that the concurrency contract is ENFORCED, not just
-// documented: holding the consumer role does not license try_push(), which
+// documented: holding the consumer role does not license produce(), which
 // requires the producer role.  Under
 //   -fsyntax-only -Wthread-safety -Wthread-safety-beta
 //   -Werror=thread-safety-analysis
 // this translation unit must FAIL to compile (ctest WILL_FAIL).  If it
-// ever compiles, the annotations on SpscChannel have regressed.
-#include "sim/spsc_channel.hpp"
+// ever compiles, the role annotations have regressed.  Without the
+// thread-safety flags it must compile (static_thread_safety_violation_
+// syntax), so the failure above can only come from the analysis.
 #include "sim/thread_annotations.hpp"
+#include "two_roles.hpp"
 
 namespace nicmcast::sim {
 
-inline void consumer_must_not_push(SpscChannel<int>& ch) {
-  RoleGuard claim(ch.consumer_role());
-  (void)ch.try_push(41);  // wrong side of the channel: producer-only call
+inline void consumer_must_not_produce(TwoRoles& t) {
+  RoleGuard claim(t.consumer_role());
+  t.produce(41);  // wrong side: producer-only call
 }
 
 }  // namespace nicmcast::sim
