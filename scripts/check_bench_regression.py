@@ -43,6 +43,13 @@ entry that records "lbts_rounds" pins the round schedule exactly too
 (pshard-512x16-s4: 1,236 rounds, msend-512x16-s4: 4,608): how shards
 wait for each other may change, how many LBTS rounds a run takes may not.
 
+A pinned point whose baseline entry records "nic" also pins those NIC
+protocol counters exactly (packets sent and received, the four drop
+kinds, acks, retransmissions, forwards and header rewrites).  A counting
+change that moves no event passes every hash check; this gate catches
+it.  The memory-model counters (descriptor_*, payload_*, map_growths)
+are not recorded, because legitimate memory work moves them.
+
 --scale mode also sanity-checks the whole baseline trajectory, not just
 the entry it gates against: every recorded sharded scenario must pin a
 hash vector consistent with its shard count.  Entries recorded before the
@@ -100,6 +107,22 @@ def check_hash_and_eps(label, want, run, failures):
         failures.append(
             f"{label}: {got_eps:,.0f} ev/s is more than 20% below the "
             f"recorded {want['events_per_sec']:,}")
+
+
+def check_protocol_counters(label, want, run, failures):
+    want_nic = want.get("nic")
+    if want_nic is None:
+        return
+    got_nic = run.get("nic", {})
+    moved = [
+        f"{key} {got_nic.get(key)} != recorded {value}"
+        for key, value in want_nic.items() if got_nic.get(key) != value
+    ]
+    print(f"{label}: {len(want_nic)} protocol counters -> "
+          f"{'MOVED' if moved else 'ok'}")
+    if moved:
+        failures.append(
+            f"{label}: protocol counters moved ({'; '.join(moved)})")
 
 
 def check_peak_rss(label, want, run, failures):
@@ -226,6 +249,7 @@ def main() -> int:
             check_hash_and_eps(label, want, run, failures)
         if scale_mode and pinned:
             check_peak_rss(label, want, run, failures)
+            check_protocol_counters(label, want, run, failures)
         if scale_mode:
             check_route_memory(label, run, failures)
     if scale_mode:

@@ -4,8 +4,6 @@
 
 namespace nicmcast::gm {
 
-namespace {
-
 net::Topology build_topology(const ClusterConfig& config) {
   switch (config.wiring) {
     case ClusterConfig::Wiring::kSingleSwitch:
@@ -21,26 +19,23 @@ net::Topology build_topology(const ClusterConfig& config) {
   throw std::logic_error("unknown wiring");
 }
 
-}  // namespace
-
 Cluster::Cluster(ClusterConfig config)
     : config_(config), sim_(config.seed) {
-  network_ = std::make_unique<net::Network>(sim_, build_topology(config_),
-                                            config_.network);
+  network_ = std::make_unique<net::Network>(sim_, build_topology(config_));
   nics_.reserve(config_.nodes);
   for (std::size_t i = 0; i < config_.nodes; ++i) {
     nics_.push_back(std::make_unique<nic::Nic>(
         sim_, *network_, static_cast<net::NodeId>(i), config_.nic,
         config_.nic_options));
   }
-  ports_.resize(config_.nodes * config_.nic_options.num_ports);
+  ports_.resize(config_.nodes * nic::kPortsPerNic);
 }
 
 Port& Cluster::port(std::size_t node, net::PortId port_id) {
-  if (node >= nics_.size() || port_id >= config_.nic_options.num_ports) {
+  if (node >= nics_.size() || port_id >= nic::kPortsPerNic) {
     throw std::out_of_range("Cluster::port: bad node or port id");
   }
-  auto& slot = ports_[node * config_.nic_options.num_ports + port_id];
+  auto& slot = ports_[node * nic::kPortsPerNic + port_id];
   if (!slot) {
     slot = std::make_unique<Port>(sim_, *nics_[node], port_id);
   }

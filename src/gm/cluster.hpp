@@ -24,11 +24,13 @@ struct ClusterConfig {
   enum class Wiring { kSingleSwitch, kClos, kBackToBack } wiring =
       Wiring::kSingleSwitch;
   std::size_t switch_radix = 16;
-  net::NetworkConfig network;
   nic::NicConfig nic;
   nic::NicOptions nic_options;
   std::uint64_t seed = 1;
 };
+
+/// The topology `config` wires: its node count, wiring and switch radix.
+[[nodiscard]] net::Topology build_topology(const ClusterConfig& config);
 
 class Cluster {
  public:
@@ -60,7 +62,7 @@ class Cluster {
   sim::Simulator sim_;
   std::unique_ptr<net::Network> network_;
   std::vector<std::unique_ptr<nic::Nic>> nics_;
-  // ports_[node * num_ports + port_id], opened lazily.
+  // ports_[node * nic::kPortsPerNic + port_id], opened lazily.
   std::vector<std::unique_ptr<Port>> ports_;
   // Programs given to run_on_all; their closures must outlive the spawned
   // coroutines that reference them.

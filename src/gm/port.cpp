@@ -7,7 +7,7 @@ namespace nicmcast::gm {
 
 Port::Port(sim::Simulator& sim, nic::Nic& nic, net::PortId port_id)
     : sim_(sim), nic_(nic), port_id_(port_id) {
-  if (port_id >= nic.num_ports()) {
+  if (port_id >= nic::kPortsPerNic) {
     throw std::out_of_range("Port: NIC has no such port");
   }
   pump_process_ = sim_.spawn(pump(), "gm-pump");

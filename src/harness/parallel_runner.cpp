@@ -4,6 +4,7 @@
 #include <exception>
 #include <thread>
 
+#include "sim/random.hpp"
 #include "sim/thread_annotations.hpp"
 
 namespace nicmcast::harness {
@@ -11,12 +12,10 @@ namespace nicmcast::harness {
 std::uint64_t derive_seed(std::uint64_t base_seed, std::size_t run_index) {
   // splitmix64 over the combined words; never returns 0 so downstream
   // xoshiro seeding always has entropy to expand.
-  std::uint64_t z = base_seed + 0x9e3779b97f4a7c15ULL *
-                                    (static_cast<std::uint64_t>(run_index) + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  z ^= z >> 31;
-  return z == 0 ? 0x9e3779b97f4a7c15ULL : z;
+  const std::uint64_t z = sim::mix64(
+      base_seed +
+      sim::kGoldenGamma * (static_cast<std::uint64_t>(run_index) + 1));
+  return z == 0 ? sim::kGoldenGamma : z;
 }
 
 std::vector<RunResult> ParallelRunner::run(std::vector<RunSpec> specs,

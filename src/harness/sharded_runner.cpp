@@ -1,9 +1,9 @@
 // The --shards axis: run_sharded executes a spec on the conservative-PDES
 // fabric (net::ShardedFabric over sim::ShardedEngine) instead of the
 // coroutine gm::Cluster stack.  Specs are translated, not reinterpreted:
-// same wiring resolution, same tree builder, same NIC and network knobs —
-// so shard counts change only how the simulation is partitioned, never
-// what it simulates.  Five families run sharded (gm_mcast, multisend,
+// gm's topology builder, mcast's tree builders, the same NIC knobs — so
+// shard counts change only how the simulation is partitioned, never what
+// it simulates.  Five families run sharded (gm_mcast, multisend,
 // mpi_bcast, skew_bcast, barrier); allreduce and host-based algorithms
 // stay coroutine-only and throw with a sharding-specific diagnostic.
 #include <cstdint>
@@ -15,24 +15,12 @@
 #include "harness/run_result.hpp"
 #include "harness/run_spec.hpp"
 #include "harness/runners.hpp"
+#include "gm/cluster.hpp"
 #include "mcast/tree.hpp"
 #include "net/sharded_fabric.hpp"
-#include "net/topology.hpp"
 
 namespace nicmcast::harness {
 namespace {
-
-net::Topology make_topology(const RunSpec& spec) {
-  switch (resolve_wiring(spec)) {
-    case gm::ClusterConfig::Wiring::kSingleSwitch:
-      return net::Topology::single_switch(spec.nodes);
-    case gm::ClusterConfig::Wiring::kClos:
-      return net::Topology::clos(spec.nodes, spec.switch_radix);
-    case gm::ClusterConfig::Wiring::kBackToBack:
-      return net::Topology::back_to_back();
-  }
-  throw std::logic_error("run_sharded: unmapped wiring");
-}
 
 // mcast::Tree is hash-map-based protocol plumbing; the fabric wants flat
 // arrays.  Child order is preserved — it is the GM send-record chain order
@@ -58,31 +46,16 @@ net::FabricTree flatten_tree(const mcast::Tree& tree, std::size_t nodes) {
   return flat;
 }
 
-// The spanning tree a spec's family runs over.  size_t indices on purpose:
-// a NodeId loop historically wrapped forever at the id-width boundary.
+// The spanning tree a spec's family runs over, built by mcast's builders.
 net::FabricTree make_tree(const RunSpec& spec) {
-  if (spec.experiment == Experiment::kMultisend) {
-    // Flat NIC multisend: a star, every destination a direct child of the
-    // root — no forwarding, which is the point of Fig. 3.
-    net::FabricTree star;
-    star.root = 0;
-    star.parent.assign(spec.nodes, net::FabricTree::kNoParent);
-    star.child_off.assign(spec.nodes + 1,
-                          static_cast<std::uint32_t>(spec.nodes - 1));
-    star.child_off[0] = 0;
-    star.children.reserve(spec.nodes - 1);
-    for (std::size_t i = 1; i < spec.nodes; ++i) {
-      star.parent[i] = 0;
-      star.children.push_back(static_cast<net::NodeId>(i));
-    }
-    return star;
-  }
-  std::vector<net::NodeId> dests;
-  dests.reserve(spec.nodes - 1);
-  for (std::size_t i = 1; i < spec.nodes; ++i) {
-    dests.push_back(static_cast<net::NodeId>(i));
-  }
-  return flatten_tree(build_tree(spec, dests), spec.nodes);
+  const std::vector<net::NodeId> dests = everyone_but(0, spec.nodes);
+  // Flat NIC multisend: a star, every destination a direct child of the
+  // root in ascending id order — no forwarding, which is the point of
+  // Fig. 3.
+  return flatten_tree(spec.experiment == Experiment::kMultisend
+                          ? mcast::build_flat_tree(0, dests)
+                          : build_tree(spec, dests),
+                      spec.nodes);
 }
 
 net::FabricWorkload workload_of(const RunSpec& spec) {
@@ -145,8 +118,8 @@ RunResult run_sharded(const RunSpec& spec) {
   options.seed = spec.seed;
   options.nic = spec.nic;
 
-  net::ShardedFabric fabric(make_topology(spec), make_tree(spec), options,
-                            spec.shards);
+  net::ShardedFabric fabric(gm::build_topology(cluster_config(spec)),
+                            make_tree(spec), options, spec.shards);
   const net::FabricResult fr = fabric.run();
 
   RunResult result;

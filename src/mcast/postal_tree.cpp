@@ -25,14 +25,13 @@ WireCosts wire_costs(std::size_t message_bytes, const nic::NicConfig& nic,
   sim::Duration first{0};
   for (std::size_t p = 0; p < packets; ++p) {
     const std::size_t chunk = std::min(max_pkt, remaining);
-    const sim::Duration w =
-        sim::transfer_time(chunk + net.framing_bytes, net.bandwidth_mbps);
+    const sim::Duration w = net.serialization(chunk + net.framing_bytes);
     if (p == 0) first = w;
     total += w;
     remaining -= chunk;
   }
   // Single-switch fabric: two hops endpoint->switch->endpoint.
-  return WireCosts{packets, total, first, net.hop_latency * 2};
+  return WireCosts{packets, total, first, net.head_latency(2)};
 }
 
 sim::Duration dma_time(std::size_t bytes, const nic::NicConfig& nic) {

@@ -1,6 +1,5 @@
 #include "net/network.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -38,30 +37,17 @@ Network::TxTiming Network::transmit(Packet packet) {
 
   const RouteView path = routes_.route(src, dst);
   const std::size_t wire_size = packet.wire_size(config_.framing_bytes);
-  const sim::Duration ser =
-      sim::transfer_time(wire_size, config_.bandwidth_mbps);
-  const sim::Duration hop = config_.hop_latency;
 
   sim::TimePoint inject = sim_.now();
-  if (wire_size > config_.small_packet_bypass_bytes) {
-    // Earliest injection instant at which the packet head finds every link
-    // on the path free when it arrives there (wormhole cut-through).
-    for (std::size_t i = 0; i < path.size(); ++i) {
-      const sim::TimePoint needed =
-          link_free_at_[path[i]] - hop * static_cast<std::int64_t>(i);
-      inject = std::max(inject, needed);
-    }
-    // Occupy each link for the serialisation window, staggered per hop.
-    for (std::size_t i = 0; i < path.size(); ++i) {
-      link_free_at_[path[i]] =
-          inject + hop * static_cast<std::int64_t>(i) + ser;
-    }
+  if (!config_.bypasses(wire_size)) {
+    inject = reserve_links(config_, link_free_at_, path, 0, path.size(),
+                           inject, wire_size);
   }
   // else: control-sized packet — flit-interleaved, no path reservation.
 
-  const sim::TimePoint tx_done = inject + ser;
+  const sim::TimePoint tx_done = inject + config_.serialization(wire_size);
   const sim::TimePoint arrival =
-      inject + hop * static_cast<std::int64_t>(path.size()) + ser;
+      config_.arrival(inject, path.size(), wire_size);
 
   ++stats_.packets_injected;
 

@@ -7,8 +7,13 @@
 // the (source-routed) path is free when the head reaches it, then every link
 // is marked busy for the serialisation window, staggered by hop latency.
 // This captures first-order path contention without simulating flits.
+//
+// This header is the one place the rule is written: NetworkConfig's timing
+// methods and reserve_links.  Network::transmit applies it to a whole
+// route; ShardedFabric applies it to each owner-maximal route segment.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -35,7 +40,48 @@ struct NetworkConfig {
   /// sender's uplink tens of microseconds in the future and falsely block
   /// data behind it.
   std::size_t small_packet_bypass_bytes = 128;
+
+  /// Time one link needs to carry `wire_bytes` (framing included).
+  [[nodiscard]] constexpr sim::Duration serialization(
+      std::size_t wire_bytes) const {
+    return sim::transfer_time(wire_bytes, bandwidth_mbps);
+  }
+  /// Control-sized: charged latency and serialisation, but reserves no link.
+  [[nodiscard]] constexpr bool bypasses(std::size_t wire_bytes) const {
+    return wire_bytes <= small_packet_bypass_bytes;
+  }
+  /// How long after injection the packet head reaches route link `links`.
+  [[nodiscard]] constexpr sim::Duration head_latency(std::size_t links) const {
+    return hop_latency * static_cast<std::int64_t>(links);
+  }
+  /// When the last byte of a packet injected at `inject` leaves `hops` links.
+  [[nodiscard]] constexpr sim::TimePoint arrival(
+      sim::TimePoint inject, std::size_t hops, std::size_t wire_bytes) const {
+    return inject + head_latency(hops) + serialization(wire_bytes);
+  }
 };
+
+/// Reserves links [begin, end) of `path` for a packet of `wire_bytes`:
+/// returns the earliest (virtual) injection instant v >= inject at which
+/// the head, reaching link k at v + head_latency(k), finds each link free,
+/// and marks each busy for one serialisation from then.  Reserving a route
+/// in consecutive segments, each from the previous segment's v, gives the
+/// whole route's v but frees upstream links early behind a busy one.
+inline sim::TimePoint reserve_links(const NetworkConfig& config,
+                                    std::vector<sim::TimePoint>& link_free,
+                                    const RouteView& path, std::size_t begin,
+                                    std::size_t end, sim::TimePoint inject,
+                                    std::size_t wire_bytes) {
+  sim::TimePoint v = inject;
+  for (std::size_t k = begin; k < end; ++k) {
+    v = std::max(v, link_free[path[k]] - config.head_latency(k));
+  }
+  const sim::Duration ser = config.serialization(wire_bytes);
+  for (std::size_t k = begin; k < end; ++k) {
+    link_free[path[k]] = v + config.head_latency(k) + ser;
+  }
+  return v;
+}
 
 /// Receiver interface implemented by the NIC model.
 class PacketSink {
@@ -83,12 +129,6 @@ class Network {
   /// Lazy route-cache counters (materialized pairs, arena sharing).
   [[nodiscard]] const RouteTableStats& route_stats() const {
     return routes_.stats();
-  }
-
-  /// Serialisation time of a packet of `payload` bytes on one link.
-  [[nodiscard]] sim::Duration serialization_time(std::size_t payload) const {
-    return sim::transfer_time(payload + config_.framing_bytes,
-                              config_.bandwidth_mbps);
   }
 
  private:

@@ -31,10 +31,6 @@ struct FabricPartition {
   /// needs to cross a shard boundary.  Every link crosses in the same
   /// `hop_latency`, so this one value is also every shard pair's minimum.
   sim::Duration lookahead{0};
-
-  [[nodiscard]] std::uint32_t shard_of_endpoint(NodeId node) const {
-    return vertex_shard[node];
-  }
 };
 
 /// Cuts `topology` into `shards` parts at switch granularity.

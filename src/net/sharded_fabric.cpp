@@ -6,19 +6,26 @@
 #include <utility>
 #include <vector>
 
+#include "sim/random.hpp"
+
 namespace nicmcast::net {
 
 namespace {
 
-/// splitmix64 finalizer — the schedule-independent loss coin.  Deciding a
-/// drop from (seed, edge, iter, attempt) instead of a draw from a shared
-/// RNG stream is what keeps drop/retransmit counts identical across shard
-/// counts: no shard interleaving can reorder the draws.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
+/// The fabric's channel: NetworkConfig's defaults, the same channel
+/// gm::Cluster wires and the postal tree model assumes.
+constexpr NetworkConfig kNet{};
+
+/// Host-side MPI entry cost added to every kBcast/kSkewBcast delivery: the
+/// MPI decode and matching on top of the GM event.
+constexpr sim::Duration kHostEntryOverhead = sim::usec(1.0);
+
+/// The schedule-independent coin: uniform in [0, 1) from a counter hash of
+/// `key`.  Deciding a drop or a skew from (seed, node, iter, ...) instead
+/// of a draw from a shared RNG stream keeps the outcome identical across
+/// shard counts: no shard interleaving can reorder the draws.
+double coin(std::uint64_t key) {
+  return sim::unit_interval(sim::mix64(key + sim::kGoldenGamma));
 }
 
 }  // namespace
@@ -28,7 +35,7 @@ ShardedFabric::ShardedFabric(Topology topology, FabricTree tree,
     : topology_(std::move(topology)),
       tree_(std::move(tree)),
       options_(options),
-      partition_(switch_cut(topology_, shards, options.net)) {
+      partition_(switch_cut(topology_, shards)) {
   if (tree_.size() != topology_.endpoint_count()) {
     throw std::invalid_argument(
         "ShardedFabric: tree size != topology endpoint count");
@@ -85,39 +92,29 @@ std::size_t ShardedFabric::train_wire_bytes() const {
   // A >4096B message travels as a back-to-back packet train; the train
   // occupies the path for its summed wire size and is acked once.
   return options_.message_bytes +
-         packets_per_message() * options_.net.framing_bytes;
+         packets_per_message() * kNet.framing_bytes;
 }
 
 bool ShardedFabric::dropped(NodeId child, std::int32_t iter,
                             std::uint32_t attempt) const {
   if (options_.loss_rate <= 0.0) return false;
-  const std::uint64_t h =
-      mix64(options_.seed ^ (static_cast<std::uint64_t>(child) << 40) ^
-            (static_cast<std::uint64_t>(static_cast<std::uint32_t>(iter))
-             << 8) ^
-            attempt);
-  const double coin =
-      static_cast<double>(h >> 11) * 0x1.0p-53;  // uniform in [0, 1)
-  return coin < options_.loss_rate;
+  return coin(options_.seed ^ (static_cast<std::uint64_t>(child) << 40) ^
+              (static_cast<std::uint64_t>(static_cast<std::uint32_t>(iter))
+               << 8) ^
+              attempt) < options_.loss_rate;
 }
 
 sim::Duration ShardedFabric::skew_of(std::int32_t iter, NodeId node) const {
   if (options_.avg_skew_us <= 0.0) return sim::usec(0.0);
-  // Counter hash, not an RNG stream: the draw for (iter, node) is the same
-  // no matter which shard computes it or in what order, which is what
-  // makes skewed runs shard-count invariant.
-  const std::uint64_t h =
-      mix64(options_.seed ^ 0x736b6577ULL ^
-            (static_cast<std::uint64_t>(node) << 24) ^
-            static_cast<std::uint64_t>(static_cast<std::uint32_t>(iter)));
-  const double coin = static_cast<double>(h >> 11) * 0x1.0p-53;
-  return sim::usec(coin * 2.0 * options_.avg_skew_us);  // mean avg_skew_us
+  const double u =
+      coin(options_.seed ^ 0x736b6577ULL ^
+           (static_cast<std::uint64_t>(node) << 24) ^
+           static_cast<std::uint64_t>(static_cast<std::uint32_t>(iter)));
+  return sim::usec(u * 2.0 * options_.avg_skew_us);  // mean avg_skew_us
 }
 
 void ShardedFabric::start_iteration(std::int32_t iter) {
-  const std::uint32_t me = shard_of(tree_.root);
-  sim::Simulator& sim = sim_of(me);
-  const sim::TimePoint now = sim.now();
+  const sim::TimePoint now = sim_of(shard_of(tree_.root)).now();
   ctrl_iter_ = iter;
   ctrl_remaining_ = tree_.size() - 1;
   ctrl_iter_start_ = now;
@@ -125,9 +122,6 @@ void ShardedFabric::start_iteration(std::int32_t iter) {
   if (ctrl_remaining_ == 0) return;  // single-node tree: nothing to send
 
   const nic::NicConfig& nic = options_.nic;
-  const std::size_t npkts = packets_per_message();
-  const sim::Duration ser = sim::transfer_time(train_wire_bytes(),
-                                               options_.net.bandwidth_mbps);
   // Process skew applies to receivers only, mirroring the coroutine-stack
   // experiment (mpi::run_skew_experiment): skew is measured relative to the
   // root's entry, so the root injects on time and late receivers are
@@ -137,19 +131,39 @@ void ShardedFabric::start_iteration(std::int32_t iter) {
   // Host posts the multicast send; the NIC DMAs the payload once and chains
   // one replica per child off a single send token (the paper's alternative
   // 2: re-queue the packet descriptor with a rewritten header).
-  sim::TimePoint inject =
-      now + nic.host_post_overhead + nic.host_to_nic_delay + nic.dma_startup +
-      sim::transfer_time(options_.message_bytes, nic.host_dma_mbps) +
-      nic.send_token_processing +
-      nic.per_packet_processing * static_cast<std::int64_t>(npkts);
-  const std::size_t nc = tree_.child_count(tree_.root);
+  fan_out(tree_.root, iter,
+          now + nic.host_post_overhead + nic.host_to_nic_delay +
+              nic.dma_startup +
+              sim::transfer_time(options_.message_bytes, nic.host_dma_mbps) +
+              nic.send_token_processing +
+              nic.per_packet_processing *
+                  static_cast<std::int64_t>(packets_per_message()));
+}
+
+void ShardedFabric::fan_out(NodeId node, std::int32_t iter,
+                            sim::TimePoint inject) {
+  const std::uint32_t me = shard_of(node);
+  const std::size_t nc = tree_.child_count(node);
+  if (nc == 0) return;
+  // Counted per packet, the way nic::Nic counts: the root's first replica
+  // keeps the header its host built, while a forwarding node forwards each
+  // packet once and rewrites the header of every replica.
+  nic::NicStats& stats = shards_[me]->nic;
+  const std::size_t npkts = packets_per_message();
+  if (node == tree_.root) {
+    stats.header_rewrites += (nc - 1) * npkts;
+  } else {
+    stats.forwards += npkts;
+    stats.header_rewrites += nc * npkts;
+  }
+  const sim::Duration gap =
+      options_.nic.header_rewrite + kNet.serialization(train_wire_bytes());
   for (std::size_t q = 0; q < nc; ++q) {
-    const NodeId child = tree_.child(tree_.root, q);
-    if (q > 0) ++shards_[me]->nic.header_rewrites;
-    sim.schedule_at(inject, [this, child, iter] {
-      send_data(tree_.root, child, iter, 0, sim_of(shard_of(tree_.root)).now());
+    const NodeId child = tree_.child(node, q);
+    sim_of(me).schedule_at(inject, [this, node, child, iter] {
+      send_data(node, child, iter, 0, sim_of(shard_of(node)).now());
     });
-    inject = inject + nic.header_rewrite + ser;
+    inject = inject + gap;
   }
 }
 
@@ -186,14 +200,10 @@ void ShardedFabric::send_data(NodeId from, NodeId to, std::int32_t iter,
                       [this, from, to, iter] { retransmit(from, to, iter); });
 
   const std::size_t wire = train_wire_bytes();
-  if (wire <= options_.net.small_packet_bypass_bytes) {
+  if (kNet.bypasses(wire)) {
     // Control-sized data: flit-interleaved, no path reservation.
     const RouteView path = st.routes.route(from, to);
-    const sim::TimePoint arrival =
-        inject +
-        options_.net.hop_latency * static_cast<std::int64_t>(path.size()) +
-        sim::transfer_time(wire, options_.net.bandwidth_mbps);
-    engine_->post(me, shard_of(to), arrival,
+    engine_->post(me, shard_of(to), kNet.arrival(inject, path.size(), wire),
                   [this, from, to, iter, attempt,
                    payload = payload_.slice(0, options_.message_bytes)] {
                     deliver(from, to, iter, attempt, payload);
@@ -208,14 +218,10 @@ void ShardedFabric::continue_segment(std::uint32_t owner, NodeId from,
                                      NodeId to, std::size_t seg,
                                      sim::TimePoint inject, std::int32_t iter,
                                      std::uint32_t attempt) {
-  const sim::Duration hop = options_.net.hop_latency;
-  const sim::Duration ser = sim::transfer_time(train_wire_bytes(),
-                                               options_.net.bandwidth_mbps);
   // Route lookup from the executing shard's own table: recomputing here is
   // cheaper and safer than shipping RouteViews across threads (the owning
   // arena mutates under later lookups).
-  ShardState& st = *shards_[owner];
-  const RouteView path = st.routes.route(from, to);
+  const RouteView path = shards_[owner]->routes.route(from, to);
 
   // Owner-maximal segment [seg, end): all consecutive links this shard owns.
   std::size_t end = seg + 1;
@@ -223,38 +229,27 @@ void ShardedFabric::continue_segment(std::uint32_t owner, NodeId from,
     ++end;
   }
 
-  // Wormhole cut-through over the segment: the earliest (virtual) injection
-  // instant at which the head finds every segment link free on arrival,
-  // then staggered occupancy — the exact Network::transmit formula, applied
-  // per segment.  With one shard the segment is the whole path.
-  sim::TimePoint v = inject;
-  for (std::size_t k = seg; k < end; ++k) {
-    const sim::TimePoint needed =
-        link_free_[path[k]] - hop * static_cast<std::int64_t>(k);
-    v = std::max(v, needed);
-  }
-  for (std::size_t k = seg; k < end; ++k) {
-    link_free_[path[k]] = v + hop * static_cast<std::int64_t>(k) + ser;
-  }
+  // The wormhole rule (network.hpp) over the segment.  With one shard the
+  // segment is the whole path, so this is Network::transmit's reservation.
+  const std::size_t wire = train_wire_bytes();
+  const sim::TimePoint v =
+      reserve_links(kNet, link_free_, path, seg, end, inject, wire);
 
   if (end < path.size()) {
-    // Head reaches the first foreign link at v + end*hop — at least one
-    // full hop after this event, so the post respects the lookahead.
+    // The head reaches the first foreign link at v + head_latency(end), at
+    // least one full hop after this event: the post respects the lookahead.
     const std::uint32_t next_owner = partition_.link_owner[path[end]];
-    engine_->post(owner, next_owner,
-                  v + hop * static_cast<std::int64_t>(end),
+    engine_->post(owner, next_owner, v + kNet.head_latency(end),
                   [this, next_owner, from, to, end, v, iter, attempt] {
                     continue_segment(next_owner, from, to, end, v, iter,
                                      attempt);
                   });
     return;
   }
-  const sim::TimePoint arrival =
-      v + hop * static_cast<std::int64_t>(path.size()) + ser;
   // The payload slice rides the closure to the destination shard, where it
   // is released after delivery — the cross-shard refcount traffic the
   // atomic Buffer exists for.
-  engine_->post(owner, shard_of(to), arrival,
+  engine_->post(owner, shard_of(to), kNet.arrival(v, path.size(), wire),
                 [this, from, to, iter, attempt,
                  payload = payload_.slice(0, options_.message_bytes)] {
                   deliver(from, to, iter, attempt, payload);
@@ -275,40 +270,25 @@ void ShardedFabric::deliver(NodeId from, NodeId to, std::int32_t iter,
     st.nic.crc_drops += npkts;
     return;
   }
+  // Every uncorrupted arrival is received, duplicates included.  A
+  // duplicate comes from a retransmission whose original ack was in
+  // flight: its payload is dropped, but it is re-acked so the sender's
+  // timer is disarmed.
+  st.nic.packets_received += npkts;
   const sim::TimePoint base =
       sim.now() + nic.recv_packet_processing * static_cast<std::int64_t>(npkts);
+  sim.schedule_at(base + nic.ack_processing,
+                  [this, from, to, iter] { send_ack(to, from, iter); });
   if (received_iter_[to] == iter) {
-    // Duplicate from a retransmission whose original ack was in flight:
-    // drop the payload, but re-ack so the sender's timer is disarmed.
     st.nic.duplicate_drops += npkts;
-    sim.schedule_at(base + nic.ack_processing,
-                    [this, from, to, iter] { send_ack(to, from, iter); });
     return;
   }
   received_iter_[to] = iter;
-  st.nic.packets_received += npkts;
   ++st.deliveries;
-
-  sim.schedule_at(base + nic.ack_processing,
-                  [this, from, to, iter] { send_ack(to, from, iter); });
 
   // Forward down the tree: the receive token transforms into a send token
   // for the first child; every further replica is a header rewrite.
-  const std::size_t nc = tree_.child_count(to);
-  if (nc > 0) {
-    const sim::Duration ser = sim::transfer_time(
-        train_wire_bytes(), options_.net.bandwidth_mbps);
-    st.nic.forwards += npkts * nc;
-    st.nic.header_rewrites += nc - 1;
-    sim::TimePoint inject = base + nic.forward_processing;
-    for (std::size_t q = 0; q < nc; ++q) {
-      const NodeId child = tree_.child(to, q);
-      sim.schedule_at(inject, [this, to, child, iter] {
-        send_data(to, child, iter, 0, sim_of(shard_of(to)).now());
-      });
-      inject = inject + nic.header_rewrite + ser;
-    }
-  }
+  fan_out(to, iter, base + nic.forward_processing);
 
   // kMultisend completion is sender-side (the last ack landing back at the
   // root), so receivers stay silent towards the controller.
@@ -324,7 +304,7 @@ void ShardedFabric::deliver(NodeId from, NodeId to, std::int32_t iter,
       sim::transfer_time(payload.size(), nic.host_dma_mbps);
   if (options_.workload == FabricWorkload::kBcast ||
       options_.workload == FabricWorkload::kSkewBcast) {
-    host_time = host_time + options_.host_entry_overhead;
+    host_time = host_time + kHostEntryOverhead;
   }
   engine_->post(me, shard_of(tree_.root), sim.now() + partition_.lookahead,
                 [this, to, host_time] {
@@ -336,24 +316,17 @@ void ShardedFabric::deliver(NodeId from, NodeId to, std::int32_t iter,
 
 void ShardedFabric::send_ack(NodeId from, NodeId to, std::int32_t iter) {
   const std::uint32_t me = shard_of(from);
-  ShardState& st = *shards_[me];
-  sim::Simulator& sim = sim_of(me);
-  ++st.nic.acks_sent;
-  // Acks are framing-only control packets: always under the wormhole
-  // bypass threshold, so they neither wait on nor add to link occupancy.
-  const RouteView path = st.routes.route(from, to);
-  const sim::TimePoint arrival =
-      sim.now() +
-      options_.net.hop_latency * static_cast<std::int64_t>(path.size()) +
-      sim::transfer_time(options_.net.framing_bytes,
-                         options_.net.bandwidth_mbps);
-  engine_->post(me, shard_of(to), arrival, [this, from, to, iter] {
-    ack_arrived(to, from, iter);
-  });
+  nic::NicStats& stats = shards_[me]->nic;
+  ++stats.acks_sent;
+  ++stats.packets_sent;
+  engine_->post(me, shard_of(to),
+                ctrl_packet_arrival(me, from, to, sim_of(me).now()),
+                [this, from, to, iter] { ack_arrived(to, from, iter); });
 }
 
 void ShardedFabric::ack_arrived(NodeId parent, NodeId child,
                                 std::int32_t iter) {
+  ++shards_[shard_of(parent)]->nic.packets_received;
   EdgeState& edge = edges_[child];
   if (edge.timer_armed && edge.iter == iter) {
     // The cross-shard in-flight cancel: the ack disarms a retransmit timer
@@ -367,35 +340,20 @@ void ShardedFabric::ack_arrived(NodeId parent, NodeId child,
       // This ack executes on parent's shard and parent is the root, so
       // the controller role is structurally held here.
       controller_role_.assert_held();
-      multisend_ack_completed(iter);
+      multisend_ack_completed(child, iter);
     }
   }
 }
 
-void ShardedFabric::multisend_ack_completed(std::int32_t iter) {
+void ShardedFabric::multisend_ack_completed(NodeId child,
+                                            std::int32_t iter) {
   // Runs on the root's shard: the star tree makes the root every ack's
   // destination, and controller state is root-shard-owned.
   if (iter != ctrl_iter_) return;
-  const nic::NicConfig& nic = options_.nic;
-  sim::Simulator& sim = sim_of(shard_of(tree_.root));
   // Sender-side completion: the NIC raises the send-complete event to the
   // host once this child's ack lands (paper Figure 3's measured quantity).
-  ctrl_last_delivery_ =
-      std::max(ctrl_last_delivery_, sim.now() + nic.event_delivery);
-  if (--ctrl_remaining_ > 0) return;
-
-  if (ctrl_iter_ >= options_.warmup) {
-    latency_us_.push_back(
-        (ctrl_last_delivery_ - ctrl_iter_start_).microseconds());
-  }
-  const std::int32_t next = ctrl_iter_ + 1;
-  if (next >= options_.warmup + options_.iterations) return;
-  const sim::TimePoint start =
-      std::max(sim.now(), ctrl_last_delivery_) + nic.host_post_overhead;
-  sim.schedule_at(start, [this, next] {
-    controller_role_.assert_held();  // scheduled on the root's shard
-    start_iteration(next);
-  });
+  notify_controller(child, sim_of(shard_of(tree_.root)).now() +
+                               options_.nic.event_delivery);
 }
 
 void ShardedFabric::retransmit(NodeId from, NodeId to, std::int32_t iter) {
@@ -461,15 +419,13 @@ void ShardedFabric::notify_controller(NodeId node, sim::TimePoint host_time) {
 }
 
 sim::TimePoint ShardedFabric::ctrl_packet_arrival(std::uint32_t me,
-                                                  NodeId from, NodeId to) {
-  // Framing-only control packet on the wormhole bypass path: always at
-  // least one hop out, so posting at this instant respects the lookahead.
-  ShardState& st = *shards_[me];
-  const RouteView path = st.routes.route(from, to);
-  return sim_of(me).now() +
-         options_.net.hop_latency * static_cast<std::int64_t>(path.size()) +
-         sim::transfer_time(options_.net.framing_bytes,
-                            options_.net.bandwidth_mbps);
+                                                  NodeId from, NodeId to,
+                                                  sim::TimePoint send) {
+  // Framing-only control packet on the wormhole bypass path: it neither
+  // waits on nor adds to link occupancy, and it is always at least one hop
+  // out, so posting at this instant respects the lookahead.
+  return kNet.arrival(send, shards_[me]->routes.route(from, to).size(),
+                      kNet.framing_bytes);
 }
 
 void ShardedFabric::barrier_ready(NodeId node, std::int32_t round) {
@@ -510,7 +466,7 @@ void ShardedFabric::barrier_try_send_up(NodeId node) {
   ++shards_[me]->nic.packets_sent;
   const NodeId parent = tree_.parent[node];
   const sim::TimePoint arrival =
-      ctrl_packet_arrival(me, node, parent) + nic.ack_processing;
+      ctrl_packet_arrival(me, node, parent, sim.now()) + nic.ack_processing;
   engine_->post(me, shard_of(parent), arrival, [this, parent, round] {
     barrier_child_arrived(parent, round);
   });
@@ -531,15 +487,9 @@ void ShardedFabric::barrier_release(NodeId node, std::int32_t round) {
     const NodeId child = tree_.child(node, q);
     ++st.nic.packets_sent;
     if (q > 0) ++st.nic.header_rewrites;
-    const RouteView path = st.routes.route(node, child);
-    const sim::TimePoint arrival =
-        send +
-        options_.net.hop_latency * static_cast<std::int64_t>(path.size()) +
-        sim::transfer_time(options_.net.framing_bytes,
-                           options_.net.bandwidth_mbps);
-    engine_->post(me, shard_of(child), arrival, [this, child, round] {
-      barrier_release(child, round);
-    });
+    engine_->post(me, shard_of(child),
+                  ctrl_packet_arrival(me, node, child, send),
+                  [this, child, round] { barrier_release(child, round); });
     send = send + nic.header_rewrite;
   }
 

@@ -13,11 +13,11 @@
 //     one shard (net::switch_cut), and only that shard's worker touches it;
 //   - packets crossing a shard boundary become ShardedEngine::post calls,
 //     legal because every hand-off lies at least one hop_latency ahead;
-//   - wormhole cut-through is computed per owner-maximal route segment: at
-//     shards=1 the single segment reproduces Network::transmit's formula
-//     bit-for-bit, at shards>1 a stalled boundary simply does not
-//     retro-extend upstream reservations (a slightly optimistic upstream
-//     release; DESIGN.md §4.5);
+//   - wormhole cut-through is net::reserve_links applied per owner-maximal
+//     route segment: at shards=1 the single segment is Network::transmit's
+//     reservation by construction, at shards>1 a stalled boundary simply
+//     does not retro-extend upstream reservations (a slightly optimistic
+//     upstream release; DESIGN.md §4.5);
 //   - loss is decided by a counter hash of (seed, edge, iter, attempt) and
 //     applied at the receiver like a CRC drop, so drop/retransmit counts —
 //     and therefore total deliveries — are invariant across shard counts.
@@ -112,15 +112,12 @@ struct FabricOptions {
   /// entry is delayed uniformly in [0, 2 * avg_skew_us), derived from a
   /// counter hash of (seed, iter, node) so it is shard-count invariant.
   double avg_skew_us = 0.0;
-  /// Host-side MPI entry cost added to every kBcast/kSkewBcast delivery.
-  sim::Duration host_entry_overhead = sim::usec(1.0);
   /// Ignored; goes away at the next benchmark revision (bench/suite sets it).
   bool batch_horizons = false;
   /// Ignored; goes away at the next benchmark revision (bench/suite sets it).
   bool async_sync = false;
   std::uint64_t seed = 1;
   nic::NicConfig nic;
-  NetworkConfig net;
 };
 
 /// Everything the harness folds into a RunResult.  The engine counters are
@@ -181,6 +178,10 @@ class ShardedFabric {
   [[nodiscard]] sim::Duration skew_of(std::int32_t iter, NodeId node) const;
 
   void start_iteration(std::int32_t iter) NM_REQUIRES(controller_role_);
+  /// Schedules one data train per child of `node`, the first at `inject`
+  /// and each further replica a header rewrite plus a serialisation later
+  /// (the GM send-record chain), on `node`'s shard.
+  void fan_out(NodeId node, std::int32_t iter, sim::TimePoint inject);
   /// Injects the data train for edge parent->child at `inject` (an absolute
   /// time on the parent's shard clock) and arms the retransmit timer.
   void send_data(NodeId from, NodeId to, std::int32_t iter,
@@ -200,9 +201,9 @@ class ShardedFabric {
   void retransmit(NodeId from, NodeId to, std::int32_t iter);
   void notify_controller(NodeId node, sim::TimePoint host_time)
       NM_REQUIRES(controller_role_);
-  /// kMultisend: one more root->child ack landed; executes on the root's
-  /// shard (the star tree makes every ack's parent the root).
-  void multisend_ack_completed(std::int32_t iter)
+  /// kMultisend: the root->child ack landed; executes on the root's shard
+  /// (the star tree makes every ack's parent the root).
+  void multisend_ack_completed(NodeId child, std::int32_t iter)
       NM_REQUIRES(controller_role_);
 
   // -- kBarrier (control packets up/down the tree; rounds self-chain) --
@@ -215,9 +216,10 @@ class ShardedFabric {
   void barrier_try_send_up(NodeId node);
   /// Release wave: host completion, fan out to children, arm next round.
   void barrier_release(NodeId node, std::int32_t round);
-  /// Bypass-path control-packet arrival time from `from` to `to`.
+  /// Arrival at `to` of a control packet `from` sends at `send`.
   [[nodiscard]] sim::TimePoint ctrl_packet_arrival(std::uint32_t me,
-                                                   NodeId from, NodeId to);
+                                                   NodeId from, NodeId to,
+                                                   sim::TimePoint send);
 
   [[nodiscard]] std::size_t packets_per_message() const;
   [[nodiscard]] std::size_t train_wire_bytes() const;

@@ -105,7 +105,7 @@ void ProtocolAuditor::on_event(const Nic& nic, net::PortId port,
                                const HostEvent& event) {
   ++ledger_.events_delivered;
   if (event.type == HostEvent::Type::kSendFailed) ++ledger_.send_failures;
-  if (port >= nic.num_ports()) {
+  if (port >= kPortsPerNic) {
     violation(nic, "event delivered to nonexistent port " +
                        std::to_string(port));
   }

@@ -78,11 +78,6 @@ struct NicConfig {
   /// finite pool is the rejected, deadlock-prone alternative).
   std::size_t send_tokens_per_port = 16;
 
-  /// Shard this NIC lives on in a sharded (PDES) run; 0 in sequential
-  /// runs.  Tagged into trace output so a per-shard timeline can be teased
-  /// apart when debugging cross-shard scheduling.
-  std::uint32_t shard = 0;
-
   /// NIC SRAM packet-staging buffers.  Each accepted data packet occupies
   /// one until its RDMA (and, at intermediate nodes, its forwarding
   /// transmissions) complete.  The paper's §5 rationale for releasing at

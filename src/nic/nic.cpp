@@ -49,10 +49,6 @@ Nic::Nic(sim::Simulator& sim, net::Network& network, net::NodeId id,
       cpu_(sim, "lanai"),
       sdma_(sim, "sdma"),
       rdma_(sim, "rdma") {
-  if (options_.num_ports == 0) {
-    throw std::invalid_argument("NIC needs at least one port");
-  }
-  ports_.resize(options_.num_ports);
   sender_conns_.bind_growth_counter(&stats_.map_growths);
   receiver_conns_.bind_growth_counter(&stats_.map_growths);
   groups_.bind_growth_counter(&stats_.map_growths);
@@ -1678,14 +1674,8 @@ void Nic::release_send_token(net::PortId port) {
 
 void Nic::emit_trace(const char* category, const std::string& message) {
   if (sim_.tracer().enabled(category)) {
-    // Sequential runs (shard 0) keep the historical source tag so golden
-    // trace expectations survive; sharded runs prefix the owning shard.
-    const std::string source =
-        config_.shard == 0
-            ? "node" + std::to_string(id_) + ".nic"
-            : "s" + std::to_string(config_.shard) + ".node" +
-                  std::to_string(id_) + ".nic";
-    sim_.tracer().emit(sim_.now(), category, source, message);
+    sim_.tracer().emit(sim_.now(), category,
+                       "node" + std::to_string(id_) + ".nic", message);
   }
 }
 

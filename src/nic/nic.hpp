@@ -20,6 +20,7 @@
 // the rejected alternative for the ablation study.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -42,8 +43,10 @@ namespace nicmcast::nic {
 
 class ProtocolAuditor;
 
+/// GM ports per NIC.
+inline constexpr std::size_t kPortsPerNic = 4;
+
 struct NicOptions {
-  std::size_t num_ports = 4;
   /// Ablation: make the forwarding path grab tokens from the free send-token
   /// pool (the deadlock-prone alternative the paper rejects).  Forwards
   /// stall while the pool is empty.
@@ -107,7 +110,6 @@ class Nic final : public net::PacketSink {
   [[nodiscard]] net::NodeId id() const { return id_; }
   [[nodiscard]] const NicConfig& config() const { return config_; }
   [[nodiscard]] const NicStats& stats() const { return stats_; }
-  [[nodiscard]] std::size_t num_ports() const { return ports_.size(); }
   [[nodiscard]] std::size_t send_tokens_available(net::PortId port) const;
   [[nodiscard]] std::size_t recv_buffers_posted(net::PortId port) const;
   /// Cumulative LANai CPU busy time (NIC utilisation benches).
@@ -428,7 +430,7 @@ class Nic final : public net::PacketSink {
   void deliver_event(net::PortId port, HostEvent event);
 
   /// The record of `port`, created on first use; throws std::out_of_range
-  /// past num_ports.
+  /// past kPortsPerNic.
   Port& port_state(net::PortId port);
 
   // -- Send tokens --
@@ -462,9 +464,9 @@ class Nic final : public net::PacketSink {
   Engine sdma_;
   Engine rdma_;
 
-  // num_ports slots, each null until port_state() first names the port,
+  // One slot per port, each null until port_state() first names the port,
   // so a NIC pays only for the ports its host opens or its peers address.
-  std::vector<std::unique_ptr<Port>> ports_;
+  std::array<std::unique_ptr<Port>, kPortsPerNic> ports_;
   // Flat open-addressing tables (sim/flat_map.hpp): inline probe index,
   // pooled entries with stable references, insertion-order iteration.
   // Each grows from empty as peers appear; every rehash shows up in

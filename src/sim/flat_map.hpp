@@ -36,6 +36,8 @@
 #include <utility>
 #include <vector>
 
+#include "sim/random.hpp"
+
 namespace nicmcast::sim {
 
 template <typename Key, typename T>
@@ -195,13 +197,7 @@ class FlatMap {
   /// splitmix64 finalizer: fixed, seedless, and strong enough that the
   /// packed (port, peer, peer_port) keys spread over the low index bits.
   static std::uint64_t mix(Key key) {
-    std::uint64_t x = static_cast<std::uint64_t>(key);
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ULL;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebULL;
-    x ^= x >> 31;
-    return x;
+    return mix64(static_cast<std::uint64_t>(key));
   }
 
   Entry& entry_at(std::uint32_t slot) {

@@ -12,6 +12,22 @@
 
 namespace nicmcast::sim {
 
+/// splitmix64's increment (2^64 / golden ratio, odd).
+inline constexpr std::uint64_t kGoldenGamma = 0x9e3779b97f4a7c15ULL;
+
+/// splitmix64's finalizer: a fixed bijective 64-bit mix.  The one copy
+/// behind seed expansion, seed derivation, hashing and counter-hash coins.
+[[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+/// The top 53 bits of `bits` as a uniform double in [0, 1).
+[[nodiscard]] constexpr double unit_interval(std::uint64_t bits) {
+  return static_cast<double>(bits >> 11) * 0x1.0p-53;
+}
+
 class Rng {
  public:
   using result_type = std::uint64_t;
@@ -22,11 +38,8 @@ class Rng {
     // splitmix64 expansion of the single-word seed into xoshiro state.
     std::uint64_t x = seed;
     for (auto& word : state_) {
-      x += 0x9e3779b97f4a7c15ULL;
-      std::uint64_t z = x;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-      word = z ^ (z >> 31);
+      x += kGoldenGamma;
+      word = mix64(x);
     }
   }
 
@@ -50,9 +63,7 @@ class Rng {
   }
 
   /// Uniform double in [0, 1).
-  double uniform() {
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-  }
+  double uniform() { return unit_interval(next()); }
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }

@@ -3,7 +3,9 @@
 // fabrics, and cross-traffic contention on shared Clos links.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
+#include <vector>
 
 #include "net/network.hpp"
 
@@ -113,6 +115,45 @@ TEST(ChannelModel, SpineContentionSerialisesCrossLeafFlows) {
   // both via the first spine — so they serialise on the leaf->spine link.
   EXPECT_NE(f1.arrival.nanoseconds(), f2.arrival.nanoseconds());
   r.sim.run();
+}
+
+TEST(ChannelModel, SegmentedReservationMatchesWholeRouteUpToUpstreamRelease) {
+  // reserve_links over a whole route (Network::transmit) against the same
+  // route reserved in two segments split after link 0 (ShardedFabric at a
+  // shard cut).  On a free path both agree on every reservation; behind a
+  // busy downstream link both pick the same injection instant, but the
+  // segmented reservation frees the upstream link early.
+  const Topology topo = Topology::clos(8, 4);
+  RouteTable routes(topo);
+  const RouteView path = routes.route(0, 6);  // cross-leaf: 4 links
+  ASSERT_EQ(path.size(), 4u);
+  const NetworkConfig config;
+  const std::size_t wire = 4096 + config.framing_bytes;
+  const sim::Duration ser = config.serialization(wire);
+  const sim::TimePoint t0{0};
+
+  for (const sim::Duration busy : {sim::Duration{0}, sim::usec(10)}) {
+    std::vector<sim::TimePoint> whole(topo.link_count(), t0);
+    std::vector<sim::TimePoint> split(topo.link_count(), t0);
+    whole[path[1]] = split[path[1]] = t0 + busy;
+    const sim::TimePoint v =
+        reserve_links(config, whole, path, 0, path.size(), t0, wire);
+    const sim::TimePoint v0 =
+        reserve_links(config, split, path, 0, 1, t0, wire);
+    const sim::TimePoint v1 =
+        reserve_links(config, split, path, 1, path.size(), v0, wire);
+    EXPECT_EQ(v1, v) << busy;
+    EXPECT_EQ(v, std::max(t0, t0 + busy - config.head_latency(1))) << busy;
+    for (std::size_t k = 1; k < path.size(); ++k) {
+      EXPECT_EQ(split[path[k]], whole[path[k]]) << busy << " link " << k;
+      EXPECT_EQ(whole[path[k]], v + config.head_latency(k) + ser);
+    }
+    EXPECT_EQ(whole[path[0]], v + ser) << busy;
+    EXPECT_EQ(split[path[0]], t0 + ser) << busy;
+    if (busy == sim::Duration{0}) {
+      EXPECT_EQ(split, whole);
+    }
+  }
 }
 
 TEST(ChannelModel, SelfContainedOccupancyPerDirection) {

@@ -171,7 +171,10 @@ TEST_F(NetworkTest, StatsCountPayloadBytes) {
 TEST_F(NetworkTest, SerializationTimeMatchesBandwidth) {
   Network net(sim_, Topology::single_switch(2));
   // 4096 + 24 framing at 250 MB/s = 16.48us.
-  EXPECT_NEAR(net.serialization_time(4096).microseconds(), 16.48, 0.01);
+  const NetworkConfig& config = net.config();
+  EXPECT_NEAR(
+      config.serialization(4096 + config.framing_bytes).microseconds(),
+      16.48, 0.01);
 }
 
 TEST_F(NetworkTest, LargerPacketsTakeLonger) {

@@ -23,6 +23,7 @@
 //       --gtest_filter='*PrintGoldens*'
 #include <cstdint>
 #include <cstdio>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -153,6 +154,39 @@ TEST(ShardedFamilies, ProtocolTotalsInvariantAcrossShardCounts) {
           << g.name << " s" << shards;
       EXPECT_EQ(r.metric("delivered"), 1.0) << g.name << " s" << shards;
     }
+  }
+}
+
+TEST(ShardedFamilies, ClassicAndShardedReportTheSameProtocolTotals) {
+  // One protocol, two engines: shards == 1 runs nic::Nic on the classic
+  // stack, shards == 4 runs the fabric, and both must count the same
+  // protocol events.  Lossless and one packet per message, because the
+  // fabric acks a multi-packet train once (DESIGN.md §4.5).
+  for (const Experiment experiment :
+       {Experiment::kGmMulticast, Experiment::kMultisend}) {
+    RunSpec spec;
+    spec.experiment = experiment;
+    spec.nodes = 256;
+    spec.destinations = 255;
+    spec.wiring = Wiring::kClos;
+    spec.switch_radix = 16;
+    spec.message_bytes = 512;
+    spec.tree = TreeShape::kBinomial;
+    spec.warmup = 1;
+    spec.iterations = 2;
+    const RunResult classic = run_with_shards(spec, 1);
+    const RunResult sharded = run_with_shards(spec, 4);
+    ASSERT_EQ(classic.engine.shard_count, 0u);
+    ASSERT_EQ(sharded.engine.shard_count, 4u);
+    const nic::NicStats& a = classic.nic_totals;
+    const nic::NicStats& b = sharded.nic_totals;
+    const std::string_view name = to_string(experiment);
+    EXPECT_EQ(a.packets_sent, b.packets_sent) << name;
+    EXPECT_EQ(a.packets_received, b.packets_received) << name;
+    EXPECT_EQ(a.acks_sent, b.acks_sent) << name;
+    EXPECT_EQ(a.forwards, b.forwards) << name;
+    EXPECT_EQ(a.header_rewrites, b.header_rewrites) << name;
+    EXPECT_EQ(a.retransmissions, b.retransmissions) << name;
   }
 }
 

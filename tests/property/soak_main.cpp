@@ -20,6 +20,7 @@
 #include "harness/parallel_runner.hpp"
 #include "harness/run_spec.hpp"
 #include "harness/runners.hpp"
+#include "sim/random.hpp"
 #include "sim/stats.hpp"
 #include "soak.hpp"
 
@@ -27,11 +28,9 @@ namespace {
 
 constexpr int kDefaultScenarios = 1000;
 
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
+/// One splitmix64 step from `x`: the cross-check's scenario draws.
+std::uint64_t draw(std::uint64_t x) {
+  return nicmcast::sim::mix64(x + nicmcast::sim::kGoldenGamma);
 }
 
 /// With --shards N (N > 1), every scenario additionally runs a sharded-
@@ -54,19 +53,19 @@ ShardCheck run_sharded_crosscheck(std::uint64_t seed,
                                   std::size_t max_shards) {
   using namespace nicmcast;
   ShardCheck check;
-  check.shards = 2 + mix64(seed ^ 0x5aad) % (max_shards - 1);
+  check.shards = 2 + draw(seed ^ 0x5aad) % (max_shards - 1);
 
   harness::RunSpec spec;
   constexpr harness::Experiment kFamilies[] = {
       harness::Experiment::kGmMulticast, harness::Experiment::kMultisend,
       harness::Experiment::kMpiBcast, harness::Experiment::kSkewBcast,
       harness::Experiment::kBarrier};
-  spec.experiment = kFamilies[mix64(seed ^ 0xfa417) % std::size(kFamilies)];
-  spec.nodes = 24 + mix64(seed ^ 0xfab) % 233;  // 24..256 endpoints
+  spec.experiment = kFamilies[draw(seed ^ 0xfa417) % std::size(kFamilies)];
+  spec.nodes = 24 + draw(seed ^ 0xfab) % 233;  // 24..256 endpoints
   spec.wiring = harness::Wiring::kClos;
   spec.switch_radix = 16;
-  spec.message_bytes = std::size_t{1} << (6 + mix64(seed ^ 0xb17e5) % 6);
-  spec.tree = (mix64(seed ^ 0x7ee) & 1) != 0
+  spec.message_bytes = std::size_t{1} << (6 + draw(seed ^ 0xb17e5) % 6);
+  spec.tree = (draw(seed ^ 0x7ee) & 1) != 0
                   ? harness::TreeShape::kBinomial
                   : harness::TreeShape::kChain;
   // The barrier rides the lossless control path; everything else soaks
@@ -74,13 +73,13 @@ ShardCheck run_sharded_crosscheck(std::uint64_t seed,
   spec.loss_rate =
       spec.experiment == harness::Experiment::kBarrier
           ? 0.0
-          : static_cast<double>(mix64(seed ^ 0x1055) % 4) * 0.01;
+          : static_cast<double>(draw(seed ^ 0x1055) % 4) * 0.01;
   if (spec.experiment == harness::Experiment::kMultisend) {
     spec.destinations = spec.nodes - 1;  // flat send: a star tree
   }
   if (spec.experiment == harness::Experiment::kSkewBcast ||
       spec.experiment == harness::Experiment::kBarrier) {
-    spec.avg_skew_us = static_cast<double>(mix64(seed ^ 0x54e3) % 32);
+    spec.avg_skew_us = static_cast<double>(draw(seed ^ 0x54e3) % 32);
   }
   spec.warmup = 0;
   spec.iterations = 1;
