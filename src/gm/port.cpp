@@ -57,34 +57,48 @@ sim::Task<void> Port::pump() {
   }
 }
 
-sim::Task<void> Port::wait_for_send_token() {
-  while (nic_.send_tokens_available(port_id_) <= tokens_reserved_) {
-    ++stats_.token_stalls;
-    co_await token_freed_.wait();
+sim::Task<nic::OpHandle> Port::enter_nic(bool takes_token) {
+  co_await sim_.wait(nic_.config().host_post_overhead +
+                     nic_.config().host_to_nic_delay);
+  if (takes_token) {
+    while (!can_post_nowait()) {
+      ++stats_.token_stalls;
+      co_await token_freed_.wait();
+    }
   }
+  co_return new_handle();
 }
 
-sim::Task<SendStatus> Port::await_completion(nic::OpHandle handle) {
+Port::OpState& Port::track(nic::OpHandle handle) {
   auto op = std::make_unique<OpState>();
   OpState& state = *op;
   pending_.emplace(handle, std::move(op));
+  return state;
+}
+
+sim::Task<SendStatus> Port::finish(nic::OpHandle handle, Payload* result) {
+  auto it = pending_.find(handle);
+  if (it == pending_.end()) {
+    throw std::logic_error("wait_completion: unknown handle");
+  }
+  OpState& state = *it->second;
   co_await state.done.wait();
   const SendStatus status = state.status;
+  if (result) *result = std::move(state.result);
   pending_.erase(handle);
   co_return status;
 }
 
 nic::OpHandle Port::post_send_nowait(net::NodeId dest, net::PortId dest_port,
                                      Payload data, std::uint32_t tag) {
-  if (nic_.send_tokens_available(port_id_) <= tokens_reserved_) {
+  if (!can_post_nowait()) {
     throw std::logic_error("post_send_nowait: no free send token — use the "
                            "blocking send() to wait for one");
   }
   ++tokens_reserved_;  // held until the posted event reaches the NIC
   ++stats_.sends;
   const nic::OpHandle handle = new_handle();
-  // Register completion state before the NIC can possibly report back.
-  pending_.emplace(handle, std::make_unique<OpState>());
+  track(handle);
   // The posted event crosses the PCI bus asynchronously; the host moves on.
   sim_.schedule_after(
       nic_.config().host_to_nic_delay,
@@ -97,15 +111,23 @@ nic::OpHandle Port::post_send_nowait(net::NodeId dest, net::PortId dest_port,
 }
 
 sim::Task<SendStatus> Port::wait_completion(nic::OpHandle handle) {
-  auto it = pending_.find(handle);
-  if (it == pending_.end()) {
-    throw std::logic_error("wait_completion: unknown handle");
+  return finish(handle);
+}
+
+sim::Task<SendStatus> Port::send_each(const std::vector<net::NodeId>& dests,
+                                      net::PortId dest_port,
+                                      const Payload& data, std::uint32_t tag) {
+  std::vector<nic::OpHandle> handles;
+  for (net::NodeId dest : dests) {
+    co_await sim_.wait(nic_.config().host_post_overhead);
+    handles.push_back(post_send_nowait(dest, dest_port, data, tag));
   }
-  OpState& state = *it->second;
-  co_await state.done.wait();
-  const SendStatus status = state.status;
-  pending_.erase(handle);
-  co_return status;
+  for (nic::OpHandle handle : handles) {
+    if (co_await finish(handle) != SendStatus::kOk) {
+      co_return SendStatus::kFailed;
+    }
+  }
+  co_return SendStatus::kOk;
 }
 
 sim::Task<SendStatus> Port::send(net::NodeId dest, net::PortId dest_port,
@@ -129,15 +151,12 @@ sim::Task<SendStatus> Port::send(net::NodeId dest, net::PortId dest_port,
     inbox_.push(std::move(msg));
     co_return SendStatus::kOk;
   }
-  // Host-side: build the send event, cross the PCI bus.
-  co_await sim_.wait(nic_.config().host_post_overhead +
-                     nic_.config().host_to_nic_delay);
-  co_await wait_for_send_token();
-  const nic::OpHandle handle = new_handle();
+  const nic::OpHandle handle = co_await enter_nic(true);
+  track(handle);
   nic_.post_send(
       nic::SendRequest{port_id_, dest, dest_port, std::move(data), tag,
                        handle});
-  co_return co_await await_completion(handle);
+  co_return co_await finish(handle);
 }
 
 sim::Task<SendStatus> Port::send_from(RegionRef region, net::NodeId dest,
@@ -145,71 +164,49 @@ sim::Task<SendStatus> Port::send_from(RegionRef region, net::NodeId dest,
                                       std::uint32_t tag) {
   memory_.pin(region);  // throws on unregistered memory
   ++stats_.sends;
-  co_await sim_.wait(nic_.config().host_post_overhead +
-                     nic_.config().host_to_nic_delay);
-  co_await wait_for_send_token();
-  const nic::OpHandle handle = new_handle();
+  const nic::OpHandle handle = co_await enter_nic(true);
+  track(handle).pinned = region;
   nic_.post_send(nic::SendRequest{port_id_, dest, dest_port, region->data(),
                                   tag, handle});
-  auto op = std::make_unique<OpState>();
-  op->pinned = std::move(region);
-  OpState& state = *op;
-  pending_.emplace(handle, std::move(op));
-  co_await state.done.wait();
-  const SendStatus status = state.status;
-  pending_.erase(handle);
-  co_return status;
+  co_return co_await finish(handle);
 }
 
 sim::Task<SendStatus> Port::multisend(std::vector<net::NodeId> dests,
                                       net::PortId dest_port, Payload data,
                                       std::uint32_t tag) {
   ++stats_.multisends;
-  co_await sim_.wait(nic_.config().host_post_overhead +
-                     nic_.config().host_to_nic_delay);
-  co_await wait_for_send_token();
-  const nic::OpHandle handle = new_handle();
+  const nic::OpHandle handle = co_await enter_nic(true);
+  track(handle);
   nic_.post_multisend(nic::MultisendRequest{
       port_id_, std::move(dests), dest_port, std::move(data), tag, handle});
-  co_return co_await await_completion(handle);
+  co_return co_await finish(handle);
 }
 
 sim::Task<SendStatus> Port::mcast_send(net::GroupId group, Payload data,
                                        std::uint32_t tag) {
   ++stats_.mcast_sends;
-  co_await sim_.wait(nic_.config().host_post_overhead +
-                     nic_.config().host_to_nic_delay);
-  co_await wait_for_send_token();
-  const nic::OpHandle handle = new_handle();
+  const nic::OpHandle handle = co_await enter_nic(true);
+  track(handle);
   nic_.post_mcast_send(
       nic::McastSendRequest{port_id_, group, std::move(data), tag, handle});
-  co_return co_await await_completion(handle);
+  co_return co_await finish(handle);
 }
 
 sim::Task<void> Port::nic_barrier(net::GroupId group) {
-  co_await sim_.wait(nic_.config().host_post_overhead +
-                     nic_.config().host_to_nic_delay);
-  const nic::OpHandle handle = new_handle();
+  const nic::OpHandle handle = co_await enter_nic(false);
+  track(handle);
   nic_.post_barrier(port_id_, group, handle);
-  const SendStatus status = co_await await_completion(handle);
-  if (status != SendStatus::kOk) {
+  if (co_await finish(handle) != SendStatus::kOk) {
     throw std::runtime_error("nic_barrier failed (parent unreachable)");
   }
 }
 
 sim::Task<Payload> Port::nic_reduce(net::GroupId group, Payload data) {
-  co_await sim_.wait(nic_.config().host_post_overhead +
-                     nic_.config().host_to_nic_delay);
-  const nic::OpHandle handle = new_handle();
-  auto op = std::make_unique<OpState>();
-  OpState& state = *op;
-  pending_.emplace(handle, std::move(op));
+  const nic::OpHandle handle = co_await enter_nic(false);
+  track(handle);
   nic_.post_reduce(port_id_, group, std::move(data), handle);
-  co_await state.done.wait();
-  const SendStatus status = state.status;
-  Payload result = std::move(state.result);
-  pending_.erase(handle);
-  if (status != SendStatus::kOk) {
+  Payload result;
+  if (co_await finish(handle, &result) != SendStatus::kOk) {
     throw std::runtime_error("nic_reduce failed (parent unreachable)");
   }
   co_return result;

@@ -73,6 +73,15 @@ class Port {
                                   net::PortId dest_port, Payload data,
                                   std::uint32_t tag = 0);
 
+  /// Host-based multiple unicasts (MPICH-GM's fan-out; Fig. 3's
+  /// baseline): posts one send per destination back to back, each charged
+  /// the host posting overhead, then awaits every completion.  kFailed as
+  /// soon as one send fails.  `dests` and `data` must outlive the call
+  /// (co_await it at once); each send copies `data`.
+  sim::Task<SendStatus> send_each(const std::vector<net::NodeId>& dests,
+                                  net::PortId dest_port, const Payload& data,
+                                  std::uint32_t tag = 0);
+
   /// NIC-based multicast over a preposted group tree (root only).
   sim::Task<SendStatus> mcast_send(net::GroupId group, Payload data,
                                    std::uint32_t tag = 0);
@@ -142,8 +151,17 @@ class Port {
     Payload result;    // reduction result (root side of nic_reduce)
   };
 
-  sim::Task<SendStatus> await_completion(nic::OpHandle handle);
-  sim::Task<void> wait_for_send_token();
+  /// Charges the host posting (build the event, cross the PCI bus), waits
+  /// for a free send token when the operation `takes_token`, and returns
+  /// the operation's handle.
+  sim::Task<nic::OpHandle> enter_nic(bool takes_token);
+  /// Registers completion state for `handle`; call before the NIC can
+  /// possibly report back.
+  OpState& track(nic::OpHandle handle);
+  /// Awaits `handle`'s completion, forgets it and returns its status.  A
+  /// reduction's result moves into `result` when given.
+  sim::Task<SendStatus> finish(nic::OpHandle handle,
+                               Payload* result = nullptr);
   sim::Task<void> pump();
   nic::OpHandle new_handle() { return next_handle_++; }
 

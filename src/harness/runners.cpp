@@ -237,29 +237,17 @@ RunResult run_multisend(const RunSpec& spec) {
     }
     for (int iter = 0; iter < rounds; ++iter) {
       const sim::TimePoint start = cl.simulator().now();
+      gm::SendStatus status;
       if (nb) {
         // One posting; the NIC chains replicas via descriptor callbacks.
-        std::vector<net::NodeId> copy = targets;
-        const gm::SendStatus st = co_await port.multisend(
-            std::move(copy), 0, make_payload(size), 0);
-        if (st != gm::SendStatus::kOk) {
-          throw std::runtime_error("harness: multisend failed");
-        }
+        status = co_await port.multisend(targets, 0, make_payload(size), 0);
       } else {
-        // Host-based: post one send per destination back to back, then
-        // wait for every acknowledgment.
-        std::vector<nic::OpHandle> handles;
-        for (net::NodeId t : targets) {
-          co_await cl.simulator().wait(
-              port.nic().config().host_post_overhead);
-          handles.push_back(
-              port.post_send_nowait(t, 0, make_payload(size), 0));
-        }
-        for (nic::OpHandle h : handles) {
-          if (co_await port.wait_completion(h) != gm::SendStatus::kOk) {
-            throw std::runtime_error("harness: unicast send failed");
-          }
-        }
+        // Host-based: one send per destination back to back.
+        status = co_await port.send_each(targets, 0, make_payload(size), 0);
+      }
+      if (status != gm::SendStatus::kOk) {
+        throw std::runtime_error(nb ? "harness: multisend failed"
+                                    : "harness: unicast send failed");
       }
       if (iter >= wu) {
         out.add((cl.simulator().now() - start).microseconds());
@@ -322,8 +310,9 @@ RunResult run_skew_bcast(const RunSpec& spec) {
   RunResult result;
   result.spec = spec;
 
+  gm::Cluster cluster(cluster_config(spec));
+  install_faults(cluster, spec);
   mpi::SkewConfig config;
-  config.nodes = spec.nodes;
   config.message_bytes = spec.message_bytes;
   // "Average skew" on the x-axis = mean |skew| of uniform[-M/2, M/2],
   // i.e. M/4 (the positive half averages M/4 and is applied; the negative
@@ -335,11 +324,9 @@ RunResult run_skew_bcast(const RunSpec& spec) {
                          ? mpi::BcastAlgorithm::kNicBased
                          : mpi::BcastAlgorithm::kHostBased;
   config.seed = spec.seed;
-  const mpi::SkewResult skew = mpi::run_skew_experiment(config);
+  const mpi::SkewResult skew = mpi::run_skew_experiment(config, cluster);
 
-  result.nic_totals = skew.nic_totals;
-  net::accumulate(result.engine, skew.queue_stats);
-  result.engine.event_order_hash = skew.event_order_hash;
+  collect(cluster, result);
   result.set_metric("avg_bcast_cpu_us", skew.avg_bcast_cpu_us);
   result.set_metric("max_bcast_cpu_us", skew.max_bcast_cpu_us);
   result.set_metric("avg_applied_skew_us", skew.avg_applied_skew_us);
@@ -351,6 +338,7 @@ RunResult run_barrier(const RunSpec& spec) {
   result.spec = spec;
 
   gm::Cluster cluster(cluster_config(spec));
+  install_faults(cluster, spec);
   mpi::MpiConfig config;
   config.barrier_algorithm = spec.algo == Algo::kNicBased
                                  ? mpi::BarrierAlgorithm::kNicBased
@@ -392,6 +380,7 @@ RunResult run_allreduce(const RunSpec& spec) {
   result.spec = spec;
 
   gm::Cluster cluster(cluster_config(spec));
+  install_faults(cluster, spec);
   mpi::MpiConfig config;
   config.nic_reduction = spec.algo == Algo::kNicBased;
   mpi::World world(cluster, config);

@@ -30,16 +30,9 @@ sim::Task<gm::Payload> host_bcast(gm::Port& port, const Tree& tree,
   // Host-based forwarding: post one unicast per child back to back (the
   // MPICH-GM pattern — each posting costs < 1us of host time), then wait
   // for all of them to be acknowledged.
-  std::vector<nic::OpHandle> handles;
-  for (net::NodeId child : tree.children(me)) {
-    co_await port.simulator().wait(port.nic().config().host_post_overhead);
-    handles.push_back(port.post_send_nowait(child, port.port_id(), data, tag));
-  }
-  for (nic::OpHandle h : handles) {
-    const gm::SendStatus status = co_await port.wait_completion(h);
-    if (status != gm::SendStatus::kOk) {
-      throw std::runtime_error("host_bcast: send failed");
-    }
+  if (co_await port.send_each(tree.children(me), port.port_id(), data,
+                              tag) != gm::SendStatus::kOk) {
+    throw std::runtime_error("host_bcast: send failed");
   }
   co_return data;
 }

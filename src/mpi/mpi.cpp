@@ -319,7 +319,11 @@ sim::Task<Payload> Process::recv(const Comm& comm, int src,
                                  std::uint16_t tag) {
   CallGuard guard(in_call_);
   ++stats_.receives;
-  const net::NodeId peer = comm.node_of(src);
+  co_return co_await receive_from(comm, comm.node_of(src), tag);
+}
+
+sim::Task<Payload> Process::receive_from(const Comm& comm, net::NodeId peer,
+                                         std::uint16_t tag) {
   Matched first = co_await match([&](const Matched& m) {
     return (m.envelope.kind == Kind::kEager ||
             m.envelope.kind == Kind::kRndvRts) &&
@@ -348,6 +352,27 @@ sim::Task<Payload> Process::recv(const Comm& comm, int src,
   co_return std::move(bulk.data);
 }
 
+sim::Task<void> Process::gather_replies(const Comm& comm, Kind kind,
+                                        std::uint16_t tag) {
+  for (int replies = 1; replies < comm.size(); ++replies) {
+    co_await match([&](const Matched& m) {
+      return m.envelope.kind == kind &&
+             m.envelope.context == comm.context() && m.envelope.tag == tag;
+    });
+  }
+}
+
+sim::Task<net::GroupId> Process::nic_tree(const Comm& comm) {
+  // The first call bootstraps the group with an empty NIC-based broadcast
+  // (the same demand-driven creation the bcast path uses).
+  const net::GroupId group = group_for(comm, /*root=*/0);
+  if (!installed_groups_.contains(group)) {
+    Payload empty;
+    co_await bcast(comm, empty, 0, BcastAlgorithm::kNicBased);
+  }
+  co_return group;
+}
+
 // ---------------------------------------------------------------------------
 // Barrier
 // ---------------------------------------------------------------------------
@@ -371,16 +396,10 @@ sim::Task<void> Process::barrier(const Comm& comm,
 }
 
 sim::Task<void> Process::barrier_nic(const Comm& comm) {
-  // NIC-level barrier over the (comm, root 0) multicast tree.  The first
-  // call bootstraps the group with an empty NIC-based broadcast (the same
-  // demand-driven creation the bcast path uses); after that, entering the
+  // NIC-level barrier over the (comm, root 0) multicast tree: entering the
   // barrier is a single NIC posting and the gather/release runs entirely
   // in the NIC firmware.
-  const net::GroupId group = group_for(comm, /*root=*/0);
-  if (!installed_groups_.contains(group)) {
-    Payload empty;
-    co_await bcast(comm, empty, 0, BcastAlgorithm::kNicBased);
-  }
+  const net::GroupId group = co_await nic_tree(comm);
   CallGuard guard(in_call_);
   ++stats_.barriers;
   co_await port_.nic_barrier(group);
@@ -442,6 +461,8 @@ sim::Task<void> Process::bcast(const Comm& comm, Payload& data, int root,
       (static_cast<std::uint32_t>(comm.context()) << 8) | 0x02u |
       (static_cast<std::uint32_t>(root) << 16);
   const std::uint16_t op_seq = op_seq_[seq_key]++;
+  const auto tag =
+      static_cast<std::uint16_t>(kBcastTagBase | (op_seq & 0x0FFF));
 
   if (comm.size() > 1) {
     // The NIC-based path serves eager-mode sizes; larger broadcasts keep
@@ -449,12 +470,12 @@ sim::Task<void> Process::bcast(const Comm& comm, Payload& data, int root,
     // RDMA-multicast extension is enabled (paper §7 future work).
     if (algorithm == BcastAlgorithm::kNicBased &&
         data.size() <= world_.config().eager_limit) {
-      co_await bcast_nic_based(comm, data, root, op_seq);
+      co_await bcast_nic_based(comm, data, root, tag);
     } else if (algorithm == BcastAlgorithm::kNicBased &&
                world_.config().rdma_multicast) {
-      co_await bcast_nic_rdma(comm, data, root, op_seq);
+      co_await bcast_nic_rdma(comm, data, root, tag);
     } else {
-      co_await bcast_host_based(comm, data, root, op_seq);
+      co_await bcast_host_based(comm, data, root, tag);
     }
   }
   const sim::Duration elapsed = simulator().now() - entered;
@@ -463,59 +484,32 @@ sim::Task<void> Process::bcast(const Comm& comm, Payload& data, int root,
 }
 
 sim::Task<void> Process::bcast_host_based(const Comm& comm, Payload& data,
-                                          int root, std::uint16_t op_seq) {
+                                          int root, std::uint16_t tag) {
   const int n = comm.size();
   const int me = comm.rank_of(port_.node());
-  const int vrank = (me - root + n) % n;
-  const BinomialRole role = binomial_role(vrank, n);
-  const auto tag =
-      static_cast<std::uint16_t>(kBcastTagBase | (op_seq & 0x0FFF));
+  const BinomialRole role = binomial_role((me - root + n) % n, n);
+  auto node_of_vrank = [&](int vrank) {
+    return comm.node_of((vrank + root) % n);
+  };
 
   if (role.parent_vrank >= 0) {
-    const int parent_rank = (role.parent_vrank + root) % n;
-    const net::NodeId parent_node = comm.node_of(parent_rank);
     // Receive from the parent (eager or rendezvous by size).
-    Matched first = co_await match([&](const Matched& m) {
-      return (m.envelope.kind == Kind::kEager ||
-              m.envelope.kind == Kind::kRndvRts) &&
-             m.envelope.context == comm.context() && m.envelope.tag == tag &&
-             m.src_node == parent_node && m.group == net::kNoGroup;
-    });
-    if (first.envelope.kind == Kind::kEager) {
-      co_await charge_host(first.data.size());
-      data = std::move(first.data);
-    } else {
-      const std::uint64_t size = decode_u64(first.data);
-      port_.provide_receive_buffer(size);
-      const Envelope cts{Kind::kRndvCts, comm.context(), tag};
-      co_await port_.send(parent_node, port_.port_id(), Payload{},
-                          cts.encode());
-      Matched bulk = co_await match([&](const Matched& m) {
-        return m.envelope.kind == Kind::kRndvData &&
-               m.envelope.context == comm.context() &&
-               m.envelope.tag == tag && m.src_node == parent_node;
-      });
-      data = std::move(bulk.data);
-    }
+    data = co_await receive_from(comm, node_of_vrank(role.parent_vrank), tag);
   }
 
   if (data.size() <= world_.config().eager_limit) {
     // Eager: copy into the registered send buffer once, then post every
     // child's send back to back and await the completions (MPICH-GM's
     // gm_send_with_callback fan-out).
-    const Envelope env{Kind::kEager, comm.context(), tag};
-    std::vector<nic::OpHandle> handles;
     if (!role.child_vranks.empty()) co_await charge_host(data.size());
+    std::vector<net::NodeId> children;
     for (int child_vrank : role.child_vranks) {
-      const int child_rank = (child_vrank + root) % n;
-      co_await simulator().wait(port_.nic().config().host_post_overhead);
-      handles.push_back(port_.post_send_nowait(
-          comm.node_of(child_rank), port_.port_id(), data, env.encode()));
+      children.push_back(node_of_vrank(child_vrank));
     }
-    for (nic::OpHandle h : handles) {
-      if (co_await port_.wait_completion(h) != gm::SendStatus::kOk) {
-        throw std::runtime_error("bcast send failed");
-      }
+    const Envelope env{Kind::kEager, comm.context(), tag};
+    if (co_await port_.send_each(children, port_.port_id(), data,
+                                 env.encode()) != gm::SendStatus::kOk) {
+      throw std::runtime_error("bcast send failed");
     }
   } else {
     // Rendezvous sends are inherently sequential handshakes.
@@ -559,26 +553,16 @@ sim::Task<void> Process::ensure_group(const Comm& comm, int root,
       throw std::runtime_error("group setup send failed");
     }
   }
-  std::size_t acks = 0;
-  while (acks + 1 < static_cast<std::size_t>(comm.size())) {
-    co_await match([&](const Matched& m) {
-      return m.envelope.kind == Kind::kBcastSetupAck &&
-             m.envelope.context == comm.context() &&
-             m.envelope.tag == setup_tag;
-    });
-    ++acks;
-  }
+  co_await gather_replies(comm, Kind::kBcastSetupAck, setup_tag);
   port_.set_group(group, tree.entry_for(port_.node(), port_.port_id()));
   installed_groups_.insert(group);
   ++stats_.groups_created;
 }
 
 sim::Task<void> Process::bcast_nic_based(const Comm& comm, Payload& data,
-                                         int root, std::uint16_t op_seq) {
+                                         int root, std::uint16_t data_tag) {
   const int me = comm.rank_of(port_.node());
   const net::GroupId group = group_for(comm, root);
-  const auto data_tag =
-      static_cast<std::uint16_t>(kBcastTagBase | (op_seq & 0x0FFF));
 
   if (me == root) {
     co_await ensure_group(comm, root, data.size());
@@ -607,7 +591,7 @@ sim::Task<void> Process::bcast_nic_based(const Comm& comm, Payload& data,
 }
 
 sim::Task<void> Process::bcast_nic_rdma(const Comm& comm, Payload& data,
-                                        int root, std::uint16_t op_seq) {
+                                        int root, std::uint16_t data_tag) {
   // Extension (paper §7): "NIC-based multicast using remote DMA
   // operations".  Protocol:
   //   1. the root NIC-multicasts a tiny announce carrying the size,
@@ -618,8 +602,6 @@ sim::Task<void> Process::bcast_nic_rdma(const Comm& comm, Payload& data,
   //      no bounce-buffer copies at any host.
   const int me = comm.rank_of(port_.node());
   const net::GroupId group = group_for(comm, root);
-  const auto data_tag =
-      static_cast<std::uint16_t>(kBcastTagBase | (op_seq & 0x0FFF));
 
   if (me == root) {
     co_await ensure_group(comm, root, data.size());
@@ -631,15 +613,7 @@ sim::Task<void> Process::bcast_nic_rdma(const Comm& comm, Payload& data,
       throw std::runtime_error("RDMA-multicast announce failed");
     }
     // 2. Collect every member's ready.
-    std::size_t ready = 0;
-    while (ready + 1 < static_cast<std::size_t>(comm.size())) {
-      co_await match([&](const Matched& m) {
-        return m.envelope.kind == Kind::kRndvCts &&
-               m.envelope.context == comm.context() &&
-               m.envelope.tag == data_tag;
-      });
-      ++ready;
-    }
+    co_await gather_replies(comm, Kind::kRndvCts, data_tag);
     // 3. Stream the payload (registration bookkeeping only; no copy).
     co_await charge_host(0);
     const Envelope bulk{Kind::kRndvData, comm.context(), data_tag};
@@ -691,11 +665,7 @@ sim::Task<std::vector<std::int64_t>> Process::allreduce_sum(
   if (world_.config().nic_reduction && n > 1) {
     // NIC-level reduction up the (comm, root 0) tree, then a NIC-based
     // broadcast of the sum back down.
-    const net::GroupId group = group_for(comm, 0);
-    if (!installed_groups_.contains(group)) {
-      Payload empty;
-      co_await bcast(comm, empty, 0, BcastAlgorithm::kNicBased);
-    }
+    const net::GroupId group = co_await nic_tree(comm);
     Payload blob(contribution.size() * 8);
     std::memcpy(blob.data(), contribution.data(), blob.size());
     Payload reduced;

@@ -163,12 +163,22 @@ class Process {
                                   Payload data);
   sim::Task<void> barrier_dissemination(const Comm& comm);
   sim::Task<void> barrier_nic(const Comm& comm);
+  /// Receives one message from `peer` under (comm, tag): eager, or a
+  /// rendezvous answered with a CTS and an exact-size landing buffer.
+  sim::Task<Payload> receive_from(const Comm& comm, net::NodeId peer,
+                                  std::uint16_t tag);
+  /// Awaits one `kind` reply under (comm, tag) from every other member.
+  sim::Task<void> gather_replies(const Comm& comm, Kind kind,
+                                 std::uint16_t tag);
+  /// The (comm, root 0) NIC group the NIC barrier and reduction run over,
+  /// installed on first use.
+  sim::Task<net::GroupId> nic_tree(const Comm& comm);
   sim::Task<void> bcast_host_based(const Comm& comm, Payload& data, int root,
-                                   std::uint16_t op_seq);
+                                   std::uint16_t tag);
   sim::Task<void> bcast_nic_based(const Comm& comm, Payload& data, int root,
-                                  std::uint16_t op_seq);
+                                  std::uint16_t tag);
   sim::Task<void> bcast_nic_rdma(const Comm& comm, Payload& data, int root,
-                                 std::uint16_t op_seq);
+                                 std::uint16_t tag);
   /// Demand-driven creation of the (comm, root) multicast group; no-op if
   /// already installed on this rank.  Root side distributes the tree and
   /// waits for acks; members install via setup messages inside match().
@@ -184,8 +194,6 @@ class Process {
   std::unordered_map<std::uint32_t, std::uint16_t> op_seq_;
   // Groups this rank has installed (demand-driven creation).
   std::unordered_set<net::GroupId> installed_groups_;
-  // Setup acks collected at the root before the group is usable.
-  std::unordered_map<net::GroupId, std::size_t> setup_acks_;
   bool in_call_ = false;
   ProcessStats stats_;
 };

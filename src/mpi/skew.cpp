@@ -11,7 +11,17 @@ SkewResult run_skew_experiment(const SkewConfig& config) {
   cluster_config.nodes = config.nodes;
   cluster_config.seed = config.seed;
   gm::Cluster cluster(cluster_config);
+  SkewResult result = run_skew_experiment(config, cluster);
+  for (std::size_t i = 0; i < cluster.size(); ++i) {
+    nic::accumulate(result.nic_totals, cluster.nic(i).stats());
+  }
+  result.queue_stats = cluster.simulator().queue_stats();
+  result.event_order_hash = cluster.simulator().event_order_hash();
+  return result;
+}
 
+SkewResult run_skew_experiment(const SkewConfig& config,
+                               gm::Cluster& cluster) {
   MpiConfig mpi_config;
   mpi_config.bcast_algorithm = config.algorithm;
   World world(cluster, mpi_config);
@@ -62,11 +72,6 @@ SkewResult run_skew_experiment(const SkewConfig& config) {
   result.max_bcast_cpu_us = cpu_max_per_rank.mean();
   result.avg_applied_skew_us =
       applied_skew.count() > 0 ? applied_skew.mean() : 0.0;
-  for (std::size_t i = 0; i < cluster.size(); ++i) {
-    nic::accumulate(result.nic_totals, cluster.nic(i).stats());
-  }
-  result.queue_stats = cluster.simulator().queue_stats();
-  result.event_order_hash = cluster.simulator().event_order_hash();
   return result;
 }
 

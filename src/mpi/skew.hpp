@@ -47,7 +47,14 @@ struct SkewResult {
   std::uint64_t event_order_hash = 0;
 };
 
-/// Builds a cluster, runs the skewed-broadcast loop and reports averages.
+/// Runs the skewed-broadcast loop on `cluster` (whose size overrides
+/// config.nodes) and reports the averages; the cluster's own counters stay
+/// with the caller.
+[[nodiscard]] SkewResult run_skew_experiment(const SkewConfig& config,
+                                             gm::Cluster& cluster);
+
+/// Builds the default single-switch cluster of config.nodes, runs the
+/// loop on it and reports the averages plus that cluster's counters.
 [[nodiscard]] SkewResult run_skew_experiment(const SkewConfig& config);
 
 }  // namespace nicmcast::mpi

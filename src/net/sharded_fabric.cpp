@@ -191,10 +191,9 @@ void ShardedFabric::send_data(NodeId from, NodeId to, std::int32_t iter,
   // previous iteration can still be pending here — its ack raced the
   // controller's completion — and is simply replaced.
   EdgeState& edge = edges_[to];
-  if (edge.timer_armed) sim.cancel(edge.timer);
+  sim.cancel(edge.timer);
   edge.attempt = attempt;
   edge.iter = iter;
-  edge.timer_armed = true;
   edge.timer =
       sim.schedule_at(inject + options_.nic.retransmit_timeout,
                       [this, from, to, iter] { retransmit(from, to, iter); });
@@ -328,11 +327,10 @@ void ShardedFabric::ack_arrived(NodeId parent, NodeId child,
                                 std::int32_t iter) {
   ++shards_[shard_of(parent)]->nic.packets_received;
   EdgeState& edge = edges_[child];
-  if (edge.timer_armed && edge.iter == iter) {
+  if (edge.timer && edge.iter == iter) {
     // The cross-shard in-flight cancel: the ack disarms a retransmit timer
     // living on another shard's wheel.
     sim_of(shard_of(parent)).cancel(edge.timer);
-    edge.timer_armed = false;
     // Exactly one ack per (child, iter) reaches this branch: re-acks from
     // duplicate deliveries find the timer already disarmed above.
     if (options_.workload == FabricWorkload::kMultisend &&
@@ -358,7 +356,7 @@ void ShardedFabric::multisend_ack_completed(NodeId child,
 
 void ShardedFabric::retransmit(NodeId from, NodeId to, std::int32_t iter) {
   EdgeState& edge = edges_[to];
-  edge.timer_armed = false;
+  edge.timer.reset();
   if (edge.iter != iter) return;  // iteration already moved on
   const std::uint32_t next_attempt = edge.attempt + 1;
   if (next_attempt > options_.nic.max_retries) {

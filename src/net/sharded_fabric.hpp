@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "net/engine_counters.hpp"
@@ -159,10 +160,9 @@ class ShardedFabric {
   /// Go-back-N record for the tree edge parent->child, stored at the
   /// child's index and owned by the parent's shard.
   struct EdgeState {
-    sim::EventId timer{};
+    std::optional<sim::EventId> timer;
     std::uint32_t attempt = 0;
     std::int32_t iter = -1;
-    bool timer_armed = false;
   };
 
   [[nodiscard]] std::uint32_t shard_of(NodeId n) const {

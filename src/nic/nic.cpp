@@ -68,15 +68,12 @@ void Nic::post_send(SendRequest request) {
     throw std::logic_error("post_send: self-send must be handled by the "
                            "library layer, not the NIC");
   }
-  consume_send_token(request.port);
   // Zero-copy host-post boundary: the request's bytes become the shared
   // block every fragment, record and retransmission will reference.
   MessageRef message = net::Buffer::take(std::move(request.data));
-  const auto fragments = fragment_message(message.size());
-  auto [it, inserted] = pending_ops_.emplace(
-      request.handle, PendingOp{HostEvent::Type::kSendComplete, request.port,
-                                fragments.size(), false});
-  if (!inserted) throw std::logic_error("post_send: duplicate handle");
+  open_op("post_send", request.port, request.handle,
+          HostEvent::Type::kSendComplete,
+          fragment_message(message.size()).size());
   trace("nic", [&] {
     return "send token posted, " + std::to_string(message.size()) +
            "B to node " + std::to_string(request.dest);
@@ -96,14 +93,11 @@ void Nic::post_multisend(MultisendRequest request) {
   if (request.dests.empty()) {
     throw std::invalid_argument("post_multisend: empty destination list");
   }
-  consume_send_token(request.port);
   MessageRef message = net::Buffer::take(std::move(request.data));
   const auto fragments = fragment_message(message.size());
-  auto [it, inserted] = pending_ops_.emplace(
-      request.handle,
-      PendingOp{HostEvent::Type::kMultisendComplete, request.port,
-                fragments.size() * request.dests.size(), false});
-  if (!inserted) throw std::logic_error("post_multisend: duplicate handle");
+  open_op("post_multisend", request.port, request.handle,
+          HostEvent::Type::kMultisendComplete,
+          fragments.size() * request.dests.size());
 
   if (options_.multisend_uses_multiple_tokens) {
     // Ablation (paper §5 alternative 1): one full send-token translation
@@ -166,29 +160,16 @@ void Nic::post_multisend(MultisendRequest request) {
 }
 
 void Nic::post_mcast_send(McastSendRequest request) {
-  if (request.port >= ports_.size()) {
-    throw std::out_of_range("post_mcast_send: bad port");
-  }
-  auto it = groups_.find(request.group);
-  if (it == groups_.end()) {
-    throw std::logic_error("post_mcast_send: unknown group");
-  }
-  GroupState& group = it->second;
-  if (group.entry.port != request.port) {
-    throw std::logic_error("post_mcast_send: protection violation — group "
-                           "belongs to another port");
-  }
+  const GroupState& group =
+      owned_group("post_mcast_send", request.port, request.group);
   if (group.entry.parent != kNoNode) {
     throw std::logic_error("post_mcast_send: only the tree root initiates "
                            "a multicast");
   }
-  consume_send_token(request.port);
   MessageRef message = net::Buffer::take(std::move(request.data));
   const auto fragments = fragment_message(message.size());
-  auto [op_it, inserted] = pending_ops_.emplace(
-      request.handle, PendingOp{HostEvent::Type::kMcastSendComplete,
-                                request.port, fragments.size(), false});
-  if (!inserted) throw std::logic_error("post_mcast_send: duplicate handle");
+  open_op("post_mcast_send", request.port, request.handle,
+          HostEvent::Type::kMcastSendComplete, fragments.size());
   trace("mcast", [&] {
     return "mcast send posted grp=" + std::to_string(request.group) + " " +
            std::to_string(message.size()) + "B";
@@ -209,58 +190,47 @@ void Nic::post_mcast_send(McastSendRequest request) {
 
 void Nic::post_barrier(net::PortId port, net::GroupId group,
                        OpHandle handle) {
-  if (port >= ports_.size()) {
-    throw std::out_of_range("post_barrier: bad port");
-  }
-  auto it = groups_.find(group);
-  if (it == groups_.end()) {
-    throw std::logic_error("post_barrier: unknown group");
-  }
-  if (it->second.entry.port != port) {
-    throw std::logic_error("post_barrier: protection violation — group "
-                           "belongs to another port");
-  }
-  if (it->second.barrier.host_posted) {
-    throw std::logic_error("post_barrier: round already entered");
-  }
-  it->second.barrier.host_posted = true;
+  owned_group("post_barrier", port, group).barrier.enter("post_barrier");
   cpu_.run(config_.ack_processing, [this, group, handle] {
-    GroupState& g = groups_.at(group);
-    g.barrier.host_arrived = true;
-    g.barrier.handle = handle;
+    TreeRound& barrier = groups_.at(group).barrier;
+    barrier.host_arrived = true;
+    barrier.handle = handle;
     barrier_check_complete(group);
   });
 }
 
 void Nic::post_reduce(net::PortId port, net::GroupId group, Payload data,
                       OpHandle handle) {
-  if (port >= ports_.size()) {
-    throw std::out_of_range("post_reduce: bad port");
-  }
+  GroupState& state = owned_group("post_reduce", port, group);
   if (data.empty() || data.size() % 8 != 0) {
     throw std::invalid_argument("post_reduce: data must be 8-byte lanes");
   }
-  auto it = groups_.find(group);
-  if (it == groups_.end()) {
-    throw std::logic_error("post_reduce: unknown group");
-  }
-  if (it->second.entry.port != port) {
-    throw std::logic_error("post_reduce: protection violation — group "
-                           "belongs to another port");
-  }
-  if (it->second.reduce.host_posted) {
-    throw std::logic_error("post_reduce: round already entered");
-  }
-  it->second.reduce.host_posted = true;
+  state.reduce.enter("post_reduce");
   // The contribution crosses the PCI bus like any send payload.
   sdma_then(data.size(),
             [this, group, data = net::Buffer::take(std::move(data)), handle] {
-    GroupState& g = groups_.at(group);
+    ReduceRound& reduce = groups_.at(group).reduce;
     reduce_combine(group, data);
-    g.reduce.host_arrived = true;
-    g.reduce.handle = handle;
+    reduce.host_arrived = true;
+    reduce.handle = handle;
     reduce_check_complete(group);
   });
+}
+
+Nic::GroupState& Nic::owned_group(const char* op, net::PortId port,
+                                  net::GroupId group) {
+  if (port >= ports_.size()) {
+    throw std::out_of_range(std::string(op) + ": bad port");
+  }
+  auto it = groups_.find(group);
+  if (it == groups_.end()) {
+    throw std::logic_error(std::string(op) + ": unknown group");
+  }
+  if (it->second.entry.port != port) {
+    throw std::logic_error(std::string(op) + ": protection violation — "
+                           "group belongs to another port");
+  }
+  return it->second;
 }
 
 void Nic::post_recv_buffer(RecvBuffer buffer) {
@@ -293,9 +263,9 @@ void Nic::set_group(net::GroupId group, GroupEntry entry) {
   state.child_next_acked.assign(state.entry.children.size(), 0);
   state.recv_seq = 0;
   state.send_seq = 0;
-  state.barrier = BarrierState{};
+  state.barrier = TreeRound{};
   state.barrier.child_arrived.assign(state.entry.children.size(), false);
-  state.reduce = ReduceState{};
+  state.reduce = ReduceRound{};
   state.reduce.child_arrived.assign(state.entry.children.size(), false);
 }
 
@@ -313,13 +283,9 @@ void Nic::remove_group(net::GroupId group) {
       (it->second.assembly && !it->second.assembly->fully_received())) {
     throw std::logic_error("remove_group: group has traffic in flight");
   }
-  if (it->second.timer) sim_.cancel(*it->second.timer);
-  if (it->second.barrier.resend_timer) {
-    sim_.cancel(*it->second.barrier.resend_timer);
-  }
-  if (it->second.reduce.resend_timer) {
-    sim_.cancel(*it->second.reduce.resend_timer);
-  }
+  sim_.cancel(it->second.timer);
+  sim_.cancel(it->second.barrier.resend_timer);
+  sim_.cancel(it->second.reduce.resend_timer);
   groups_.erase(it);
 }
 
@@ -583,35 +549,46 @@ void Nic::handle_data(const net::Packet& packet) {
                                      packet.header.src,
                                      packet.header.src_port);
   ReceiverConn& conn = receiver_conns_[key];
-  if (packet.header.seq == conn.expected_seq) {
-    if (!ensure_assembly(packet.header.dst_port, conn.assembly, packet)) {
+  if (!accept_in_order(packet.header.dst_port, conn.expected_seq,
+                       conn.assembly, packet, "nic")) {
+    return;
+  }
+  accept_payload(packet.header.dst_port, conn.assembly, packet,
+                 HostEvent::Type::kRecvComplete,
+                 [this] { release_rx_buffer(); });
+}
+
+bool Nic::accept_in_order(net::PortId port, SeqNum& expected,
+                          AssemblyRef& assembly, const net::Packet& packet,
+                          const char* category) {
+  if (packet.header.seq == expected) {
+    if (!ensure_assembly(port, assembly, packet)) {
       // Receiver overrun: no receive token.  Do not ack; Go-back-N at the
       // sender retries until the host posts a buffer.
       ++stats_.no_token_drops;
-      trace("nic",
+      trace(category,
             [&] { return "no recv token, dropping " + packet.describe(); });
-      return;
+      return false;
     }
     if (!acquire_rx_buffer()) {
       // NIC SRAM exhausted: refuse the packet, the sender retries.
       ++stats_.nic_buffer_drops;
-      return;
+      return false;
     }
     if (auditor_) auditor_->on_data_accepted(*this, packet);
-    ++conn.expected_seq;
+    ++expected;
     send_ack(packet, packet.header.seq);
-    conn.assembly->accepted += packet.payload.size();
-    accept_payload(packet.header.dst_port, conn.assembly, packet,
-                   HostEvent::Type::kRecvComplete,
-                   [this] { release_rx_buffer(); });
-  } else if (seq_before(packet.header.seq, conn.expected_seq)) {
+    return true;
+  }
+  if (seq_before(packet.header.seq, expected)) {
     // Duplicate (our ack was lost): re-ack so the sender advances.
     ++stats_.duplicate_drops;
-    send_ack(packet, conn.expected_seq - 1);
+    send_ack(packet, expected - 1);
   } else {
     // Gap: a predecessor was lost.  Drop; Go-back-N resends the window.
     ++stats_.out_of_order_drops;
   }
+  return false;
 }
 
 void Nic::handle_ack(const net::Packet& packet) {
@@ -626,10 +603,7 @@ void Nic::handle_ack(const net::Packet& packet) {
     op_packet_acked(conn.records.front_cold().handle);
     conn.records.pop_front();
   }
-  if (conn.timer) {
-    sim_.cancel(*conn.timer);
-    conn.timer.reset();
-  }
+  sim_.cancel(conn.timer);
   arm_conn_timer(key);
   if (conn.records.empty()) arm_idle_timer(key);
 }
@@ -645,76 +619,55 @@ void Nic::handle_mcast_data(const net::Packet& packet) {
     return;
   }
   GroupState& group = it->second;
-  if (packet.header.seq == group.recv_seq) {
-    if (!ensure_assembly(group.entry.port, group.assembly, packet)) {
-      ++stats_.no_token_drops;
-      trace("mcast",
-            [&] { return "no recv token, dropping " + packet.describe(); });
-      return;
-    }
-    if (!acquire_rx_buffer()) {
-      ++stats_.nic_buffer_drops;
-      return;
-    }
-    if (auditor_) auditor_->on_data_accepted(*this, packet);
-    ++group.recv_seq;
-    send_ack(packet, packet.header.seq);
-    // Staging-buffer release policy (paper §5, "Messages Forwarding"):
-    // chosen = release once the RDMA and every forwarding transmission
-    // finished (the host replica covers retransmissions); naive ablation
-    // (hold_buffers_until_acked) = pin until every child acknowledged.
-    const bool forwards = !group.entry.children.empty();
-    // In the naive ablation a FORWARDED packet's buffer is pinned by its
-    // send record until every child acks; leaves (nothing to forward)
-    // always release at RDMA completion.
-    const bool record_pins = forwards && options_.hold_buffers_until_acked;
-    ReleaseFn rdma_release;
-    ReleaseFn forward_release;
-    if (record_pins) {
-      // Released when the record is pruned; both hooks stay empty.
-    } else if (forwards) {
-      // Shared between the RDMA completion and the last replica's wire
-      // push: each consumer gets its own hook over one counter.
-      auto shares = std::make_shared<int>(2);
-      rdma_release = [this, shares] {
-        if (--*shares == 0) release_rx_buffer();
-      };
-      forward_release = [this, shares] {
-        if (--*shares == 0) release_rx_buffer();
-      };
-    } else {
-      rdma_release = [this] { release_rx_buffer(); };
-    }
-    if (forwards) {
-      // NIC-based forwarding: re-queue towards the children without any
-      // host involvement, per-packet (pipelining across the tree).
-      start_forward(packet.header.group, packet, std::move(forward_release));
-    }
-    group.assembly->accepted += packet.payload.size();
-    accept_payload(group.entry.port, group.assembly, packet,
-                   HostEvent::Type::kMcastRecvComplete,
-                   std::move(rdma_release));
-  } else if (seq_before(packet.header.seq, group.recv_seq)) {
-    ++stats_.duplicate_drops;
-    send_ack(packet, group.recv_seq - 1);
-  } else {
-    ++stats_.out_of_order_drops;
+  if (!accept_in_order(group.entry.port, group.recv_seq, group.assembly,
+                       packet, "mcast")) {
+    return;
   }
+  // Staging-buffer release policy (paper §5, "Messages Forwarding"):
+  // chosen = release once the RDMA and every forwarding transmission
+  // finished (the host replica covers retransmissions); naive ablation
+  // (hold_buffers_until_acked) = pin until every child acknowledged.
+  const bool forwards = !group.entry.children.empty();
+  // In the naive ablation a FORWARDED packet's buffer is pinned by its
+  // send record until every child acks; leaves (nothing to forward)
+  // always release at RDMA completion.
+  const bool record_pins = forwards && options_.hold_buffers_until_acked;
+  ReleaseFn rdma_release;
+  ReleaseFn forward_release;
+  if (record_pins) {
+    // Released when the record is pruned; both hooks stay empty.
+  } else if (forwards) {
+    // Shared between the RDMA completion and the last replica's wire
+    // push: each consumer gets its own hook over one counter.
+    auto shares = std::make_shared<int>(2);
+    rdma_release = [this, shares] {
+      if (--*shares == 0) release_rx_buffer();
+    };
+    forward_release = [this, shares] {
+      if (--*shares == 0) release_rx_buffer();
+    };
+  } else {
+    rdma_release = [this] { release_rx_buffer(); };
+  }
+  if (forwards) {
+    // NIC-based forwarding: re-queue towards the children without any
+    // host involvement, per-packet (pipelining across the tree).
+    start_forward(packet.header.group, packet, std::move(forward_release));
+  }
+  accept_payload(group.entry.port, group.assembly, packet,
+                 HostEvent::Type::kMcastRecvComplete, std::move(rdma_release));
 }
 
 void Nic::handle_mcast_ack(const net::Packet& packet) {
   auto it = groups_.find(packet.header.group);
   if (it == groups_.end()) return;
   GroupState& group = it->second;
-  const auto& children = group.entry.children;
-  const auto child_it =
-      std::find(children.begin(), children.end(), packet.header.src);
-  if (child_it == children.end()) return;  // stale/foreign ack
-  const std::size_t child = child_it - children.begin();
+  const auto child = group.child_slot(packet.header.src);
+  if (!child) return;  // stale/foreign ack
 
   const SeqNum next = packet.header.seq + 1;
-  if (seq_before(group.child_next_acked[child], next)) {
-    group.child_next_acked[child] = next;
+  if (seq_before(group.child_next_acked[*child], next)) {
+    group.child_next_acked[*child] = next;
   }
 
   // Prune records every child has acknowledged.
@@ -730,10 +683,7 @@ void Nic::handle_mcast_ack(const net::Packet& packet) {
     if (front.holds_rx_buffer) release_rx_buffer();
     group.records.pop_front();
   }
-  if (group.timer) {
-    sim_.cancel(*group.timer);
-    group.timer.reset();
-  }
+  sim_.cancel(group.timer);
   arm_group_timer(packet.header.group);
 }
 
@@ -803,10 +753,7 @@ void Nic::handle_ctrl(const net::Packet& packet) {
       if (conn.ctrl != Ctrl::kReset || packet.header.seq != conn.ctrl_seq) {
         return;  // stale ack from an earlier reset attempt
       }
-      if (conn.ctrl_timer) {
-        sim_.cancel(*conn.ctrl_timer);
-        conn.ctrl_timer.reset();
-      }
+      sim_.cancel(conn.ctrl_timer);
       conn.ctrl = Ctrl::kNone;
       if (conn.records.empty()) arm_idle_timer(key);
       break;
@@ -839,9 +786,9 @@ void Nic::handle_ctrl(const net::Packet& packet) {
       // reaching here with traffic would be a protocol bug; re-check anyway
       // rather than erase live state.
       if (!conn.records.empty() || conn.next_seq != conn.ctrl_seq) return;
-      if (conn.timer) sim_.cancel(*conn.timer);
-      if (conn.ctrl_timer) sim_.cancel(*conn.ctrl_timer);
-      if (conn.idle_timer) sim_.cancel(*conn.idle_timer);
+      sim_.cancel(conn.timer);
+      sim_.cancel(conn.ctrl_timer);
+      sim_.cancel(conn.idle_timer);
       ++stats_.conns_reclaimed;
       trace("nic", [&] {
         return "idle conn to node" + std::to_string(conn_peer(key)) +
@@ -925,19 +872,13 @@ void Nic::ctrl_timeout(std::uint64_t key) {
 }
 
 void Nic::conn_activity(std::uint64_t key, SenderConn& conn) {
-  if (conn.idle_timer) {
-    sim_.cancel(*conn.idle_timer);
-    conn.idle_timer.reset();
-  }
+  sim_.cancel(conn.idle_timer);
   if (conn.ctrl == Ctrl::kClose) {
     // The peer may already have erased its receiver state when our
     // CloseReq landed; without a resync it would drop the new seqs as
     // out-of-order forever.  If it has not erased, the reset re-seats it
     // at the seq it already expected — harmless either way.
-    if (conn.ctrl_timer) {
-      sim_.cancel(*conn.ctrl_timer);
-      conn.ctrl_timer.reset();
-    }
+    sim_.cancel(conn.ctrl_timer);
     conn.ctrl = Ctrl::kNone;
     begin_conn_reset(key);
   }
@@ -1007,6 +948,7 @@ void Nic::accept_payload(net::PortId port, AssemblyRef assembly,
   const sim::Duration busy =
       config_.dma_startup +
       sim::transfer_time(packet.payload.size(), config_.host_dma_mbps);
+  assembly->accepted += packet.payload.size();
   rdma_.run(busy, [this, port, assembly = std::move(assembly),
                    payload = packet.payload, header = packet.header,
                    event_type,
@@ -1041,6 +983,46 @@ constexpr std::uint32_t kBarrierArrive = 0;
 constexpr std::uint32_t kBarrierRelease = 1;
 }  // namespace
 
+net::Packet Nic::tree_packet(net::PacketType type, net::GroupId group_id,
+                             const GroupState& group, net::NodeId dst,
+                             SeqNum epoch, std::uint32_t subtype) {
+  net::Packet packet;
+  packet.header.type = type;
+  packet.header.src = id_;
+  packet.header.dst = dst;
+  packet.header.src_port = group.entry.port;
+  packet.header.dst_port = group.entry.port;
+  packet.header.seq = epoch;
+  packet.header.group = group_id;
+  packet.header.msg_offset = subtype;
+  return packet;
+}
+
+void Nic::arm_round_timer(TreeRound& round, net::GroupId group_id,
+                          void (Nic::*on_timeout)(net::GroupId)) {
+  if (round.resend_timer) return;
+  round.resend_timer = sim_.schedule_after(
+      config_.retransmit_timeout,
+      [this, group_id, on_timeout] { (this->*on_timeout)(group_id); });
+}
+
+template <typename Round>
+bool Nic::round_retry(net::GroupId group_id, const GroupState& group,
+                      Round& round, std::uint64_t& resends_stat) {
+  round.resend_timer.reset();
+  if (round.resends < config_.max_retries) {
+    ++round.resends;
+    ++resends_stat;
+    return true;
+  }
+  // The parent is unreachable: fail the host's call and stay aligned with
+  // the tree's round.  host_posted clears, so the host may re-enter.
+  notify_host(group.entry.port, HostEvent::Type::kSendFailed, round.handle,
+              group_id);
+  round.open(round.epoch);
+  return false;
+}
+
 void Nic::handle_barrier(const net::Packet& packet) {
   auto it = groups_.find(packet.header.group);
   if (it == groups_.end()) {
@@ -1049,48 +1031,36 @@ void Nic::handle_barrier(const net::Packet& packet) {
     return;
   }
   GroupState& group = it->second;
-  BarrierState& barrier = group.barrier;
+  TreeRound& barrier = group.barrier;
 
   if (packet.header.msg_offset == kBarrierArrive) {
-    const auto& children = group.entry.children;
-    const auto child_it =
-        std::find(children.begin(), children.end(), packet.header.src);
-    if (child_it == children.end()) return;  // stale/foreign arrive
+    const auto child = group.child_slot(packet.header.src);
+    if (!child) return;  // stale/foreign arrive
     if (packet.header.seq == barrier.epoch) {
-      barrier.child_arrived[child_it - children.begin()] = true;
+      barrier.child_arrived[*child] = true;
       barrier_check_complete(packet.header.group);
     } else if (seq_before(packet.header.seq, barrier.epoch)) {
       // The child missed our release for a past round: re-release it
       // directly (the release is the implicit ack of the arrive).
-      net::PacketHeader header;
-      header.type = net::PacketType::kBarrier;
-      header.src = id_;
-      header.dst = packet.header.src;
-      header.src_port = group.entry.port;
-      header.dst_port = group.entry.port;
-      header.seq = packet.header.seq;
-      header.group = packet.header.group;
-      header.msg_offset = kBarrierRelease;
-      transmit(make_descriptor(net::Packet{header, {}, false}));
+      transmit(make_descriptor(
+          tree_packet(net::PacketType::kBarrier, packet.header.group, group,
+                      packet.header.src, packet.header.seq,
+                      kBarrierRelease)));
     }
     return;
   }
 
   // Release from the parent.
   if (packet.header.seq != barrier.epoch) return;  // duplicate old release
-  barrier_release(packet.header.group, packet.header.seq);
+  barrier_release(packet.header.group);
 }
 
 void Nic::barrier_check_complete(net::GroupId group_id) {
   GroupState& group = groups_.at(group_id);
-  BarrierState& barrier = group.barrier;
-  if (!barrier.host_arrived) return;
-  for (bool arrived : barrier.child_arrived) {
-    if (!arrived) return;
-  }
+  if (!group.barrier.all_arrived()) return;
   if (group.entry.parent == kNoNode) {
     // Root: everyone is in — release the tree.
-    barrier_release(group_id, barrier.epoch);
+    barrier_release(group_id);
   } else {
     barrier_send_arrive(group_id);
   }
@@ -1098,88 +1068,40 @@ void Nic::barrier_check_complete(net::GroupId group_id) {
 
 void Nic::barrier_send_arrive(net::GroupId group_id) {
   GroupState& group = groups_.at(group_id);
-  BarrierState& barrier = group.barrier;
-  net::PacketHeader header;
-  header.type = net::PacketType::kBarrier;
-  header.src = id_;
-  header.dst = group.entry.parent;
-  header.src_port = group.entry.port;
-  header.dst_port = group.entry.port;
-  header.seq = barrier.epoch;
-  header.group = group_id;
-  header.msg_offset = kBarrierArrive;
-  transmit(make_descriptor(net::Packet{header, {}, false}));
-  if (!barrier.resend_timer) {
-    barrier.resend_timer = sim_.schedule_after(
-        config_.retransmit_timeout,
-        [this, group_id] { barrier_resend_timeout(group_id); });
-  }
+  transmit(make_descriptor(
+      tree_packet(net::PacketType::kBarrier, group_id, group,
+                  group.entry.parent, group.barrier.epoch, kBarrierArrive)));
+  arm_round_timer(group.barrier, group_id, &Nic::barrier_resend_timeout);
 }
 
 void Nic::barrier_resend_timeout(net::GroupId group_id) {
   GroupState& group = groups_.at(group_id);
-  BarrierState& barrier = group.barrier;
-  barrier.resend_timer.reset();
   // The release advances the epoch and cancels the timer; if we are here
   // the round is still pending — the arrive (or the release) was lost.
-  if (barrier.resends >= config_.max_retries) {
-    // The parent is unreachable: fail the host's barrier call.
-    HostEvent event;
-    event.type = HostEvent::Type::kSendFailed;
-    event.handle = barrier.handle;
-    event.group = group_id;
-    deliver_event(group.entry.port, std::move(event));
-    const SeqNum stuck_epoch = barrier.epoch;
-    barrier = BarrierState{};
-    barrier.epoch = stuck_epoch;  // stay aligned with the tree's round
-    // host_posted stays false: the host may re-enter after the failure.
-    barrier.child_arrived.assign(group.entry.children.size(), false);
-    return;
+  if (round_retry(group_id, group, group.barrier, stats_.barrier_resends)) {
+    barrier_send_arrive(group_id);
   }
-  ++barrier.resends;
-  ++stats_.barrier_resends;
-  barrier_send_arrive(group_id);
 }
 
-void Nic::barrier_release(net::GroupId group_id, SeqNum epoch) {
+void Nic::barrier_release(net::GroupId group_id) {
   GroupState& group = groups_.at(group_id);
-  BarrierState& barrier = group.barrier;
-  if (barrier.resend_timer) {
-    sim_.cancel(*barrier.resend_timer);
-    barrier.resend_timer.reset();
-  }
+  TreeRound& barrier = group.barrier;
+  const SeqNum epoch = barrier.epoch;
+  sim_.cancel(barrier.resend_timer);
   ++stats_.barriers_completed;
-  HostEvent event;
-  event.type = HostEvent::Type::kBarrierDone;
-  event.handle = barrier.handle;
-  event.group = group_id;
-  deliver_event(group.entry.port, std::move(event));
-
-  // Next round.
-  barrier.epoch = epoch + 1;
-  barrier.host_posted = false;
-  barrier.host_arrived = false;
-  barrier.handle = 0;
-  barrier.resends = 0;
-  std::fill(barrier.child_arrived.begin(), barrier.child_arrived.end(),
-            false);
+  notify_host(group.entry.port, HostEvent::Type::kBarrierDone, barrier.handle,
+              group_id);
+  barrier.open(epoch + 1);
 
   // Propagate the release down the tree (tiny control packets; children
   // that miss it will keep re-arriving and get a direct re-release).
   if (group.entry.children.empty()) return;
-  net::PacketHeader header;
-  header.type = net::PacketType::kBarrier;
-  header.src = id_;
-  header.src_port = group.entry.port;
-  header.dst_port = group.entry.port;
-  header.seq = epoch;
-  header.group = group_id;
-  header.msg_offset = kBarrierRelease;
-  start_replica_chain(make_descriptor(net::Packet{header, {}, false}),
-                      group.entry.children,
-                      [](net::Packet& p, net::NodeId dest) {
-                        p.header.dst = dest;
-                      });
+  start_replica_chain(
+      make_descriptor(tree_packet(net::PacketType::kBarrier, group_id, group,
+                                  group.entry.children.front(), epoch,
+                                  kBarrierRelease)),
+      group.entry.children,
+      [](net::Packet& p, net::NodeId dest) { p.header.dst = dest; });
 }
 
 // ---------------------------------------------------------------------------
@@ -1188,8 +1110,7 @@ void Nic::barrier_release(net::GroupId group_id, SeqNum epoch) {
 
 void Nic::reduce_combine(net::GroupId group_id,
                          const net::Buffer& contribution) {
-  GroupState& group = groups_.at(group_id);
-  ReduceState& reduce = group.reduce;
+  ReduceRound& reduce = groups_.at(group_id).reduce;
   if (reduce.accumulator.empty()) {
     // The accumulator is the one mutable payload in the NIC: it must own
     // its bytes, so the first contribution is copied out of the shared
@@ -1226,48 +1147,32 @@ void Nic::handle_reduce(const net::Packet& packet) {
   auto it = groups_.find(packet.header.group);
   if (it == groups_.end()) return;  // not installed yet; child resends
   GroupState& group = it->second;
-  ReduceState& reduce = group.reduce;
-  const auto& children = group.entry.children;
-  const auto child_it =
-      std::find(children.begin(), children.end(), packet.header.src);
-  if (child_it == children.end()) return;
-  const std::size_t child = child_it - children.begin();
-
-  auto ack_child = [&](SeqNum epoch) {
-    net::PacketHeader header;
-    header.type = net::PacketType::kReduceAck;
-    header.src = id_;
-    header.dst = packet.header.src;
-    header.src_port = group.entry.port;
-    header.dst_port = group.entry.port;
-    header.seq = epoch;
-    header.group = packet.header.group;
-    transmit(make_descriptor(net::Packet{header, {}, false}));
-  };
+  ReduceRound& reduce = group.reduce;
+  const auto child = group.child_slot(packet.header.src);
+  if (!child) return;
 
   if (packet.header.seq == reduce.epoch) {
-    if (!reduce.child_arrived[child]) {
-      reduce.child_arrived[child] = true;
+    if (!reduce.child_arrived[*child]) {
+      reduce.child_arrived[*child] = true;
       reduce_combine(packet.header.group, packet.payload);
       reduce_check_complete(packet.header.group);
     }
-    ack_child(packet.header.seq);
-  } else if (seq_before(packet.header.seq, reduce.epoch)) {
-    // Duplicate from a completed round (our ack was lost): re-ack, never
-    // re-combine.
-    ack_child(packet.header.seq);
+  } else if (!seq_before(packet.header.seq, reduce.epoch)) {
+    // Future epochs are impossible unless our own round lags; ignore — the
+    // child's resend recovers once we catch up.
+    return;
   }
-  // Future epochs are impossible unless our own round lags; ignore — the
-  // child's resend recovers once we catch up.
+  // A duplicate from a completed round (our ack was lost) is re-acked,
+  // never re-combined.
+  transmit(make_descriptor(tree_packet(net::PacketType::kReduceAck,
+                                       packet.header.group, group,
+                                       packet.header.src, packet.header.seq)));
 }
 
 void Nic::reduce_check_complete(net::GroupId group_id) {
   GroupState& group = groups_.at(group_id);
-  ReduceState& reduce = group.reduce;
-  if (!reduce.host_arrived || reduce.sent_up) return;
-  for (bool arrived : reduce.child_arrived) {
-    if (!arrived) return;
-  }
+  ReduceRound& reduce = group.reduce;
+  if (reduce.sent_up || !reduce.all_arrived()) return;
   if (group.entry.parent == kNoNode) {
     // Root: the accumulator is the cluster-wide sum.
     HostEvent event;
@@ -1282,15 +1187,7 @@ void Nic::reduce_check_complete(net::GroupId group_id) {
     rdma_.run(busy, [this, group_id, event = std::move(event)]() mutable {
       GroupState& g = groups_.at(group_id);
       deliver_event(g.entry.port, std::move(event));
-      ReduceState& r = g.reduce;
-      r.epoch += 1;
-      r.host_posted = false;
-      r.host_arrived = false;
-      r.handle = 0;
-      r.sent_up = false;
-      r.resends = 0;
-      r.accumulator.clear();
-      std::fill(r.child_arrived.begin(), r.child_arrived.end(), false);
+      g.reduce.open(g.reduce.epoch + 1);
     });
     return;
   }
@@ -1300,75 +1197,40 @@ void Nic::reduce_check_complete(net::GroupId group_id) {
 
 void Nic::reduce_send_up(net::GroupId group_id) {
   GroupState& group = groups_.at(group_id);
-  ReduceState& reduce = group.reduce;
-  net::PacketHeader header;
-  header.type = net::PacketType::kReduce;
-  header.src = id_;
-  header.dst = group.entry.parent;
-  header.src_port = group.entry.port;
-  header.dst_port = group.entry.port;
-  header.seq = reduce.epoch;
-  header.group = group_id;
-  header.msg_length = static_cast<std::uint32_t>(reduce.accumulator.size());
-  net::Packet packet;
-  packet.header = header;
+  ReduceRound& reduce = group.reduce;
+  net::Packet packet = tree_packet(net::PacketType::kReduce, group_id, group,
+                                   group.entry.parent, reduce.epoch);
+  packet.header.msg_length =
+      static_cast<std::uint32_t>(reduce.accumulator.size());
   // The accumulator keeps mutating after this send (later contributions
   // and the next round), so the wire snapshot must be a copy.
   packet.payload = net::Buffer::copy_of(reduce.accumulator);
   stats_.payload_bytes_copied += reduce.accumulator.size();
   transmit(make_descriptor(std::move(packet)));
-  if (!reduce.resend_timer) {
-    reduce.resend_timer = sim_.schedule_after(
-        config_.retransmit_timeout,
-        [this, group_id] { reduce_resend_timeout(group_id); });
-  }
+  arm_round_timer(reduce, group_id, &Nic::reduce_resend_timeout);
 }
 
 void Nic::reduce_resend_timeout(net::GroupId group_id) {
   GroupState& group = groups_.at(group_id);
-  ReduceState& reduce = group.reduce;
-  reduce.resend_timer.reset();
-  if (!reduce.sent_up) return;  // acked meanwhile
-  if (reduce.resends >= config_.max_retries) {
-    HostEvent event;
-    event.type = HostEvent::Type::kSendFailed;
-    event.handle = reduce.handle;
-    event.group = group_id;
-    deliver_event(group.entry.port, std::move(event));
-    const SeqNum stuck = reduce.epoch;
-    reduce = ReduceState{};
-    reduce.epoch = stuck;
-    reduce.child_arrived.assign(group.entry.children.size(), false);
+  if (!group.reduce.sent_up) {  // acked meanwhile
+    group.reduce.resend_timer.reset();
     return;
   }
-  ++reduce.resends;
-  ++stats_.reduce_resends;
-  reduce_send_up(group_id);
+  if (round_retry(group_id, group, group.reduce, stats_.reduce_resends)) {
+    reduce_send_up(group_id);
+  }
 }
 
 void Nic::handle_reduce_ack(const net::Packet& packet) {
   auto it = groups_.find(packet.header.group);
   if (it == groups_.end()) return;
   GroupState& group = it->second;
-  ReduceState& reduce = group.reduce;
+  ReduceRound& reduce = group.reduce;
   if (packet.header.seq != reduce.epoch || !reduce.sent_up) return;
-  if (reduce.resend_timer) {
-    sim_.cancel(*reduce.resend_timer);
-    reduce.resend_timer.reset();
-  }
-  HostEvent event;
-  event.type = HostEvent::Type::kSendComplete;
-  event.handle = reduce.handle;
-  event.group = packet.header.group;
-  deliver_event(group.entry.port, std::move(event));
-  reduce.epoch += 1;
-  reduce.host_posted = false;
-  reduce.host_arrived = false;
-  reduce.handle = 0;
-  reduce.sent_up = false;
-  reduce.resends = 0;
-  reduce.accumulator.clear();
-  std::fill(reduce.child_arrived.begin(), reduce.child_arrived.end(), false);
+  sim_.cancel(reduce.resend_timer);
+  notify_host(group.entry.port, HostEvent::Type::kSendComplete, reduce.handle,
+              packet.header.group);
+  reduce.open(reduce.epoch + 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -1464,10 +1326,9 @@ void Nic::begin_forward_chain(net::GroupId group_id,
 void Nic::arm_conn_timer(std::uint64_t key) {
   SenderConn& conn = sender_conns_[key];
   if (conn.timer || conn.records.empty()) return;
-  const sim::TimePoint deadline =
-      std::max(conn.records.front_sent_at() + config_.retransmit_timeout,
-               sim_.now());
-  conn.timer = sim_.schedule_at(deadline, [this, key] { conn_timeout(key); });
+  conn.timer = sim_.schedule_at(
+      conn.records.deadline(config_.retransmit_timeout, sim_.now()),
+      [this, key] { conn_timeout(key); });
 }
 
 void Nic::conn_timeout(std::uint64_t key) {
@@ -1475,10 +1336,7 @@ void Nic::conn_timeout(std::uint64_t key) {
   conn.timer.reset();
   if (conn.records.empty()) return;
 
-  // The front record may have been (re-)stamped with a later wire time
-  // after this timer was armed; fire only when genuinely overdue.
-  if (sim_.now() - conn.records.front_sent_at() <
-      config_.retransmit_timeout) {
+  if (!conn.records.overdue(config_.retransmit_timeout, sim_.now())) {
     arm_conn_timer(key);
     return;
   }
@@ -1516,11 +1374,9 @@ void Nic::conn_timeout(std::uint64_t key) {
 void Nic::arm_group_timer(net::GroupId group_id) {
   GroupState& group = groups_.at(group_id);
   if (group.timer || group.records.empty()) return;
-  const sim::TimePoint deadline =
-      std::max(group.records.front_sent_at() + config_.retransmit_timeout,
-               sim_.now());
   group.timer = sim_.schedule_at(
-      deadline, [this, group_id] { group_timeout(group_id); });
+      group.records.deadline(config_.retransmit_timeout, sim_.now()),
+      [this, group_id] { group_timeout(group_id); });
 }
 
 void Nic::group_timeout(net::GroupId group_id) {
@@ -1528,8 +1384,7 @@ void Nic::group_timeout(net::GroupId group_id) {
   group.timer.reset();
   if (group.records.empty()) return;
 
-  if (sim_.now() - group.records.front_sent_at() <
-      config_.retransmit_timeout) {
+  if (!group.records.overdue(config_.retransmit_timeout, sim_.now())) {
     arm_group_timer(group_id);
     return;
   }
@@ -1577,12 +1432,9 @@ void Nic::fail_operation(OpHandle handle) {
   auto it = pending_ops_.find(handle);
   if (it == pending_ops_.end()) return;
   const net::PortId port = it->second.port;
-  HostEvent event;
-  event.type = HostEvent::Type::kSendFailed;
-  event.handle = handle;
   pending_ops_.erase(it);
   release_send_token(port);
-  deliver_event(port, std::move(event));
+  notify_host(port, HostEvent::Type::kSendFailed, handle);
 }
 
 // ---------------------------------------------------------------------------
@@ -1593,12 +1445,28 @@ void Nic::op_packet_acked(OpHandle handle) {
   auto it = pending_ops_.find(handle);
   if (it == pending_ops_.end()) return;  // already failed
   if (--it->second.remaining > 0) return;
-  HostEvent event;
-  event.type = it->second.complete_type;
-  event.handle = handle;
+  const HostEvent::Type type = it->second.complete_type;
   const net::PortId port = it->second.port;
   pending_ops_.erase(it);
   release_send_token(port);
+  notify_host(port, type, handle);
+}
+
+void Nic::open_op(const char* op, net::PortId port, OpHandle handle,
+                  HostEvent::Type complete_type, std::uint64_t packets) {
+  consume_send_token(port);
+  if (!pending_ops_.emplace(handle, PendingOp{complete_type, port, packets})
+           .second) {
+    throw std::logic_error(std::string(op) + ": duplicate handle");
+  }
+}
+
+void Nic::notify_host(net::PortId port, HostEvent::Type type,
+                      OpHandle handle, net::GroupId group) {
+  HostEvent event;
+  event.type = type;
+  event.handle = handle;
+  event.group = group;
   deliver_event(port, std::move(event));
 }
 

@@ -20,11 +20,14 @@
 // the rejected alternative for the ablation study.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "net/network.hpp"
@@ -246,39 +249,61 @@ class Nic final : public net::PacketSink {
     bool holds_rx_buffer = false;
   };
 
-  // NIC-level barrier state (extension; paper §7 / Buntinas et al.'s
-  // "Fast NIC-Level Barrier").  A round completes at a node when its host
-  // has arrived AND every child's arrive was seen; then the node reports
-  // up (arrive to parent) or, at the root, releases down the tree.
-  // Reliability: a non-root resends its arrive every timeout until it
-  // sees the release (the release is the implicit ack); a parent answers
-  // stale arrives for past epochs with an immediate re-release.
-  struct BarrierState {
-    SeqNum epoch = 0;                 // current (not yet released) round
+  // One round of a NIC-level tree collective (extension; paper §7): the
+  // barrier (Buntinas et al.'s "Fast NIC-Level Barrier") and the reduction.
+  // A round completes at a node when its host has arrived AND every child's
+  // packet for the round was seen; then a non-root reports up to its parent
+  // and resends the report every timeout until the parent acknowledges it.
+  // The barrier's release is the implicit ack, and a parent answers a stale
+  // arrive from a past epoch with an immediate re-release; the reduction
+  // sends an explicit kReduceAck.  After max_retries the host's call fails
+  // and the round restarts at the same epoch.
+  struct TreeRound {
+    SeqNum epoch = 0;                 // current (not yet completed) round
     std::vector<bool> child_arrived;  // indexed like entry.children
     bool host_posted = false;         // set synchronously at post time
     bool host_arrived = false;
     OpHandle handle = 0;              // host completion cookie
     std::optional<sim::EventId> resend_timer;
     std::uint32_t resends = 0;
+
+    /// Marks the host's entry into the round; throws on a second entry.
+    void enter(const char* op) {
+      if (host_posted) {
+        throw std::logic_error(std::string(op) + ": round already entered");
+      }
+      host_posted = true;
+    }
+    [[nodiscard]] bool all_arrived() const {
+      return host_arrived && std::find(child_arrived.begin(),
+                                       child_arrived.end(),
+                                       false) == child_arrived.end();
+    }
+    /// Starts round `next`: the host may enter again and no child has
+    /// arrived.  The resend timer must already be disarmed.
+    void open(SeqNum next) {
+      epoch = next;
+      host_posted = false;
+      host_arrived = false;
+      handle = 0;
+      resends = 0;
+      std::fill(child_arrived.begin(), child_arrived.end(), false);
+    }
   };
 
-  // NIC-level reduction state (extension).  Contributions are combined
-  // lane-wise on the LANai as they arrive; the partial sum travels up the
-  // tree once the local host and every child have contributed.
-  // Reliability mirrors the barrier: the upward packet is resent until the
-  // parent's explicit kReduceAck; duplicates of already-absorbed
-  // contributions are re-acked without re-combining.
-  struct ReduceState {
-    SeqNum epoch = 0;
-    std::vector<bool> child_arrived;
-    bool host_posted = false;   // synchronous double-entry guard
-    bool host_arrived = false;
-    Payload accumulator;        // lane-wise sum of everything absorbed
-    OpHandle handle = 0;
+  // The reduction folds contributions lane-wise on the LANai as they
+  // arrive; the partial sum travels up once the round is complete.
+  // Duplicates of already-absorbed contributions are re-acked without
+  // re-combining.
+  struct ReduceRound : TreeRound {
+    Payload accumulator;  // lane-wise sum of everything absorbed
     bool sent_up = false;
-    std::optional<sim::EventId> resend_timer;
-    std::uint32_t resends = 0;
+
+    void open(SeqNum next) {
+      TreeRound::open(next);
+      accumulator.clear();
+      sent_up = false;
+    }
   };
 
   struct GroupState {
@@ -289,8 +314,18 @@ class Nic final : public net::PacketSink {
     SendWindow<GroupRecord> records;  // pooled hot/cold, same as SenderConn
     AssemblyRef assembly;
     std::optional<sim::EventId> timer;
-    BarrierState barrier;
-    ReduceState reduce;
+    TreeRound barrier;
+    ReduceRound reduce;
+
+    /// Index of `node` in entry.children; nullopt for a stale or foreign
+    /// packet.
+    [[nodiscard]] std::optional<std::size_t> child_slot(
+        net::NodeId node) const {
+      const auto& children = entry.children;
+      const auto it = std::find(children.begin(), children.end(), node);
+      if (it == children.end()) return std::nullopt;
+      return static_cast<std::size_t>(it - children.begin());
+    }
   };
 
   // -- Operation completion accounting --
@@ -299,7 +334,6 @@ class Nic final : public net::PacketSink {
     HostEvent::Type complete_type = HostEvent::Type::kSendComplete;
     net::PortId port = 0;
     std::uint64_t remaining = 0;  // packet-destination acks outstanding
-    bool failed = false;
   };
 
   struct Port {
@@ -377,12 +411,38 @@ class Nic final : public net::PacketSink {
   void handle_ack(const net::Packet& packet);
   void handle_mcast_data(const net::Packet& packet);
   void handle_mcast_ack(const net::Packet& packet);
+  // GM's Go-back-N receive rule, for connections and groups alike: the
+  // `expected` seq is accepted (claim a receive buffer, then a NIC staging
+  // buffer, audit, advance, ack), a duplicate is re-acked and a gap is
+  // dropped.  Returns true when `packet` was accepted into `assembly`; the
+  // caller then owns one staging buffer.
+  bool accept_in_order(net::PortId port, SeqNum& expected,
+                       AssemblyRef& assembly, const net::Packet& packet,
+                       const char* category);
+
+  // -- NIC-level tree rounds: barrier and reduction --
+  /// The group `port` may post `op` on: the port exists, the group is
+  /// installed and the port owns it.
+  GroupState& owned_group(const char* op, net::PortId port,
+                          net::GroupId group);
+  /// A control packet of `group_id`'s tree towards `dst` for round `epoch`.
+  net::Packet tree_packet(net::PacketType type, net::GroupId group_id,
+                          const GroupState& group, net::NodeId dst,
+                          SeqNum epoch, std::uint32_t subtype = 0);
+  void arm_round_timer(TreeRound& round, net::GroupId group_id,
+                       void (Nic::*on_timeout)(net::GroupId));
+  /// A round's resend timer fired.  Returns true, counting the resend in
+  /// `resends_stat`, when the caller should resend; after max_retries fails
+  /// the host's call and restarts the round at the same epoch instead.
+  template <typename Round>
+  bool round_retry(net::GroupId group_id, const GroupState& group,
+                   Round& round, std::uint64_t& resends_stat);
 
   // -- NIC-level barrier --
   void handle_barrier(const net::Packet& packet);
   void barrier_check_complete(net::GroupId group_id);
   void barrier_send_arrive(net::GroupId group_id);
-  void barrier_release(net::GroupId group_id, SeqNum epoch);
+  void barrier_release(net::GroupId group_id);
   void barrier_resend_timeout(net::GroupId group_id);
 
   // -- NIC-level reduction --
@@ -398,6 +458,7 @@ class Nic final : public net::PacketSink {
   // when no fitting buffer is posted (receiver overrun).
   bool ensure_assembly(net::PortId port, AssemblyRef& slot,
                        const net::Packet& packet);
+  // Counts `packet` as accepted into `assembly` and RDMAs it to the host.
   // `on_rdma_done` (optional) fires when this packet's RDMA completes —
   // used to return the NIC staging buffer.
   void accept_payload(net::PortId port, AssemblyRef assembly,
@@ -426,7 +487,14 @@ class Nic final : public net::PacketSink {
   void fail_operation(OpHandle handle);
 
   // -- Completion --
+  /// Takes a send token and records operation `handle`, complete once
+  /// `packets` packet-destination acks arrive; throws on a duplicate handle.
+  void open_op(const char* op, net::PortId port, OpHandle handle,
+               HostEvent::Type complete_type, std::uint64_t packets);
   void op_packet_acked(OpHandle handle);
+  /// Delivers a completion that carries no payload.
+  void notify_host(net::PortId port, HostEvent::Type type, OpHandle handle,
+                   net::GroupId group = net::kNoGroup);
   void deliver_event(net::PortId port, HostEvent event);
 
   /// The record of `port`, created on first use; throws std::out_of_range

@@ -64,6 +64,19 @@ class SendWindow {
   [[nodiscard]] Cold& cold(std::size_t i) { return cold_[i]; }
   [[nodiscard]] const Cold& cold(std::size_t i) const { return cold_[i]; }
 
+  /// When the front record times out, never in the past.  Precondition:
+  /// !empty().
+  [[nodiscard]] sim::TimePoint deadline(sim::Duration timeout,
+                                        sim::TimePoint now) const {
+    return std::max(front_sent_at() + timeout, now);
+  }
+  /// True when the front record is genuinely overdue: it may have been
+  /// re-stamped with a later wire time after its timer was armed.
+  /// Precondition: !empty().
+  [[nodiscard]] bool overdue(sim::Duration timeout, sim::TimePoint now) const {
+    return now - front_sent_at() >= timeout;
+  }
+
   /// Timers measure from the wire, not from record creation: re-stamps the
   /// newest record with its true injection time.
   void stamp_back(sim::TimePoint sent_at) { hot_.back().sent_at = sent_at; }

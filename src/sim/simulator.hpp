@@ -7,6 +7,7 @@
 
 #include <deque>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -65,6 +66,11 @@ class Simulator {
     return queue_.schedule(now_ + delay, std::move(action));
   }
   bool cancel(EventId id) { return queue_.cancel(id); }
+  /// Cancels `timer` if it is armed, then forgets it.
+  void cancel(std::optional<EventId>& timer) {
+    if (timer) queue_.cancel(*timer);
+    timer.reset();
+  }
 
   // ---- Coroutine integration ----
 

@@ -104,42 +104,4 @@ class Series {
   mutable bool sorted_stale_ = true;
 };
 
-/// Fixed-width histogram over [lo, hi); out-of-range samples clamp to the
-/// edge buckets.  Used by reliability benches to show retransmission counts.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets)
-      : lo_(lo), hi_(hi), counts_(buckets, 0) {
-    if (buckets == 0 || !(lo < hi)) {
-      throw std::invalid_argument("Histogram: bad range");
-    }
-  }
-
-  void add(double x) {
-    const double t = (x - lo_) / (hi_ - lo_);
-    auto idx = static_cast<std::ptrdiff_t>(
-        t * static_cast<double>(counts_.size()));
-    idx = std::clamp<std::ptrdiff_t>(
-        idx, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-    ++counts_[static_cast<std::size_t>(idx)];
-    ++total_;
-  }
-
-  [[nodiscard]] std::size_t bucket_count() const { return counts_.size(); }
-  [[nodiscard]] std::uint64_t bucket(std::size_t i) const {
-    return counts_.at(i);
-  }
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-  [[nodiscard]] double bucket_low(std::size_t i) const {
-    return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                     static_cast<double>(counts_.size());
-  }
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
-
 }  // namespace nicmcast::sim

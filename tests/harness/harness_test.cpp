@@ -177,6 +177,28 @@ TEST(Runners, SkewBcastReportsNicTotals) {
   EXPECT_GT(r.metric("avg_bcast_cpu_us"), 0.0);
 }
 
+TEST(Runners, BarrierAndAllreduceHonourSpecFaults) {
+  // Both families install the spec's fault model like every other runner:
+  // under 5% loss each recovers by resending and still completes.
+  for (const Experiment experiment :
+       {Experiment::kBarrier, Experiment::kAllreduce}) {
+    for (const Algo algo : {Algo::kNicBased, Algo::kHostBased}) {
+      RunSpec spec;
+      spec.experiment = experiment;
+      spec.algo = algo;
+      spec.nodes = 16;
+      spec.loss_rate = 0.05;
+      spec.seed = 3;
+      spec.iterations = 10;
+      const RunResult r = run_one(spec);
+      const nic::NicStats& nic = r.nic_totals;
+      EXPECT_GT(nic.retransmissions + nic.barrier_resends + nic.reduce_resends,
+                0u)
+          << to_string(experiment) << " " << to_string(algo);
+    }
+  }
+}
+
 TEST(Runners, GmMcastDeliversBitExactPayloads) {
   RunSpec spec;
   spec.experiment = Experiment::kGmMulticast;

@@ -2,6 +2,8 @@
 // epochs, skewed arrivals, loss of arrives and releases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "nic_test_util.hpp"
 
 namespace nicmcast::nic {
@@ -196,9 +198,10 @@ TEST(NicBarrier, UnreachableParentFailsAfterRetries) {
   config.max_retries = 3;
   TestCluster c(4, config);
   setup_tree(c);
+  // Node 3's first arrive and all three resends are lost.
   auto faults = std::make_unique<net::ScriptedFaults>();
-  faults->add_rule({.type = net::PacketType::kBarrier}, net::FaultAction::kDrop,
-                   100000);
+  faults->add_rule({.type = net::PacketType::kBarrier, .src = 3},
+                   net::FaultAction::kDrop, 4);
   c.network.set_fault_injector(std::move(faults));
   for (net::NodeId n = 0; n < 4; ++n) {
     c.nic(n).post_barrier(0, kGroup, 100 + n);
@@ -207,6 +210,25 @@ TEST(NicBarrier, UnreachableParentFailsAfterRetries) {
   const auto evs = barrier_events(c, 3);
   ASSERT_EQ(evs.size(), 1u);
   EXPECT_EQ(evs[0].type, HostEvent::Type::kSendFailed);
+  EXPECT_EQ(evs[0].handle, 103u);
+  EXPECT_EQ(c.nic(3).stats().barrier_resends, 3u);
+
+  // The give-up restarted the round at the same epoch: node 3 re-enters
+  // and every node is released exactly once.  (Node 2, whose arrive the
+  // stalled root could not answer, gave up too but is still released.)
+  c.nic(3).post_barrier(0, kGroup, 203);
+  c.sim.run();
+  for (std::size_t n = 0; n < 4; ++n) {
+    const auto events = c.drain_events(n);
+    EXPECT_EQ(std::count_if(events.begin(), events.end(),
+                            [](const HostEvent& ev) {
+                              return ev.type ==
+                                     HostEvent::Type::kBarrierDone;
+                            }),
+              1)
+        << "node " << n;
+    EXPECT_EQ(c.nic(n).stats().barriers_completed, 1u) << "node " << n;
+  }
 }
 
 TEST(NicBarrier, WideFlatTree) {

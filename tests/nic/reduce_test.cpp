@@ -169,6 +169,43 @@ TEST(NicReduce, LostAckDoesNotDoubleCount) {
   EXPECT_EQ(sum, (std::vector<std::int64_t>{10}));
 }
 
+TEST(NicReduce, UnreachableParentFailsAfterRetries) {
+  NicConfig config;
+  config.retransmit_timeout = sim::usec(100);
+  config.max_retries = 3;
+  TestCluster c(4, config);
+  setup_tree(c);
+  // Node 3's first contribution and all three resends are lost.
+  auto faults = std::make_unique<net::ScriptedFaults>();
+  faults->add_rule({.type = net::PacketType::kReduce, .src = 3},
+                   net::FaultAction::kDrop, 4);
+  c.network.set_fault_injector(std::move(faults));
+  for (net::NodeId n = 0; n < 4; ++n) {
+    c.nic(n).post_reduce(0, kGroup, encode({n + 1}), 100 + n);
+  }
+  c.sim.run();
+  std::vector<HostEvent> failed;
+  for (auto& ev : c.drain_events(3)) {
+    if (ev.type == HostEvent::Type::kSendFailed) failed.push_back(ev);
+  }
+  ASSERT_EQ(failed.size(), 1u);
+  EXPECT_EQ(failed[0].handle, 103u);
+  EXPECT_EQ(c.nic(3).stats().reduce_resends, 3u);
+
+  // The give-up restarted the round at the same epoch: node 3 contributes
+  // again and the root's sum holds every contribution once.
+  c.nic(3).post_reduce(0, kGroup, encode({4}), 203);
+  c.sim.run();
+  std::vector<std::vector<std::int64_t>> sums;
+  for (auto& ev : c.drain_events(0)) {
+    if (ev.type == HostEvent::Type::kReduceDone) {
+      sums.push_back(decode(ev.data));
+    }
+  }
+  ASSERT_EQ(sums.size(), 1u);
+  EXPECT_EQ(sums[0], (std::vector<std::int64_t>{10}));
+}
+
 TEST(NicReduce, RandomLossStress) {
   NicConfig config;
   config.retransmit_timeout = sim::usec(150);

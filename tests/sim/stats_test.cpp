@@ -112,31 +112,5 @@ TEST(Series, UnsortedInputHandled) {
   EXPECT_DOUBLE_EQ(s.max(), 5.0);
 }
 
-TEST(Histogram, BucketsAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);    // bucket 0
-  h.add(3.0);    // bucket 1
-  h.add(9.99);   // bucket 4
-  h.add(-5.0);   // clamps to bucket 0
-  h.add(100.0);  // clamps to bucket 4
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.bucket(0), 2u);
-  EXPECT_EQ(h.bucket(1), 1u);
-  EXPECT_EQ(h.bucket(2), 0u);
-  EXPECT_EQ(h.bucket(4), 2u);
-}
-
-TEST(Histogram, BucketLowEdges) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_DOUBLE_EQ(h.bucket_low(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bucket_low(4), 8.0);
-}
-
-TEST(Histogram, InvalidConstructionThrows) {
-  EXPECT_THROW(Histogram(0.0, 10.0, 0), std::invalid_argument);
-  EXPECT_THROW(Histogram(10.0, 0.0, 5), std::invalid_argument);
-  EXPECT_THROW(Histogram(5.0, 5.0, 5), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace nicmcast::sim
