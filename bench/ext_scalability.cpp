@@ -2,7 +2,7 @@
 // memory and processor resources at the NIC, which promises good
 // scalability"; GM "can support clusters of over 10,000 nodes").
 //
-// Two phases:
+// Four phases:
 //  1. the latency sweep: GM-level multicast from 8 to 128 nodes on radix-16
 //     Clos fabrics — NIC-based improvement factor, tree shapes, NIC barrier
 //     vs host dissemination barrier;
@@ -15,7 +15,13 @@
 //     the sweep with --max-nodes to stay fast; the larger points document
 //     wall clock and memory.  A full all-pairs route table at 4096 nodes
 //     would hold 4096*4095 routes; the engine's routes_materialized counter
-//     in the JSON shows what the lazy RouteTable actually computed.
+//     in the JSON shows what the lazy RouteTable actually computed;
+//  3. the sharded sweep ("pshard-*"): gm_mcast from 512 to 65536 endpoints
+//     at 1-8 shards;
+//  4. the multisend sweep ("msend-*"): the paper's flat multisend, the
+//     other family the sharded fabric runs, from 512 to 65536 endpoints.
+//     The host layers (MPI_Bcast, skew, the NIC barrier) run on the
+//     classic stack only and have no sharded points.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -180,8 +186,8 @@ RunSpec pshard_spec(const BenchOptions& options, std::size_t nodes,
   return spec;
 }
 
-/// One migrated-coroutine-family point: the paper's flat NIC-based
-/// multisend (Fig. 3's star, no forwarding) on a radix-16 Clos.
+/// One multisend point: the paper's flat NIC-based multisend (Fig. 3's
+/// star, no forwarding) on a radix-16 Clos.
 /// shards == 1 dispatches to the classic gm::Cluster coroutine stack, the
 /// bit-identical baseline.
 RunSpec msend_spec(const BenchOptions& options, std::size_t nodes,
@@ -357,14 +363,14 @@ void run(const BenchOptions& options) {
                   results);
 
   print_header(
-      "Extension — migrated-family sharded sweep (flat multisend, 512 -> "
+      "Extension — multisend sharded sweep (flat multisend, 512 -> "
       "65536-node Clos)",
-      "The coroutine experiment families on the conservative-PDES fabric "
+      "The second family the conservative-PDES fabric runs, after gm_mcast "
       "(DESIGN.md 4.6): s1 = the gm::Cluster stack, s>1 = the sharded "
       "fabric.");
   // The msend-512 s1/s4 pair is CI-pinned like the pshard pair.  16384 and
-  // 65536 document the migrated family at fabric sizes the coroutine stack
-  // reaches slowly (16384) or only since the 32-bit NodeId (65536).
+  // 65536 document multisend at fabric sizes the coroutine stack reaches
+  // slowly (16384) or only since the 32-bit NodeId (65536).
   run_shard_sweep(options, "multisend point", msend_spec,
                   {{512, 1}, {512, 4},  // CI-pinned pair
                    {16384, 1}, {16384, 4},

@@ -37,13 +37,10 @@ void run(const BenchOptions& options) {
           .message_sizes(sizes)
           .node_counts(node_counts)
           .axis(std::vector<Algo>{Algo::kHostBased, Algo::kNicBased},
-                [&options](RunSpec& s, Algo a) {
+                [](RunSpec& s, Algo a) {
                   s.algo = a;
                   s.tree = a == Algo::kNicBased ? TreeShape::kPostal
                                                 : TreeShape::kBinomial;
-                  // Only the NIC-based points exist on the sharded fabric;
-                  // host-based forwarding stays on the classic engine.
-                  s.shards = a == Algo::kNicBased ? options.shards_or(1) : 1;
                 })
           .build();
   const auto results = ParallelRunner(runner_options(options)).run(specs);

@@ -26,12 +26,13 @@ namespace {
                "  --max-nodes M skip sweep points above M nodes (0 = no "
                "cap; used by CI\n"
                "                to keep the scale sweep fast)\n"
-               "  --shards P    run migrated experiment points on the "
-               "sharded PDES\n"
-               "                engine with P shards (0 = each point's "
+               "  --shards P    ext_scalability only: run its sharded "
+               "points on the sharded\n"
+               "                PDES engine with P shards (0 = each point's "
                "default; 1 = the\n"
                "                classic sequential engine, bit-identical "
-               "output)\n"
+               "output); other\n"
+               "                benches ignore it\n"
                "  --only LABEL  run just the scenario/point with this label "
                "(sim_microbench,\n"
                "                ext_scalability; a profiling aid, the "

@@ -71,9 +71,10 @@ struct BenchOptions {
   int iterations = 0;        // 0: keep the bench's own default
   std::uint64_t base_seed = 1;
   std::size_t max_nodes = 0;  // 0: no cap; CI trims scale sweeps with this
-  /// Simulation shards for benches that honour the --shards axis (the
-  /// gm_mcast scale sweeps).  0 = keep each bench point's own default, so
-  /// existing BENCH_*.json documents are reproduced byte-identically.
+  /// Simulation shards for ext_scalability's sharded points (the only
+  /// bench that reads --shards; soak_driver takes it as its cross-check's
+  /// maximum).  0 = keep each point's own default, so existing
+  /// BENCH_*.json documents are reproduced byte-identically.
   std::size_t shards = 0;
   /// --only LABEL: run just the scenario/sweep point with this label
   /// (sim_microbench and ext_scalability honour it).  A profiling aid — a

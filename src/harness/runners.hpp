@@ -29,14 +29,13 @@ void collect(gm::Cluster& cluster, RunResult& result);
 /// Metrics: "delivered" (1 when every payload arrived bit-exact).
 [[nodiscard]] RunResult run_gm_mcast(const RunSpec& spec);
 
-/// Any migrated experiment family on the sharded conservative-PDES fabric
+/// The NIC data path on the sharded conservative-PDES fabric
 /// (net::ShardedFabric); this is what spec.shards > 1 dispatches to.
-/// Supports kGmMulticast, kMultisend, kMpiBcast, kSkewBcast and kBarrier
-/// with the nic-based algo and uniform loss (the barrier needs zero loss);
-/// allreduce, host-based staging and the RDMA bcast variant stay
-/// coroutine-only and throw.  Metrics: "delivered", "deliveries", plus the
-/// family's own ("avg_bcast_cpu_us" etc. for skew, "wall_us_per_round" for
-/// the barrier).  engine.shard_order_hashes carries the per-shard
+/// Supports kGmMulticast and kMultisend with the nic-based algo and
+/// uniform loss; every other family (the MPI layer, the NIC barrier and
+/// reduction), host-based staging and non-uniform faults stay on the
+/// classic stack and throw std::invalid_argument.  Metrics: "delivered",
+/// "deliveries".  engine.shard_order_hashes carries the per-shard
 /// determinism hash vector (DESIGN.md §4.5-4.6).
 [[nodiscard]] RunResult run_sharded(const RunSpec& spec);
 

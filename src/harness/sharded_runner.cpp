@@ -1,11 +1,14 @@
 // The --shards axis: run_sharded executes a spec on the conservative-PDES
 // fabric (net::ShardedFabric over sim::ShardedEngine) instead of the
-// coroutine gm::Cluster stack.  Specs are translated, not reinterpreted:
-// gm's topology builder, mcast's tree builders, the same NIC knobs — so
-// shard counts change only how the simulation is partitioned, never what
-// it simulates.  Five families run sharded (gm_mcast, multisend,
-// mpi_bcast, skew_bcast, barrier); allreduce and host-based algorithms
-// stay coroutine-only and throw with a sharding-specific diagnostic.
+// coroutine gm::Cluster stack.  Specs are translated with gm's topology
+// builder, mcast's tree builders and the same NIC knobs, but the fabric is
+// a second model of the NIC data path, not nic::Nic: it counts the same
+// protocol events on lossless one-packet runs, while its latencies differ
+// from the classic stack's by a measured, family- and size-dependent gap
+// (DESIGN.md §4.5).  Two families run sharded (gm_mcast, multisend); the
+// host layers (mpi_bcast, skew_bcast, barrier, allreduce) and host-based
+// algorithms stay on the classic stack until nic::Nic and mpi::Process run
+// on the shards (ROADMAP.md item 5), and throw here.
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -62,9 +65,9 @@ net::FabricWorkload workload_of(const RunSpec& spec) {
   switch (spec.experiment) {
     case Experiment::kGmMulticast: return net::FabricWorkload::kMcast;
     case Experiment::kMultisend: return net::FabricWorkload::kMultisend;
-    case Experiment::kMpiBcast: return net::FabricWorkload::kBcast;
-    case Experiment::kSkewBcast: return net::FabricWorkload::kSkewBcast;
-    case Experiment::kBarrier: return net::FabricWorkload::kBarrier;
+    case Experiment::kMpiBcast:
+    case Experiment::kSkewBcast:
+    case Experiment::kBarrier:
     case Experiment::kAllreduce:
     case Experiment::kCustom:
       break;
@@ -72,9 +75,9 @@ net::FabricWorkload workload_of(const RunSpec& spec) {
   throw std::invalid_argument(
       "run_sharded: no sharded runner for experiment '" +
       std::string(to_string(spec.experiment)) +
-      "' (NIC-level reduction and custom bodies are gm::Cluster-only); "
-      "the sharded FabricWorkload families are gm_mcast, multisend, "
-      "mpi_bcast, skew_bcast and barrier — drop --shards");
+      "': the sharded fabric runs gm_mcast and multisend only; every "
+      "other family runs on gm::Cluster until nic::Nic and mpi::Process "
+      "run on the shards (ROADMAP.md item 5) — drop --shards");
 }
 
 }  // namespace
@@ -100,13 +103,6 @@ RunResult run_sharded(const RunSpec& spec) {
     throw std::invalid_argument(
         "run_sharded: need destinations >= 1 and nodes == destinations + 1");
   }
-  if (spec.experiment == Experiment::kMpiBcast && spec.rdma) {
-    throw std::invalid_argument(
-        "run_sharded: the RDMA-multicast bcast variant is gm::Cluster-only; "
-        "the sharded FabricWorkload families are gm_mcast, multisend, "
-        "mpi_bcast (plain), skew_bcast and barrier — drop --rdma or "
-        "--shards");
-  }
 
   net::FabricOptions options;
   options.workload = workload;
@@ -114,7 +110,6 @@ RunResult run_sharded(const RunSpec& spec) {
   options.warmup = spec.warmup;
   options.iterations = spec.iterations;
   options.loss_rate = spec.loss_rate;
-  options.avg_skew_us = spec.avg_skew_us;
   options.seed = spec.seed;
   options.nic = spec.nic;
 
@@ -128,28 +123,12 @@ RunResult run_sharded(const RunSpec& spec) {
   result.nic_totals = fr.nic_totals;
   result.engine = fr;  // the FabricResult's EngineCounters base
 
-  const auto iters =
-      static_cast<std::uint64_t>(spec.warmup) +
-      static_cast<std::uint64_t>(spec.iterations);
-  // One first delivery per receiver per iteration — except the barrier,
-  // where every node (root included) completes every round.
-  const std::uint64_t per_iter = spec.experiment == Experiment::kBarrier
-                                     ? spec.nodes
-                                     : spec.nodes - 1;
-  const std::uint64_t expected = per_iter * iters;
+  // One first delivery per receiver per iteration.
+  const std::uint64_t expected =
+      (spec.nodes - 1) * (static_cast<std::uint64_t>(spec.warmup) +
+                          static_cast<std::uint64_t>(spec.iterations));
   result.set_metric("delivered", fr.deliveries == expected ? 1.0 : 0.0);
   result.set_metric("deliveries", static_cast<double>(fr.deliveries));
-  if (spec.experiment == Experiment::kSkewBcast) {
-    result.set_metric("avg_bcast_cpu_us", fr.avg_bcast_cpu_us);
-    result.set_metric("max_bcast_cpu_us", fr.max_bcast_cpu_us);
-    result.set_metric("avg_applied_skew_us", fr.avg_applied_skew_us);
-  }
-  if (spec.experiment == Experiment::kBarrier && !fr.latency_us.empty()) {
-    double sum = 0.0;
-    for (const double us : fr.latency_us) sum += us;
-    result.set_metric("wall_us_per_round",
-                      sum / static_cast<double>(fr.latency_us.size()));
-  }
   return result;
 }
 

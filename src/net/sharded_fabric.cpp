@@ -16,14 +16,10 @@ namespace {
 /// gm::Cluster wires and the postal tree model assumes.
 constexpr NetworkConfig kNet{};
 
-/// Host-side MPI entry cost added to every kBcast/kSkewBcast delivery: the
-/// MPI decode and matching on top of the GM event.
-constexpr sim::Duration kHostEntryOverhead = sim::usec(1.0);
-
 /// The schedule-independent coin: uniform in [0, 1) from a counter hash of
-/// `key`.  Deciding a drop or a skew from (seed, node, iter, ...) instead
-/// of a draw from a shared RNG stream keeps the outcome identical across
-/// shard counts: no shard interleaving can reorder the draws.
+/// `key`.  Deciding a drop from (seed, node, iter, attempt) instead of a
+/// draw from a shared RNG stream keeps the outcome identical across shard
+/// counts: no shard interleaving can reorder the draws.
 double coin(std::uint64_t key) {
   return sim::unit_interval(sim::mix64(key + sim::kGoldenGamma));
 }
@@ -43,14 +39,6 @@ ShardedFabric::ShardedFabric(Topology topology, FabricTree tree,
   if (tree_.child_off.size() != tree_.size() + 1) {
     throw std::invalid_argument("ShardedFabric: malformed child_off");
   }
-  if (options_.workload == FabricWorkload::kBarrier &&
-      options_.loss_rate > 0.0) {
-    // The barrier's arrive/release packets ride the ack path (which the
-    // loss model deliberately never touches); silently running it lossy
-    // would report a reliability we don't simulate.
-    throw std::invalid_argument(
-        "ShardedFabric: kBarrier requires loss_rate == 0");
-  }
   if (options_.workload == FabricWorkload::kMultisend &&
       tree_.child_count(tree_.root) + 1 != tree_.size()) {
     throw std::invalid_argument(
@@ -68,11 +56,6 @@ ShardedFabric::ShardedFabric(Topology topology, FabricTree tree,
   link_free_.assign(topology_.link_count(), sim::TimePoint{0});
   received_iter_.assign(tree_.size(), -1);
   edges_.assign(tree_.size(), EdgeState{});
-  if (options_.workload == FabricWorkload::kBarrier) {
-    barrier_arrivals_.assign(tree_.size(), 0);
-    barrier_self_ready_.assign(tree_.size(), 0);
-    barrier_round_.assign(tree_.size(), 0);
-  }
   // The single message allocation every delivery slices out of (the GM
   // zero-copy posture): slices travel inside cross-shard posted closures
   // and are released on whichever shard executes them.
@@ -104,15 +87,6 @@ bool ShardedFabric::dropped(NodeId child, std::int32_t iter,
               attempt) < options_.loss_rate;
 }
 
-sim::Duration ShardedFabric::skew_of(std::int32_t iter, NodeId node) const {
-  if (options_.avg_skew_us <= 0.0) return sim::usec(0.0);
-  const double u =
-      coin(options_.seed ^ 0x736b6577ULL ^
-           (static_cast<std::uint64_t>(node) << 24) ^
-           static_cast<std::uint64_t>(static_cast<std::uint32_t>(iter)));
-  return sim::usec(u * 2.0 * options_.avg_skew_us);  // mean avg_skew_us
-}
-
 void ShardedFabric::start_iteration(std::int32_t iter) {
   const sim::TimePoint now = sim_of(shard_of(tree_.root)).now();
   ctrl_iter_ = iter;
@@ -122,12 +96,6 @@ void ShardedFabric::start_iteration(std::int32_t iter) {
   if (ctrl_remaining_ == 0) return;  // single-node tree: nothing to send
 
   const nic::NicConfig& nic = options_.nic;
-  // Process skew applies to receivers only, mirroring the coroutine-stack
-  // experiment (mpi::run_skew_experiment): skew is measured relative to the
-  // root's entry, so the root injects on time and late receivers are
-  // accounted at the controller.  Skewing the root here would delay every
-  // delivery and charge the wait to the receivers' CPU — inverting the
-  // paper's flat NIC-multicast curve.
   // Host posts the multicast send; the NIC DMAs the payload once and chains
   // one replica per child off a single send token (the paper's alternative
   // 2: re-queue the packet descriptor with a rewritten header).
@@ -298,18 +266,14 @@ void ShardedFabric::deliver(NodeId from, NodeId to, std::int32_t iter,
   // where the root shard is, so controller pacing — and with it the whole
   // iteration schedule — is identical across shard counts.  (payload.size()
   // == message_bytes: the DMA charges for the bytes that actually landed.)
-  sim::TimePoint host_time =
+  const sim::TimePoint host_time =
       base + nic.event_delivery + nic.dma_startup +
       sim::transfer_time(payload.size(), nic.host_dma_mbps);
-  if (options_.workload == FabricWorkload::kBcast ||
-      options_.workload == FabricWorkload::kSkewBcast) {
-    host_time = host_time + kHostEntryOverhead;
-  }
   engine_->post(me, shard_of(tree_.root), sim.now() + partition_.lookahead,
-                [this, to, host_time] {
+                [this, host_time] {
                   // Runs on the root's shard worker: post() targeted it.
                   controller_role_.assert_held();
-                  notify_controller(to, host_time);
+                  notify_controller(host_time);
                 });
 }
 
@@ -318,8 +282,13 @@ void ShardedFabric::send_ack(NodeId from, NodeId to, std::int32_t iter) {
   nic::NicStats& stats = shards_[me]->nic;
   ++stats.acks_sent;
   ++stats.packets_sent;
+  // A framing-only ack rides the wormhole bypass path: it neither waits on
+  // nor adds to link occupancy, and it is always at least one hop out, so
+  // posting at its arrival instant respects the lookahead.
   engine_->post(me, shard_of(to),
-                ctrl_packet_arrival(me, from, to, sim_of(me).now()),
+                kNet.arrival(sim_of(me).now(),
+                             shards_[me]->routes.route(from, to).size(),
+                             kNet.framing_bytes),
                 [this, from, to, iter] { ack_arrived(to, from, iter); });
 }
 
@@ -338,20 +307,19 @@ void ShardedFabric::ack_arrived(NodeId parent, NodeId child,
       // This ack executes on parent's shard and parent is the root, so
       // the controller role is structurally held here.
       controller_role_.assert_held();
-      multisend_ack_completed(child, iter);
+      multisend_ack_completed(iter);
     }
   }
 }
 
-void ShardedFabric::multisend_ack_completed(NodeId child,
-                                            std::int32_t iter) {
+void ShardedFabric::multisend_ack_completed(std::int32_t iter) {
   // Runs on the root's shard: the star tree makes the root every ack's
   // destination, and controller state is root-shard-owned.
   if (iter != ctrl_iter_) return;
   // Sender-side completion: the NIC raises the send-complete event to the
   // host once this child's ack lands (paper Figure 3's measured quantity).
-  notify_controller(child, sim_of(shard_of(tree_.root)).now() +
-                               options_.nic.event_delivery);
+  notify_controller(sim_of(shard_of(tree_.root)).now() +
+                    options_.nic.event_delivery);
 }
 
 void ShardedFabric::retransmit(NodeId from, NodeId to, std::int32_t iter) {
@@ -369,25 +337,7 @@ void ShardedFabric::retransmit(NodeId from, NodeId to, std::int32_t iter) {
   send_data(from, to, iter, next_attempt, sim_of(me).now());
 }
 
-void ShardedFabric::notify_controller(NodeId node, sim::TimePoint host_time) {
-  if (options_.workload == FabricWorkload::kSkewBcast) {
-    // Receiver-side skew is applied here rather than threaded through the
-    // data path: the rank is not at its MPI_Bcast call until `ready`, so
-    // the bcast charges it CPU only from then on — the paper's flat
-    // NIC-multicast curve is precisely this quantity staying put as
-    // avg_skew_us grows.
-    const sim::Duration skew = skew_of(ctrl_iter_, node);
-    const sim::TimePoint ready = ctrl_iter_start_ + skew;
-    const sim::TimePoint completion = std::max(host_time, ready);
-    if (ctrl_iter_ >= options_.warmup) {
-      const double cpu = (completion - ready).microseconds();
-      ctrl_cpu_sum_us_ += cpu;
-      ctrl_cpu_max_us_ = std::max(ctrl_cpu_max_us_, cpu);
-      ctrl_skew_sum_us_ += skew.microseconds();
-      ++ctrl_cpu_count_;
-    }
-    host_time = completion;
-  }
+void ShardedFabric::notify_controller(sim::TimePoint host_time) {
   ctrl_last_delivery_ = std::max(ctrl_last_delivery_, host_time);
   if (--ctrl_remaining_ > 0) return;
 
@@ -397,14 +347,6 @@ void ShardedFabric::notify_controller(NodeId node, sim::TimePoint host_time) {
   }
   const std::int32_t next = ctrl_iter_ + 1;
   if (next >= options_.warmup + options_.iterations) return;
-  if (options_.workload == FabricWorkload::kBarrier) {
-    // Rounds chain through the tree itself (each node re-arms after its
-    // release); the controller only rolls its bookkeeping forward.
-    ctrl_iter_ = next;
-    ctrl_remaining_ = tree_.size();
-    ctrl_iter_start_ = ctrl_last_delivery_;
-    return;
-  }
   sim::Simulator& sim = sim_of(shard_of(tree_.root));
   // The next iteration starts once the slowest host delivery has landed —
   // max() because completion notifications outrun the host DMA by design.
@@ -416,132 +358,11 @@ void ShardedFabric::notify_controller(NodeId node, sim::TimePoint host_time) {
   });
 }
 
-sim::TimePoint ShardedFabric::ctrl_packet_arrival(std::uint32_t me,
-                                                  NodeId from, NodeId to,
-                                                  sim::TimePoint send) {
-  // Framing-only control packet on the wormhole bypass path: it neither
-  // waits on nor adds to link occupancy, and it is always at least one hop
-  // out, so posting at this instant respects the lookahead.
-  return kNet.arrival(send, shards_[me]->routes.route(from, to).size(),
-                      kNet.framing_bytes);
-}
-
-void ShardedFabric::barrier_ready(NodeId node, std::int32_t round) {
-  if (round != barrier_round_[node]) {
-    throw std::logic_error("ShardedFabric: barrier ready for wrong round");
-  }
-  barrier_self_ready_[node] = 1;
-  barrier_try_send_up(node);
-}
-
-void ShardedFabric::barrier_child_arrived(NodeId node, std::int32_t round) {
-  // Causality makes early arrivals impossible: a child only sends round r
-  // after its own r-1 release, which the parent forwarded — so the parent
-  // has already rolled to r.  Anything else is a protocol bug.
-  if (round != barrier_round_[node]) {
-    throw std::logic_error("ShardedFabric: barrier arrive for wrong round");
-  }
-  ++shards_[shard_of(node)]->nic.packets_received;
-  ++barrier_arrivals_[node];
-  barrier_try_send_up(node);
-}
-
-void ShardedFabric::barrier_try_send_up(NodeId node) {
-  if (barrier_self_ready_[node] == 0) return;
-  if (barrier_arrivals_[node] != tree_.child_count(node)) return;
-  const std::int32_t round = barrier_round_[node];
-  const std::uint32_t me = shard_of(node);
-  sim::Simulator& sim = sim_of(me);
-  const nic::NicConfig& nic = options_.nic;
-  if (node == tree_.root) {
-    // The whole fabric has arrived: the release wave starts here after the
-    // NIC turns the last combined arrive into a send token.
-    sim.schedule_at(sim.now() + nic.forward_processing,
-                    [this, node, round] { barrier_release(node, round); });
-    return;
-  }
-  // Combine the subtree into one arrive packet up the tree.
-  ++shards_[me]->nic.packets_sent;
-  const NodeId parent = tree_.parent[node];
-  const sim::TimePoint arrival =
-      ctrl_packet_arrival(me, node, parent, sim.now()) + nic.ack_processing;
-  engine_->post(me, shard_of(parent), arrival, [this, parent, round] {
-    barrier_child_arrived(parent, round);
-  });
-}
-
-void ShardedFabric::barrier_release(NodeId node, std::int32_t round) {
-  const std::uint32_t me = shard_of(node);
-  ShardState& st = *shards_[me];
-  sim::Simulator& sim = sim_of(me);
-  const nic::NicConfig& nic = options_.nic;
-  if (node != tree_.root) ++st.nic.packets_received;
-
-  // Fan the release out, one control packet per child, paced by the cost
-  // of re-queuing the descriptor with a rewritten header.
-  const std::size_t nch = tree_.child_count(node);
-  sim::TimePoint send = sim.now();
-  for (std::size_t q = 0; q < nch; ++q) {
-    const NodeId child = tree_.child(node, q);
-    ++st.nic.packets_sent;
-    if (q > 0) ++st.nic.header_rewrites;
-    engine_->post(me, shard_of(child),
-                  ctrl_packet_arrival(me, node, child, send),
-                  [this, child, round] { barrier_release(child, round); });
-    send = send + nic.header_rewrite;
-  }
-
-  // The host learns the barrier completed via a GM event; the controller
-  // hears about it at exactly +lookahead (shard-count-invariant pacing).
-  const sim::TimePoint host_time = sim.now() + nic.event_delivery;
-  ++st.deliveries;
-  engine_->post(me, shard_of(tree_.root), sim.now() + partition_.lookahead,
-                [this, node, host_time] {
-                  // Runs on the root's shard worker: post() targeted it.
-                  controller_role_.assert_held();
-                  notify_controller(node, host_time);
-                });
-
-  // Reset and arm the next round locally — rounds self-chain through the
-  // tree, with the node's per-round process skew applied at re-entry.
-  barrier_arrivals_[node] = 0;
-  barrier_self_ready_[node] = 0;
-  barrier_round_[node] = round + 1;
-  if (round + 1 >= options_.warmup + options_.iterations) return;
-  const sim::TimePoint ready =
-      sim.now() + nic.host_post_overhead + skew_of(round + 1, node);
-  sim.schedule_at(ready, [this, node, next = round + 1] {
-    barrier_ready(node, next);
-  });
-}
-
 FabricResult ShardedFabric::run() {
-  if (options_.workload == FabricWorkload::kBarrier) {
-    // Round 0: every node becomes ready after its own skew delay.  All
-    // rounds after that chain through barrier_release; the controller only
-    // counts tree_.size() completions per round.
-    {
-      // Workers have not started: the calling thread owns everything.
-      const sim::RoleGuard controller(controller_role_);
-      ctrl_iter_ = 0;
-      ctrl_remaining_ = tree_.size();
-      ctrl_iter_start_ = sim::TimePoint{0};
-      ctrl_last_delivery_ = sim::TimePoint{0};
-    }
-    for (std::size_t i = 0; i < tree_.size(); ++i) {
-      const NodeId node = static_cast<NodeId>(i);
-      const sim::TimePoint ready = sim::TimePoint{0} + skew_of(0, node);
-      sim_of(shard_of(node)).schedule_at(ready, [this, node] {
-        barrier_ready(node, 0);
-      });
-    }
-  } else {
-    sim_of(shard_of(tree_.root))
-        .schedule_at(sim::TimePoint{0}, [this] {
-          controller_role_.assert_held();  // runs on the root's shard
-          start_iteration(0);
-        });
-  }
+  sim_of(shard_of(tree_.root)).schedule_at(sim::TimePoint{0}, [this] {
+    controller_role_.assert_held();  // runs on the root's shard
+    start_iteration(0);
+  });
   engine_->run();
 
   FabricResult out;
@@ -550,12 +371,6 @@ FabricResult ShardedFabric::run() {
     // controller state again.
     const sim::RoleGuard controller(controller_role_);
     out.latency_us = std::move(latency_us_);
-    if (ctrl_cpu_count_ > 0) {
-      const double n = static_cast<double>(ctrl_cpu_count_);
-      out.avg_bcast_cpu_us = ctrl_cpu_sum_us_ / n;
-      out.max_bcast_cpu_us = ctrl_cpu_max_us_;
-      out.avg_applied_skew_us = ctrl_skew_sum_us_ / n;
-    }
   }
   out.shard_count = engine_->shard_count();
   out.cross_links = partition_.cross_links;

@@ -1,13 +1,11 @@
 // NIC-timing-faithful experiment fabric on the sharded PDES engine.
 //
 // The coroutine-based gm::Cluster stack is single-threaded by construction
-// (shared closures, one global Network); what runs sharded is the
-// packet-level behaviour of the paper's experiment families — NIC-based
-// multicast, flat multisend, MPI-style bcast, the NIC tree barrier and the
-// process-skew bcast — with injection/forward/ack/retransmit timing from
-// nic::NicConfig, wormhole link contention from net::NetworkConfig and
-// per-edge Go-back-N, expressed as shard-local state so the fabric
-// parallelises:
+// (shared closures, one global Network); what runs sharded is the NIC data
+// path of two experiment families — NIC-based multicast and flat multisend
+// — with injection/forward/ack/retransmit timing from nic::NicConfig,
+// wormhole link contention from net::NetworkConfig and per-edge
+// Go-back-N, expressed as shard-local state so the fabric parallelises:
 //
 //   - every tree node, link, and per-edge ARQ record is owned by exactly
 //     one shard (net::switch_cut), and only that shard's worker touches it;
@@ -21,6 +19,9 @@
 //   - loss is decided by a counter hash of (seed, edge, iter, attempt) and
 //     applied at the receiver like a CRC drop, so drop/retransmit counts —
 //     and therefore total deliveries — are invariant across shard counts.
+//
+// The host layers (MPI_Bcast, process skew, the NIC barrier) exist only in
+// mpi and nic, which do not run on the shards yet (ROADMAP.md item 5).
 #pragma once
 
 #include <cstdint>
@@ -64,9 +65,9 @@ struct FabricTree {
   }
 };
 
-/// Which experiment family the fabric runs.  All families share the
-/// shard-local link/route/descriptor machinery; they differ in who sends,
-/// what completion means, and which metrics the controller collects.
+/// Which NIC data path the fabric runs.  Both share the shard-local
+/// link/route/descriptor machinery; they differ in who sends and what
+/// completion means.
 enum class FabricWorkload : std::uint8_t {
   /// Root multicasts down the tree each iteration; NICs forward; latency
   /// is the last host delivery (the original PR 6 fabric — its event
@@ -77,28 +78,12 @@ enum class FabricWorkload : std::uint8_t {
   /// Go-back-N ack landing back at the root, plus host event delivery —
   /// exactly what the paper's Figure 3 measures.
   kMultisend,
-  /// MPI_Bcast over the NIC multicast: kMcast plus a host-entry overhead
-  /// per delivery (the MPI decode/matching cost on top of the GM event).
-  kBcast,
-  /// NIC tree barrier: arrive packets combine up the tree, a release
-  /// wave fans back down; rounds chain through the tree itself.  Control
-  /// packets only — requires loss_rate == 0.  avg_skew_us staggers each
-  /// node's per-round arrival.
-  kBarrier,
-  /// kBcast under process skew: each rank enters the bcast avg_skew_us
-  /// late on average (deterministic per (iter, rank)); the NIC data path
-  /// is oblivious — only host-side completion shifts, which is the
-  /// paper's headline flat-curve result.
-  kSkewBcast,
 };
 
 [[nodiscard]] constexpr const char* to_string(FabricWorkload w) {
   switch (w) {
     case FabricWorkload::kMcast: return "mcast";
     case FabricWorkload::kMultisend: return "multisend";
-    case FabricWorkload::kBcast: return "bcast";
-    case FabricWorkload::kBarrier: return "barrier";
-    case FabricWorkload::kSkewBcast: return "skew_bcast";
   }
   return "?";
 }
@@ -109,9 +94,7 @@ struct FabricOptions {
   int warmup = 1;
   int iterations = 2;
   double loss_rate = 0.0;
-  /// Mean process skew (kBarrier, kSkewBcast): each node's per-iteration
-  /// entry is delayed uniformly in [0, 2 * avg_skew_us), derived from a
-  /// counter hash of (seed, iter, node) so it is shard-count invariant.
+  /// Ignored; goes away at the next benchmark revision (bench/suite sets it).
   double avg_skew_us = 0.0;
   /// Ignored; goes away at the next benchmark revision (bench/suite sets it).
   bool batch_horizons = false;
@@ -127,11 +110,6 @@ struct FabricResult : EngineCounters {
   std::vector<double> latency_us;          // timed iterations only
   nic::NicStats nic_totals;
   std::uint64_t deliveries = 0;            // first deliveries, all iters
-
-  // kSkewBcast host-side metrics (timed iterations, receivers only).
-  double avg_bcast_cpu_us = 0.0;   // mean (completion - ready) per rank
-  double max_bcast_cpu_us = 0.0;   // worst rank
-  double avg_applied_skew_us = 0.0;
 
   /// Equals event_order_hash; bench/suite reads it.  Goes away at the next
   /// benchmark revision.
@@ -173,9 +151,6 @@ class ShardedFabric {
   }
   [[nodiscard]] bool dropped(NodeId child, std::int32_t iter,
                              std::uint32_t attempt) const;
-  /// Deterministic per-(iter, node) process skew, uniform in
-  /// [0, 2 * avg_skew_us) — shard-count invariant by construction.
-  [[nodiscard]] sim::Duration skew_of(std::int32_t iter, NodeId node) const;
 
   void start_iteration(std::int32_t iter) NM_REQUIRES(controller_role_);
   /// Schedules one data train per child of `node`, the first at `inject`
@@ -199,27 +174,12 @@ class ShardedFabric {
   void send_ack(NodeId from, NodeId to, std::int32_t iter);
   void ack_arrived(NodeId parent, NodeId child, std::int32_t iter);
   void retransmit(NodeId from, NodeId to, std::int32_t iter);
-  void notify_controller(NodeId node, sim::TimePoint host_time)
+  void notify_controller(sim::TimePoint host_time)
       NM_REQUIRES(controller_role_);
-  /// kMultisend: the root->child ack landed; executes on the root's shard
+  /// kMultisend: a root->child ack landed; executes on the root's shard
   /// (the star tree makes every ack's parent the root).
-  void multisend_ack_completed(NodeId child, std::int32_t iter)
+  void multisend_ack_completed(std::int32_t iter)
       NM_REQUIRES(controller_role_);
-
-  // -- kBarrier (control packets up/down the tree; rounds self-chain) --
-  /// The node's own entry into round `round` (after its skew delay).
-  void barrier_ready(NodeId node, std::int32_t round);
-  /// An arrive packet from `child` landed at `node` for `round`.
-  void barrier_child_arrived(NodeId node, std::int32_t round);
-  /// Sends the combined arrive up (or releases, at the root) once the
-  /// node itself is ready and every child has arrived.
-  void barrier_try_send_up(NodeId node);
-  /// Release wave: host completion, fan out to children, arm next round.
-  void barrier_release(NodeId node, std::int32_t round);
-  /// Arrival at `to` of a control packet `from` sends at `send`.
-  [[nodiscard]] sim::TimePoint ctrl_packet_arrival(std::uint32_t me,
-                                                   NodeId from, NodeId to,
-                                                   sim::TimePoint send);
 
   [[nodiscard]] std::size_t packets_per_message() const;
   [[nodiscard]] std::size_t train_wire_bytes() const;
@@ -242,12 +202,6 @@ class ShardedFabric {
   std::vector<std::int32_t> received_iter_;   // owner(node) only
   std::vector<EdgeState> edges_;              // owner(parent(node)) only
 
-  // kBarrier per-node state, owner(node) only.  `round` is the round the
-  // node is currently collecting; arrivals/self_ready reset on release.
-  std::vector<std::uint32_t> barrier_arrivals_;
-  std::vector<std::uint8_t> barrier_self_ready_;
-  std::vector<std::int32_t> barrier_round_;
-
   // Controller state: root's shard only.  The phantom controller role
   // (thread_annotations.hpp) makes that ownership checkable — closures
   // posted to the root's shard assert it, run() claims it before the
@@ -259,12 +213,6 @@ class ShardedFabric {
   sim::TimePoint ctrl_iter_start_ NM_GUARDED_BY(controller_role_){0};
   sim::TimePoint ctrl_last_delivery_ NM_GUARDED_BY(controller_role_){0};
   std::vector<double> latency_us_ NM_GUARDED_BY(controller_role_);
-
-  // kSkewBcast host-side accumulators (root's shard only; timed iters).
-  double ctrl_cpu_sum_us_ NM_GUARDED_BY(controller_role_) = 0.0;
-  double ctrl_cpu_max_us_ NM_GUARDED_BY(controller_role_) = 0.0;
-  double ctrl_skew_sum_us_ NM_GUARDED_BY(controller_role_) = 0.0;
-  std::uint64_t ctrl_cpu_count_ NM_GUARDED_BY(controller_role_) = 0;
 };
 
 }  // namespace nicmcast::net

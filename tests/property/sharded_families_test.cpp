@@ -1,8 +1,10 @@
-// Determinism goldens for the migrated experiment families on the sharded
-// fabric: multisend, mpi_bcast, skew_bcast and barrier, pinned per shard
-// count exactly like sharded_determinism_test.cpp pins gm_mcast.
+// The --shards axis beyond gm_mcast: multisend's determinism goldens on
+// the sharded fabric, pinned per shard count exactly like
+// sharded_determinism_test.cpp pins gm_mcast, plus the classic hashes of
+// the host-layer families (mpi_bcast, skew_bcast, barrier), which run on
+// the coroutine stack only and are rejected at shards > 1.
 //
-// The contract (DESIGN.md §4.5-4.6) extends unchanged to every family:
+// The contract (DESIGN.md §4.5-4.6):
 //   - shards == 1 dispatches to the classic coroutine stack, so each
 //     family's sequential event_order_hash golden here is the same lineage
 //     every BENCH_*.json for that family already pins;
@@ -15,7 +17,8 @@
 //     coroutine engine;
 //   - the engine's one-exchange rounds replay the lockstep round schedule
 //     these goldens were first pinned under: same vectors, same
-//     lbts_rounds, same mean latency.
+//     lbts_rounds, same mean latency;
+//   - run_sharded rejects every spec the fabric cannot run.
 //
 // Re-derive with the probe after an intentional re-timing:
 //
@@ -23,6 +26,8 @@
 //       --gtest_filter='*PrintGoldens*'
 #include <cstdint>
 #include <cstdio>
+#include <stdexcept>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -87,11 +92,15 @@ RunSpec barrier() {
   return spec;
 }
 
-struct Golden {
+struct SequentialGolden {
   const char* name;
   RunSpec (*spec)();
   /// Classic coroutine-stack hash at shards == 1 (run_one dispatch).
   std::uint64_t sequential_hash;
+};
+
+/// A family that also runs on the sharded fabric.
+struct Golden : SequentialGolden {
   /// Per-shard hash vectors for shards = 2, 4, 8 (index 0, 1, 2).
   std::vector<std::vector<std::uint64_t>> shard_hashes;
   /// lbts_rounds and mean latency (us) for shards = 2, 4, 8.
@@ -101,7 +110,10 @@ struct Golden {
 
 const std::size_t kShardCounts[] = {2, 4, 8};
 
-std::vector<Golden> goldens();  // constants at the bottom of the file
+// Constants at the bottom of the file.
+std::vector<Golden> goldens();
+/// The families that run on the classic stack only.
+std::vector<SequentialGolden> classic_only_goldens();
 
 RunResult run_with_shards(RunSpec spec, std::size_t shards) {
   spec.shards = shards;
@@ -109,7 +121,9 @@ RunResult run_with_shards(RunSpec spec, std::size_t shards) {
 }
 
 TEST(ShardedFamilies, SequentialHashUnchangedByTheShardsAxis) {
-  for (const Golden& g : goldens()) {
+  std::vector<SequentialGolden> all = classic_only_goldens();
+  for (const Golden& g : goldens()) all.push_back(g);
+  for (const SequentialGolden& g : all) {
     const RunResult r = run_with_shards(g.spec(), 1);
     EXPECT_EQ(r.engine.event_order_hash, g.sequential_hash)
         << g.name << ": --shards 1 must stay on the classic coroutine "
@@ -161,7 +175,10 @@ TEST(ShardedFamilies, ClassicAndShardedReportTheSameProtocolTotals) {
   // One protocol, two engines: shards == 1 runs nic::Nic on the classic
   // stack, shards == 4 runs the fabric, and both must count the same
   // protocol events.  Lossless and one packet per message, because the
-  // fabric acks a multi-packet train once (DESIGN.md §4.5).
+  // fabric acks a multi-packet train once (DESIGN.md §4.5).  The fabric is
+  // a second timing model, so latencies only agree within a bound: 5% here,
+  // where the gap reads -3.2% (gm_mcast) and -0.1% (multisend).  The
+  // sharded-16k benchmark workload relies on this agreement.
   for (const Experiment experiment :
        {Experiment::kGmMulticast, Experiment::kMultisend}) {
     RunSpec spec;
@@ -187,6 +204,9 @@ TEST(ShardedFamilies, ClassicAndShardedReportTheSameProtocolTotals) {
     EXPECT_EQ(a.forwards, b.forwards) << name;
     EXPECT_EQ(a.header_rewrites, b.header_rewrites) << name;
     EXPECT_EQ(a.retransmissions, b.retransmissions) << name;
+    EXPECT_NEAR(sharded.latency_us.mean(), classic.latency_us.mean(),
+                classic.latency_us.mean() * 0.05)
+        << name;
   }
 }
 
@@ -234,42 +254,97 @@ TEST(ShardedFamilies, AsyncSyncMatchesPinnedBarrierGoldens) {
   }
 }
 
-TEST(ShardedFamilies, SkewBcastChargesHostTimeNotSkew) {
-  // The paper's headline: under NIC multicast, a rank's bcast CPU time
-  // stays flat as process skew grows, because late ranks find the payload
-  // already delivered.  The fabric must reproduce that shape.
-  RunSpec calm = skew();
-  calm.avg_skew_us = 0.0;
-  calm.shards = 4;
-  RunSpec skewed = skew();
-  skewed.avg_skew_us = 200.0;
-  skewed.shards = 4;
-  const RunResult a = run_one(calm);
-  const RunResult b = run_one(skewed);
-  EXPECT_GT(b.metric("avg_applied_skew_us"), 100.0);
-  EXPECT_LT(a.metric("avg_applied_skew_us"), 1e-9);
-  // Mean CPU time inside the bcast shrinks (or at worst stays put) as the
-  // skew grows — late ranks wait less, never more.
-  EXPECT_LE(b.metric("avg_bcast_cpu_us"), a.metric("avg_bcast_cpu_us"));
-  EXPECT_GT(a.metric("avg_bcast_cpu_us"), 0.0);
-}
-
-TEST(ShardedFamilies, BarrierRoundsProduceWallMetric) {
-  RunSpec spec = barrier();
-  spec.shards = 2;
-  const RunResult r = run_one(spec);
-  EXPECT_GT(r.metric("wall_us_per_round"), 0.0);
-  EXPECT_EQ(r.metric("delivered"), 1.0);
-  // Every node completes every round (root included).
-  EXPECT_EQ(r.metric("deliveries"),
-            static_cast<double>(spec.nodes) * (spec.warmup + spec.iterations));
+TEST(ShardedFamilies, RejectsEverySpecTheFabricCannotRun) {
+  // The fabric runs the NIC data path of gm_mcast and multisend under
+  // uniform loss.  Everything else stays on the classic stack, and asking
+  // for it at shards > 1 is an error, not a silent re-interpretation.
+  RunSpec base;
+  base.nodes = 32;
+  base.wiring = Wiring::kClos;
+  base.switch_radix = 16;
+  base.message_bytes = 512;
+  base.warmup = 0;
+  base.iterations = 1;
+  base.shards = 4;
+  const auto with = [&base](auto&& edit) {
+    RunSpec spec = base;
+    edit(spec);
+    return spec;
+  };
+  struct Row {
+    const char* name;
+    RunSpec spec;
+    /// Rejected for its family: the message names the sharded families.
+    bool family;
+  };
+  const Row rows[] = {
+      {"allreduce",
+       with([](RunSpec& s) { s.experiment = Experiment::kAllreduce; }),
+       true},
+      {"mpi_bcast",
+       with([](RunSpec& s) { s.experiment = Experiment::kMpiBcast; }), true},
+      {"mpi_bcast rdma", with([](RunSpec& s) {
+         s.experiment = Experiment::kMpiBcast;
+         s.rdma = true;
+       }),
+       true},
+      {"skew_bcast", with([](RunSpec& s) {
+         s.experiment = Experiment::kSkewBcast;
+         s.avg_skew_us = 15.0;
+       }),
+       true},
+      {"barrier",
+       with([](RunSpec& s) { s.experiment = Experiment::kBarrier; }), true},
+      {"host-based gm_mcast",
+       with([](RunSpec& s) { s.algo = Algo::kHostBased; }), false},
+      {"burst faults", with([](RunSpec& s) {
+         s.faults = FaultFamily::kBurst;
+         s.loss_rate = 0.01;
+       }),
+       false},
+      {"ack-targeted faults", with([](RunSpec& s) {
+         s.faults = FaultFamily::kAckTargeted;
+         s.loss_rate = 0.01;
+       }),
+       false},
+      {"blackout faults", with([](RunSpec& s) {
+         s.faults = FaultFamily::kBlackout;
+         s.loss_rate = 0.01;
+       }),
+       false},
+      {"corruption",
+       with([](RunSpec& s) { s.corrupt_rate = 0.01; }), false},
+      {"multisend, nodes != destinations + 1", with([](RunSpec& s) {
+         s.experiment = Experiment::kMultisend;
+         s.destinations = 8;
+       }),
+       false},
+  };
+  for (const Row& row : rows) {
+    try {
+      (void)run_one(row.spec);
+      ADD_FAILURE() << row.name << ": ran at shards = 4";
+    } catch (const std::invalid_argument& e) {
+      if (!row.family) continue;
+      const std::string what = e.what();
+      EXPECT_NE(what.find("gm_mcast"), std::string::npos)
+          << row.name << ": " << what;
+      EXPECT_NE(what.find("multisend"), std::string::npos)
+          << row.name << ": " << what;
+    }
+  }
 }
 
 // Probe: prints the golden table in source form.  Not a test.
 TEST(ShardedFamilies, DISABLED_PrintGoldens) {
+  for (const SequentialGolden& g : classic_only_goldens()) {
+    const RunResult seq = run_with_shards(g.spec(), 1);
+    std::printf("{\"%s\", ..., 0x%016llxULL},\n", g.name,
+                static_cast<unsigned long long>(seq.engine.event_order_hash));
+  }
   for (const Golden& g : goldens()) {
     const RunResult seq = run_with_shards(g.spec(), 1);
-    std::printf("{\"%s\", ..., 0x%016llxULL,\n {\n", g.name,
+    std::printf("{{\"%s\", ..., 0x%016llxULL},\n {\n", g.name,
                 static_cast<unsigned long long>(seq.engine.event_order_hash));
     std::vector<RunResult> runs;
     for (const std::size_t shards : kShardCounts) {
@@ -298,7 +373,7 @@ TEST(ShardedFamilies, DISABLED_PrintGoldens) {
 // addresses for scheduling decisions.
 std::vector<Golden> goldens() {
   return {
-      {"multisend", &multisend, 0x2f83c99a5b5bcb2dULL,
+      {{"multisend", &multisend, 0x2f83c99a5b5bcb2dULL},
        {
            {0xf836c7e8cf90de5dULL, 0x4ccb4162c86bada5ULL},
            {0xc1b1201d9dc2279dULL, 0x37c6b718de471cc5ULL,
@@ -310,45 +385,14 @@ std::vector<Golden> goldens() {
        },
        {768, 768, 772},
        {164.602, 164.602, 164.602},},
-      {"bcast", &bcast, 0x076b31edcfbcb01aULL,
-       {
-           {0xd8665ee54e4c4cf4ULL, 0xadcc26e46ea0db32ULL},
-           {0xad2bf43899b05352ULL, 0x5ce1f42c552e4c8fULL,
-            0xe9bedf60e130c1b8ULL, 0x9c7c43490dca87efULL},
-           {0x1c1b0b75e10baa53ULL, 0x0b4b4eb9e187bcf7ULL,
-            0xed0081069c7b8555ULL, 0x6df62e05fa8efc83ULL,
-            0xacd8b0c0fb85b87dULL, 0x7798c4e0e61cc146ULL,
-            0xe090342679bf0d69ULL, 0x379acb6841b90fc7ULL},
-       },
-       {876, 876, 788},
-       {124.145, 124.145, 102.69499999999999},},
-      // The classic skew run simulates the spec's radix-16 Clos since the
-      // runner builds cluster_config(spec); it used to run on one 64-port
-      // crossbar (hash 0xf6c542606ba7d310) while --shards N ran the Clos.
-      {"skew", &skew, 0xb8ad18e4a0cf2611ULL,
-       {
-           {0x2183a0521d4935bdULL, 0x94d5f9ea012d9e05ULL},
-           {0xadec5f620e9e8f55ULL, 0xf371ba5d86b4e139ULL,
-            0x3dd4fbaf60e3ec71ULL, 0x3b3e45338665f091ULL},
-           {0x1b29b031e6c86509ULL, 0x1fe63520d1d658b1ULL,
-            0x790410af38aea8b1ULL, 0x19efc0bd96510641ULL,
-            0x442a2630413fa5fdULL, 0x0a2a8028d8d22dd5ULL,
-            0x50eeaf4faf1301d5ULL, 0xa3bc4562e1a3cdb1ULL},
-       },
-       {872, 872, 784},
-       {124.145, 124.145, 102.69499999999999},},
-      {"barrier", &barrier, 0xdbd738ce28044686ULL,
-       {
-           {0xf1b1425a0d7c752cULL, 0x92a4328e9985addfULL},
-           {0xdbdf17b8e0dad7eaULL, 0x7c1b6ab12ce82bdfULL,
-            0xc497e289292ba80eULL, 0xd24d78311d5e4058ULL},
-           {0x05ffd4fd5e8d1d47ULL, 0xa8a1f539cc9a9ca4ULL,
-            0x1b9632940a5d740dULL, 0x76a89a6411c7275bULL,
-            0x60ac35c1cf8f6835ULL, 0xc9d8a0542f23b33eULL,
-            0x26710254f9f8edc1ULL, 0xbf34025e851191d4ULL},
-       },
-       {252, 252, 252},
-       {30.869666666666667, 30.869666666666667, 30.869666666666667},},
+  };
+}
+
+std::vector<SequentialGolden> classic_only_goldens() {
+  return {
+      {"bcast", &bcast, 0x076b31edcfbcb01aULL},
+      {"skew", &skew, 0xb8ad18e4a0cf2611ULL},
+      {"barrier", &barrier, 0xdbd738ce28044686ULL},
   };
 }
 

@@ -34,15 +34,18 @@ std::uint64_t draw(std::uint64_t x) {
 }
 
 /// With --shards N (N > 1), every scenario additionally runs a sharded-
-/// fabric cross-check: one seeded run of a randomly drawn migrated family
-/// (gm_mcast, multisend, mpi_bcast, skew_bcast, barrier) on the PDES
-/// fabric at 1 shard and at a per-scenario random shard count in [2, N],
-/// asserting the shard-count-invariance half of the determinism contract
-/// (identical deliveries and protocol totals).  The requested count may
-/// exceed the scenario's leaf-block count — switch_cut clamps it, and the
-/// check reports the effective count it actually ran at.  The derivation
-/// uses its own mix of the scenario seed, so soak::make_spec's RNG stream
-/// — and with it every pinned soak golden — is untouched.
+/// fabric cross-check: one seeded run of a randomly drawn sharded family
+/// (gm_mcast or multisend) on the PDES fabric at 1 shard and at a
+/// per-scenario random shard count in [2, N], asserting the
+/// shard-count-invariance half of the determinism contract (identical
+/// deliveries and protocol totals).  A lossless draw also runs on the
+/// classic stack, which must count the same protocol events as the fabric:
+/// its sizes (64 B - 2 KB) are one packet per message, where the two
+/// engines agree (DESIGN.md §4.5).  The requested count may exceed the
+/// scenario's leaf-block count — switch_cut clamps it, and the check
+/// reports the effective count it actually ran at.  The derivation uses
+/// its own mix of the scenario seed, so soak::make_spec's RNG stream — and
+/// with it every pinned soak golden — is untouched.
 struct ShardCheck {
   bool ok = true;
   std::size_t shards = 0;
@@ -57,9 +60,7 @@ ShardCheck run_sharded_crosscheck(std::uint64_t seed,
 
   harness::RunSpec spec;
   constexpr harness::Experiment kFamilies[] = {
-      harness::Experiment::kGmMulticast, harness::Experiment::kMultisend,
-      harness::Experiment::kMpiBcast, harness::Experiment::kSkewBcast,
-      harness::Experiment::kBarrier};
+      harness::Experiment::kGmMulticast, harness::Experiment::kMultisend};
   spec.experiment = kFamilies[draw(seed ^ 0xfa417) % std::size(kFamilies)];
   spec.nodes = 24 + draw(seed ^ 0xfab) % 233;  // 24..256 endpoints
   spec.wiring = harness::Wiring::kClos;
@@ -68,18 +69,9 @@ ShardCheck run_sharded_crosscheck(std::uint64_t seed,
   spec.tree = (draw(seed ^ 0x7ee) & 1) != 0
                   ? harness::TreeShape::kBinomial
                   : harness::TreeShape::kChain;
-  // The barrier rides the lossless control path; everything else soaks
-  // under 0-3% uniform loss like the gm_mcast check always has.
-  spec.loss_rate =
-      spec.experiment == harness::Experiment::kBarrier
-          ? 0.0
-          : static_cast<double>(draw(seed ^ 0x1055) % 4) * 0.01;
+  spec.loss_rate = static_cast<double>(draw(seed ^ 0x1055) % 4) * 0.01;
   if (spec.experiment == harness::Experiment::kMultisend) {
     spec.destinations = spec.nodes - 1;  // flat send: a star tree
-  }
-  if (spec.experiment == harness::Experiment::kSkewBcast ||
-      spec.experiment == harness::Experiment::kBarrier) {
-    spec.avg_skew_us = static_cast<double>(draw(seed ^ 0x54e3) % 32);
   }
   spec.warmup = 0;
   spec.iterations = 1;
@@ -115,6 +107,19 @@ ShardCheck run_sharded_crosscheck(std::uint64_t seed,
   if (base.metric("delivered") != 1.0 || sharded.metric("delivered") != 1.0) {
     check.ok = false;
     check.failure += "incomplete delivery; ";
+  }
+  if (spec.loss_rate == 0.0) {
+    spec.shards = 1;
+    const nic::NicStats classic = harness::run_one(spec).nic_totals;
+    const nic::NicStats& fabric = sharded.nic_totals;
+    mismatch("classic packets_sent", classic.packets_sent,
+             fabric.packets_sent);
+    mismatch("classic packets_received", classic.packets_received,
+             fabric.packets_received);
+    mismatch("classic acks_sent", classic.acks_sent, fabric.acks_sent);
+    mismatch("classic forwards", classic.forwards, fabric.forwards);
+    mismatch("classic header_rewrites", classic.header_rewrites,
+             fabric.header_rewrites);
   }
   return check;
 }

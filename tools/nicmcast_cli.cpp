@@ -11,11 +11,16 @@
 //   nicmcast_cli barrier --nodes 32 --algo nic
 //   nicmcast_cli sweep   --nodes 16 --iters 30 --threads 4 --json out.json
 //
-// Exit code 0 on success; 2 on bad usage.
+// Exit code 0 on success; 1 on a runtime error; 2 on bad usage: an
+// unknown command, a flag the command does not read, or a flag without a
+// value.
+#include <algorithm>
+#include <array>
 #include <cstdio>
-#include <cstring>
+#include <iterator>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "harness/bench_io.hpp"
@@ -27,7 +32,6 @@ using namespace nicmcast::harness;
 namespace {
 
 struct Args {
-  std::string command;
   std::map<std::string, std::string> options;
 
   [[nodiscard]] std::string get(const std::string& key,
@@ -49,12 +53,14 @@ struct Args {
 int usage() {
   std::fprintf(stderr,
                "usage: nicmcast_cli <mcast|bcast|barrier|sweep> [options]\n"
-               "  common: --nodes N --size BYTES --iters K --loss P "
-               "--seed S\n"
-               "          --threads N --json PATH\n"
-               "  mcast:  --algo nic|host --tree postal|binomial|chain|flat\n"
-               "  bcast:  --algo nic|host --skew AVG_US (MPI level)\n"
-               "  barrier:--algo nic|host\n");
+               "  every command: --nodes N --iters K --seed S --threads N "
+               "--json PATH\n"
+               "  mcast:   --size BYTES --loss P --algo nic|host\n"
+               "           --tree postal|binomial|chain|flat\n"
+               "  bcast:   --size BYTES --algo nic|host --skew AVG_US "
+               "(MPI level)\n"
+               "  barrier: --algo nic|host\n"
+               "  sweep:   --loss P\n");
   return 2;
 }
 
@@ -187,25 +193,55 @@ int cmd_sweep(const Args& args) {
   return 0;
 }
 
+/// The flags every command reads.
+constexpr std::string_view kCommonFlags[] = {"nodes", "iters", "seed",
+                                             "threads", "json"};
+
+struct Command {
+  std::string_view name;
+  int (*run)(const Args&);
+  /// The flags it reads beyond kCommonFlags ("" pads).
+  std::array<std::string_view, 4> flags;
+
+  [[nodiscard]] bool reads(std::string_view flag) const {
+    return std::find(std::begin(kCommonFlags), std::end(kCommonFlags),
+                     flag) != std::end(kCommonFlags) ||
+           (!flag.empty() &&
+            std::find(flags.begin(), flags.end(), flag) != flags.end());
+  }
+};
+
+constexpr Command kCommands[] = {
+    {"mcast", cmd_mcast, {"size", "loss", "algo", "tree"}},
+    {"bcast", cmd_bcast, {"size", "algo", "skew"}},
+    {"barrier", cmd_barrier, {"algo"}},
+    {"sweep", cmd_sweep, {"loss"}},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
+  const std::string_view name = argv[1];
+  const Command* command =
+      std::find_if(std::begin(kCommands), std::end(kCommands),
+                   [name](const Command& c) { return c.name == name; });
+  if (command == std::end(kCommands)) return usage();
   Args args;
-  args.command = argv[1];
-  for (int i = 2; i + 1 < argc; i += 2) {
-    const char* key = argv[i];
-    if (std::strncmp(key, "--", 2) != 0) return usage();
-    args.options[key + 2] = argv[i + 1];
+  for (int i = 2; i < argc; i += 2) {
+    // Every flag takes a value.  A flag the command does not read would
+    // otherwise run the defaults, so it is bad usage too.
+    const std::string_view key = argv[i];
+    if (!key.starts_with("--") || !command->reads(key.substr(2)) ||
+        i + 1 >= argc || std::string_view(argv[i + 1]).starts_with("--")) {
+      return usage();
+    }
+    args.options[std::string(key.substr(2))] = argv[i + 1];
   }
   try {
-    if (args.command == "mcast") return cmd_mcast(args);
-    if (args.command == "bcast") return cmd_bcast(args);
-    if (args.command == "barrier") return cmd_barrier(args);
-    if (args.command == "sweep") return cmd_sweep(args);
+    return command->run(args);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  return usage();
 }
