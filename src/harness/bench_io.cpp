@@ -176,6 +176,7 @@ json::Value result_to_json(const RunResult& result) {
   engine["routes_materialized"] = e.routes_materialized;
   engine["route_links_stored"] = e.route_links_stored;
   engine["route_links_shared"] = e.route_links_shared;
+  engine["route_links_scanned"] = e.route_links_scanned;
   // Decimal strings, like seeds: 64-bit hashes do not fit a JSON double.
   engine["event_order_hash"] = std::to_string(e.event_order_hash);
   engine["shard_count"] = e.shard_count;

@@ -37,7 +37,7 @@
 //                     "wheel_occupancy_peak": ..., "wheel_cascades": ...,
 //                     "overflow_scheduled": ..., "overflow_promotions": ...,
 //                     "routes_materialized": ..., "route_links_stored": ...,
-//                     "route_links_shared": ...,
+//                     "route_links_shared": ..., "route_links_scanned": ...,
 //                     "event_order_hash": "<decimal string: 64-bit exact>",
 //                     "shard_count": ..., "cross_shard_msgs": ...,
 //                     "lbts_rounds": ..., "horizon_stalls": ...,

@@ -38,6 +38,7 @@ struct EngineCounters {
   std::uint64_t routes_materialized = 0;   // (src, dst) pairs computed
   std::uint64_t route_links_stored = 0;    // LinkIds held across arenas
   std::uint64_t route_links_shared = 0;    // LinkIds reused via interning
+  std::uint64_t route_links_scanned = 0;   // adjacency entries read on misses
   /// Deterministic FNV fold of the executed (time, seq) event order.  For
   /// sharded runs this is the merged per-shard fold (ShardedEngine::
   /// merged_order_hash); shard_order_hashes below carries the full vector.
@@ -80,6 +81,7 @@ inline void accumulate(EngineCounters& into, const RouteTableStats& r) {
   into.routes_materialized += r.routes_materialized;
   into.route_links_stored += r.links_stored;
   into.route_links_shared += r.links_shared;
+  into.route_links_scanned += r.links_scanned;
 }
 
 /// Adds one shard's synchronization counters.

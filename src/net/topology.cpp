@@ -108,53 +108,124 @@ std::vector<std::vector<Route>> Topology::all_routes() const {
 // ---------------------------------------------------------------------------
 // RouteTable
 
-/// (Re)starts the incremental BFS for `from`: resets the predecessor tree
-/// and seeds the frontier.  Exploration happens in extend_bfs().
-void RouteTable::start_bfs(NodeId from) {
-  const std::size_t vertices = topo_->vertex_count();
-  if (adjacency_.empty()) {
-    // Built once and shared by every source.  Links appended in id order
-    // keep each vertex's out-links in increasing id order — the same order
-    // Topology::route()'s per-pair BFS discovers them in, which is what
-    // keeps extracted routes bit-identical to the eager implementation's.
-    adjacency_.resize(vertices);
-    for (LinkId id = 0; id < topo_->link_count(); ++id) {
-      adjacency_[topo_->link(id).from].push_back(id);
-    }
+/// Groups every link under its `end` vertex by a counting sort over link
+/// ids, so each vertex's links stay in increasing id order — the order
+/// Topology::route()'s BFS scans them in.
+RouteTable::Adjacency RouteTable::adjacency(const Topology& topology,
+                                            VertexId LinkDesc::*end) {
+  Adjacency a;
+  a.begin.assign(topology.vertex_count() + 1, 0);
+  for (LinkId id = 0; id < topology.link_count(); ++id) {
+    ++a.begin[topology.link(id).*end + 1];
   }
-  via_.assign(vertices, kNoLink);
-  prev_.assign(vertices, kNoVertex);
-  frontier_.clear();
-  frontier_head_ = 0;
-  frontier_.push_back(from);
-  prev_[from] = from;
-  bfs_source_ = from;
-  bfs_valid_ = true;
+  for (std::size_t v = 1; v < a.begin.size(); ++v) {
+    a.begin[v] += a.begin[v - 1];
+  }
+  a.links.resize(topology.link_count());
+  std::vector<std::uint32_t> fill(a.begin.begin(), a.begin.end() - 1);
+  for (LinkId id = 0; id < topology.link_count(); ++id) {
+    a.links[fill[topology.link(id).*end]++] = id;
+  }
+  return a;
 }
 
-/// Runs the BFS just far enough to discover `to`.  The frontier persists
-/// between calls, so later destinations for the same source continue where
-/// the last call stopped — the FIFO discovery order (and thus every
-/// extracted route) is identical to a single uninterrupted BFS.
-void RouteTable::extend_bfs(NodeId to) {
-  while (prev_[to] == kNoVertex && frontier_head_ < frontier_.size()) {
-    const VertexId v = frontier_[frontier_head_++];
-    if (v != bfs_source_ && topo_->is_endpoint(v)) {
-      continue;  // endpoints terminate paths (NICs do not cut through)
-    }
-    for (const LinkId id : adjacency_[v]) {
-      const LinkDesc& l = topo_->link(id);
-      if (prev_[l.to] != kNoVertex) continue;
-      prev_[l.to] = v;
-      via_[l.to] = id;
-      frontier_.push_back(l.to);
+/// Finds the route's meeting vertex: the forward search reached it through
+/// marks_[v].via, and marks_[v].next leads on towards `to`.  Throws if no
+/// route exists.
+VertexId RouteTable::search(NodeId from, NodeId to) {
+  const Topology& topo = *topo_;
+  if (marks_.empty()) {
+    out_ = adjacency(topo, &LinkDesc::from);
+    in_ = adjacency(topo, &LinkDesc::to);
+    marks_.resize(topo.vertex_count());
+  }
+  // A miss takes one stamp per level plus one.  Stamps restart long before
+  // they could wrap: the only reset sized by the graph, once in 2^32 levels.
+  constexpr std::size_t kLastStamp = std::numeric_limits<std::uint32_t>::max();
+  if (stamp_ > kLastStamp - marks_.size() - 2) {
+    std::fill(marks_.begin(), marks_.end(), Mark{});
+    stamp_ = 0;
+  }
+  const std::uint32_t first = ++stamp_;
+  marks_[from].fwd = first;
+  marks_[to].bwd = first;
+  fwd_.assign(1, from);
+  bwd_.assign(1, to);
+  std::size_t fwd_level = 0;  // where each side's frontier starts
+  std::size_t bwd_level = 0;
+  const auto degree = [](const Adjacency& a, VertexId v) {
+    return a.begin[v + 1] - a.begin[v];
+  };
+  std::uint64_t fwd_cost = degree(out_, from);  // links the frontier reads
+  std::uint64_t bwd_cost = degree(in_, to);
+  // Endpoints terminate paths (NICs do not cut through), so no endpoint but
+  // the pair's own ever joins a level.
+  const auto may_join = [&](VertexId v) {
+    return !topo.is_endpoint(v) || v == from || v == to;
+  };
+
+  while (fwd_level < fwd_.size() && bwd_level < bwd_.size()) {
+    const std::uint32_t level = ++stamp_;
+    if (fwd_cost <= bwd_cost) {
+      const std::size_t end = fwd_.size();
+      fwd_cost = 0;
+      for (std::size_t i = fwd_level; i < end; ++i) {
+        const VertexId v = fwd_[i];
+        for (std::uint32_t k = out_.begin[v]; k < out_.begin[v + 1]; ++k) {
+          ++stats_.links_scanned;
+          const LinkId id = out_.links[k];
+          const VertexId w = topo.link(id).to;
+          Mark& m = marks_[w];
+          if (m.fwd >= first || !may_join(w)) continue;
+          m.fwd = level;
+          m.via = id;
+          // Levels grow in BFS order, so the first meeting vertex found
+          // ends the lexicographically smallest shortest prefix.
+          if (m.bwd >= first) return w;
+          fwd_.push_back(w);
+          fwd_cost += degree(out_, w);
+        }
+      }
+      fwd_level = end;
+    } else {
+      const std::size_t end = bwd_.size();
+      bwd_cost = 0;
+      bool met = false;
+      for (std::size_t i = bwd_level; i < end; ++i) {
+        const VertexId w = bwd_[i];
+        for (std::uint32_t k = in_.begin[w]; k < in_.begin[w + 1]; ++k) {
+          ++stats_.links_scanned;
+          const LinkId id = in_.links[k];
+          const VertexId u = topo.link(id).from;
+          Mark& m = marks_[u];
+          if (m.bwd == level) {  // another of its links into the level below
+            m.next = std::min(m.next, id);
+            continue;
+          }
+          if (m.bwd >= first || !may_join(u)) continue;
+          m.bwd = level;
+          m.next = id;
+          met = met || m.fwd >= first;
+          bwd_.push_back(u);
+          bwd_cost += degree(in_, u);
+        }
+      }
+      if (met) {
+        // Every meeting vertex is in the forward frontier (a shallower one
+        // would have met an earlier level); the first in BFS order ends the
+        // smallest prefix.
+        const auto frontier =
+            fwd_.begin() + static_cast<std::ptrdiff_t>(fwd_level);
+        return *std::find_if(frontier, fwd_.end(), [&](VertexId v) {
+          return marks_[v].bwd >= first;
+        });
+      }
+      bwd_level = end;
     }
   }
-  if (prev_[to] == kNoVertex) {
-    throw std::runtime_error("no route between endpoints " +
-                             std::to_string(bfs_source_) + " and " +
-                             std::to_string(to));
-  }
+  throw std::runtime_error("no route between endpoints " +
+                           std::to_string(from) + " and " +
+                           std::to_string(to));
 }
 
 RouteView RouteTable::route(NodeId from, NodeId to) {
@@ -174,20 +245,19 @@ RouteView RouteTable::route(NodeId from, NodeId to) {
 }
 
 RouteView RouteTable::materialize(NodeId from, NodeId to, SourceRoutes& sr) {
-  if (!bfs_valid_ || bfs_source_ != from) start_bfs(from);
-  extend_bfs(to);
-
-  // Walk the predecessor chain to -> from.
-  std::vector<VertexId> vertices;  // from ... to
-  std::vector<LinkId> links;       // links[i] enters vertices[i+1]
-  for (VertexId v = to; v != from; v = prev_[v]) {
-    vertices.push_back(v);
-    links.push_back(via_[v]);
+  const VertexId meet = search(from, to);
+  Route links;  // links[i] enters the path's vertex i + 1
+  for (VertexId v = meet; v != from; v = topo_->link(links.back()).from) {
+    links.push_back(marks_[v].via);
   }
-  vertices.push_back(from);
-  std::reverse(vertices.begin(), vertices.end());
   std::reverse(links.begin(), links.end());
+  for (VertexId v = meet; v != to; v = topo_->link(links.back()).to) {
+    links.push_back(marks_[v].next);
+  }
   const std::size_t hops = links.size();
+  const auto vertex = [&](std::size_t j) {
+    return topo_->link(links[j - 1]).to;
+  };
 
   // Longest interned prefix: the deepest on-path switch whose route from
   // this source is already in the arena.  Every destination behind the same
@@ -195,7 +265,7 @@ RouteView RouteTable::materialize(NodeId from, NodeId to, SourceRoutes& sr) {
   Entry entry;
   std::size_t shared = 0;  // links covered by the interned head
   for (std::size_t j = hops; j-- > 1;) {
-    const auto hit = sr.prefix_of.find(vertices[j]);
+    const auto hit = sr.prefix_of.find(vertex(j));
     if (hit != sr.prefix_of.end()) {
       entry.head = hit->second;
       shared = j;
@@ -213,7 +283,7 @@ RouteView RouteTable::materialize(NodeId from, NodeId to, SourceRoutes& sr) {
     // The whole route is contiguous: intern every proper prefix ending at a
     // switch so later destinations behind those switches can share it.
     for (std::size_t j = 1; j < hops; ++j) {
-      sr.prefix_of.emplace(vertices[j],
+      sr.prefix_of.emplace(vertex(j),
                            Span{entry.tail.off, static_cast<std::uint32_t>(j)});
     }
   }

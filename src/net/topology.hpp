@@ -2,8 +2,9 @@
 //
 // A topology is a graph over two vertex kinds: NIC endpoints (the leaves)
 // and crossbar switches.  Myrinet uses source routing: the sending NIC knows
-// the full path.  We precompute shortest paths (BFS) and hand the per-pair
-// link sequence to the channel model.
+// the full path.  Each pair's route is the shortest path a BFS finds,
+// computed on first use (RouteTable) and handed to the channel model as a
+// link sequence.
 #pragma once
 
 #include <cstdint>
@@ -123,6 +124,7 @@ struct RouteTableStats {
   std::uint64_t sources_touched = 0;      // sources with >= 1 route
   std::uint64_t links_stored = 0;         // LinkIds held across all arenas
   std::uint64_t links_shared = 0;         // LinkIds reused via interned spans
+  std::uint64_t links_scanned = 0;        // adjacency entries read on misses
 };
 
 /// A materialized source route: a view over (up to) two contiguous spans of
@@ -168,16 +170,26 @@ class RouteView {
 /// all-pairs `vector<vector<Route>>` (O(n^2 * hops) memory and setup time —
 /// the scaling blocker for 4096-node fabrics).
 ///
-/// Routes are computed on first use of a (src, dst) pair by an incremental
-/// per-source BFS whose exploration order is bit-identical to
-/// Topology::route()'s, so extracted routes — and therefore injection
-/// timings and the event order — never change.  Per source, routes live in
-/// a compressed arena: the path to a destination's last switch is interned
-/// once (keyed by switch vertex) and shared by every destination behind it;
-/// each additional destination stores only its tail links.  The BFS
-/// predecessor tree of the most recently used source is kept warm and
-/// extended on demand, so bursts of lookups from one source (a multicast
-/// fan-out, an ack storm converging on the root) pay one traversal.
+/// A pair's route is the one Topology::route()'s BFS finds: of the shortest
+/// paths whose interior vertices are all switches, the one whose sequence of
+/// link ids is lexicographically smallest.  A miss computes it with a
+/// bidirectional search that keeps nothing per source:
+///   1. expand one whole level at a time, forward over out-links from `from`
+///      or backward over in-links from `to`, whichever frontier has fewer
+///      links to read, until a level reaches the other side;
+///   2. the forward levels grow in BFS order, so the first meeting vertex in
+///      that order ends the smallest shortest prefix, and the link each
+///      vertex was found through leads back to `from`;
+///   3. on to `to`, each hop takes the lowest-id link into the next backward
+///      level, recorded while that level was expanded.
+/// Per-vertex marks carry the stamp of the level that set them, so a miss
+/// never resets state sized by the graph: it costs the adjacency entries its
+/// levels read (at most 34 for any route of a radix-16 Clos, at any size).
+///
+/// Per source, routes live in a compressed arena: the path to a
+/// destination's last switch is interned once (keyed by switch vertex) and
+/// shared by every destination behind it; each additional destination
+/// stores only its tail links.
 class RouteTable {
  public:
   explicit RouteTable(const Topology& topology) : topo_(&topology) {}
@@ -203,27 +215,40 @@ class RouteTable {
     std::unordered_map<NodeId, Entry> by_dst;
     std::unordered_map<VertexId, Span> prefix_of;  // switch -> interned span
   };
+  /// Compressed sparse rows: vertex v's links are
+  /// links[begin[v] .. begin[v + 1]), in increasing id order.
+  struct Adjacency {
+    std::vector<std::uint32_t> begin;
+    std::vector<LinkId> links;
+  };
+  /// A vertex's search state.  A stamp below the current miss's first
+  /// stamp is stale: the vertex is unreached.
+  struct Mark {
+    std::uint32_t fwd = 0;  // stamp of the forward level that reached it
+    std::uint32_t bwd = 0;  // stamp of the backward level that reached it
+    LinkId via = 0;   // the link the forward search reached it through
+    LinkId next = 0;  // lowest-id link from it into the backward level below
+  };
 
   RouteView view_of(const SourceRoutes& sr, const Entry& e) const {
     return RouteView(&sr.arena, e.head.off, e.head.len, e.tail.off,
                      e.tail.len);
   }
 
-  void start_bfs(NodeId from);
-  void extend_bfs(NodeId to);
+  static Adjacency adjacency(const Topology& topology, VertexId LinkDesc::*end);
+  VertexId search(NodeId from, NodeId to);
   RouteView materialize(NodeId from, NodeId to, SourceRoutes& sr);
 
   const Topology* topo_;
   std::vector<std::unique_ptr<SourceRoutes>> sources_;  // lazily allocated
-  std::vector<std::vector<LinkId>> adjacency_;  // built once, on first use
-  // Incremental BFS state for the most recently used source: prev_/via_
-  // hold its (partial) predecessor tree; frontier_head_ indexes the FIFO.
-  std::uint32_t bfs_source_ = 0;
-  bool bfs_valid_ = false;
-  std::vector<LinkId> via_;
-  std::vector<VertexId> prev_;
-  std::vector<VertexId> frontier_;
-  std::size_t frontier_head_ = 0;
+  // Built once, on the first miss, and shared by every source.
+  Adjacency out_;
+  Adjacency in_;
+  std::vector<Mark> marks_;
+  std::uint32_t stamp_ = 0;  // last stamp handed out
+  // The current miss's levels, each in discovery order.
+  std::vector<VertexId> fwd_;
+  std::vector<VertexId> bwd_;
   RouteTableStats stats_;
 };
 

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace nicmcast::net {
 namespace {
@@ -225,6 +232,111 @@ TEST(Topology, IdsPastTheOldSixteenBitWrapStayDistinct) {
   }
   EXPECT_EQ(seen.size(), n);  // 16-bit ids aliased 65536 -> 0 here
   EXPECT_NE(static_cast<NodeId>(65536), static_cast<NodeId>(0));
+}
+
+// What a lookup gave: its links, or the kind of exception it threw.
+struct Outcome {
+  Route route;
+  std::string thrown;
+  bool operator==(const Outcome&) const = default;
+};
+
+template <typename Lookup>
+Outcome outcome_of(Lookup&& lookup) {
+  try {
+    return {lookup(), ""};
+  } catch (const std::out_of_range&) {
+    return {{}, "out_of_range"};
+  } catch (const std::runtime_error&) {
+    return {{}, "runtime_error"};
+  }
+}
+
+// A random graph with the shapes the canned topologies lack: parallel
+// cables, endpoint-to-endpoint cables, endpoints with several cables, and
+// pairs with no route.
+Topology random_topology(std::mt19937_64& rng) {
+  const auto below = [&](std::size_t n) {
+    return static_cast<VertexId>(rng() % n);
+  };
+  Topology t(2 + below(9));
+  const std::size_t switches = below(13);
+  for (std::size_t i = 0; i < switches; ++i) t.add_switch();
+  const std::size_t cables = below(3 * t.vertex_count());
+  for (std::size_t i = 0; i < cables; ++i) {
+    const VertexId a = below(t.vertex_count());
+    const VertexId b = below(t.vertex_count());
+    t.add_cable(a, b);
+    if (rng() % 4 == 0) t.add_cable(b, a);  // a parallel cable
+  }
+  return t;
+}
+
+// Every lookup order the simulator produces must give Topology::route's
+// route or exception, and a failed lookup must leave the table usable.
+TEST(RouteTable, MatchesTopologyRouteOnRandomGraphsInEveryLookupOrder) {
+  std::mt19937_64 rng(20031006);
+  for (int graph = 0; graph < 300; ++graph) {
+    const Topology t = random_topology(rng);
+    // Ids up to n, one past the last endpoint, so bad ids are looked up too.
+    const auto n = static_cast<NodeId>(t.endpoint_count());
+    using Pairs = std::vector<std::pair<NodeId, NodeId>>;
+    Pairs source_major;
+    Pairs destination_major;  // an ack storm
+    Pairs alternating;        // each data segment, then its ack
+    for (NodeId a = 0; a <= n; ++a) {
+      for (NodeId b = 0; b <= n; ++b) {
+        source_major.emplace_back(a, b);
+        destination_major.emplace_back(b, a);
+        alternating.emplace_back(a, b);
+        alternating.emplace_back(b, a);
+      }
+    }
+    Pairs shuffled = source_major;
+    std::shuffle(shuffled.begin(), shuffled.end(), rng);
+
+    for (const auto* order :
+         {&source_major, &destination_major, &alternating, &shuffled}) {
+      RouteTable table(t);
+      for (const auto& [s, d] : *order) {
+        const Outcome want = outcome_of([&] { return t.route(s, d); });
+        const Outcome got =
+            outcome_of([&] { return table.route(s, d).to_route(); });
+        ASSERT_EQ(got, want) << "graph " << graph << ": " << s << "->" << d
+                             << " threw '" << got.thrown << "', want '"
+                             << want.thrown << "'";
+      }
+    }
+  }
+}
+
+// The fabric's multisend pattern: the root's data segment to each
+// destination, then that destination's ack back to the root.  Each miss
+// must read a bounded number of adjacency entries, whatever the fabric's
+// size: a spine of the 16k Clos has 2,048 out-links, so the search must
+// reach a destination leaf through that leaf's in-links.
+TEST(RouteTable, LinksScannedPerRouteDoNotGrowWithTheFabric) {
+  constexpr std::size_t kRadix = 16;
+  // Two levels per side, each reading one leaf's radix links, after the
+  // two endpoints' single cables.
+  constexpr std::uint64_t kBound = 2 * (kRadix + 1);
+  for (const std::size_t n : {std::size_t{1024}, std::size_t{16384}}) {
+    const Topology t = Topology::clos(n, kRadix);
+    RouteTable table(t);
+    std::uint64_t worst = 0;
+    const auto miss = [&](NodeId from, NodeId to) {
+      const std::uint64_t before = table.stats().links_scanned;
+      const bool same_leaf = from / (kRadix / 2) == to / (kRadix / 2);
+      EXPECT_EQ(table.route(from, to).size(), same_leaf ? 2u : 4u);
+      worst = std::max(worst, table.stats().links_scanned - before);
+    };
+    for (NodeId d = 1; d < n; ++d) {
+      miss(0, d);  // the data segment
+      miss(d, 0);  // its ack
+    }
+    EXPECT_EQ(table.stats().routes_materialized, 2 * (n - 1));
+    EXPECT_LE(worst, kBound) << "n=" << n;
+  }
 }
 
 TEST(RouteTable, ThrowsLikeTopologyRoute) {
