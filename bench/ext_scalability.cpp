@@ -2,7 +2,7 @@
 // memory and processor resources at the NIC, which promises good
 // scalability"; GM "can support clusters of over 10,000 nodes").
 //
-// Four phases:
+// Three phases:
 //  1. the latency sweep: GM-level multicast from 8 to 128 nodes on radix-16
 //     Clos fabrics — NIC-based improvement factor, tree shapes, NIC barrier
 //     vs host dissemination barrier;
@@ -16,12 +16,12 @@
 //     wall clock and memory.  A full all-pairs route table at 4096 nodes
 //     would hold 4096*4095 routes; the engine's routes_materialized counter
 //     in the JSON shows what the lazy RouteTable actually computed;
-//  3. the sharded sweep ("pshard-*"): gm_mcast from 512 to 65536 endpoints
-//     at 1-8 shards;
-//  4. the multisend sweep ("msend-*"): the paper's flat multisend, the
-//     other family the sharded fabric runs, from 512 to 65536 endpoints.
-//     The host layers (MPI_Bcast, skew, the NIC barrier) run on the
-//     classic stack only and have no sharded points.
+//  3. the sharded sweep over the two families the sharded fabric runs:
+//     gm_mcast ("pshard-*") from 512 to 65536 endpoints at 1-8 shards and
+//     the paper's flat multisend ("msend-*") from 512 to 65536 endpoints.
+//     Its CI-pinned 512-endpoint pairs run before any larger point.  The
+//     host layers (MPI_Bcast, skew, the NIC barrier) run on the classic
+//     stack only and have no sharded points.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -210,38 +210,35 @@ RunSpec msend_spec(const BenchOptions& options, std::size_t nodes,
   return spec;
 }
 
+/// One sharded-sweep point: the family's spec builder plus its size.
 struct ShardPoint {
+  RunSpec (*spec_of)(const BenchOptions&, std::size_t, std::size_t);
   std::size_t nodes;
   std::size_t shards;
 };
 
-/// One sharded sweep: the points `spec_of` builds, timed in order under
-/// the table heading `heading`.
-void run_shard_sweep(const BenchOptions& options, const char* heading,
-                     RunSpec (*spec_of)(const BenchOptions&, std::size_t,
-                                        std::size_t),
+/// The sharded sweep: `points` timed in order, one table row each.
+void run_shard_sweep(const BenchOptions& options,
                      const std::vector<ShardPoint>& points,
                      std::vector<RunResult>& results) {
-  std::printf("\n%22s | %10s | %9s | %12s | %11s | %9s | %9s\n", heading,
-              "events", "wall ms", "events/s", "x-shard msg", "lbts rnds",
-              "blk waits");
+  std::printf("\n%22s | %10s | %9s | %12s | %11s | %9s | %9s\n",
+              "sharded point", "events", "wall ms", "events/s", "x-shard msg",
+              "lbts rnds", "blk waits");
   std::size_t skipped = 0;
-  for (const auto& [nodes, shards] : points) {
+  for (const auto& [spec_of, nodes, shards] : points) {
     if (options.max_nodes != 0 && nodes > options.max_nodes) {
       ++skipped;
       continue;
     }
-    const std::size_t effective = options.shards_or(shards);
-    const RunSpec spec = spec_of(options, nodes, effective);
+    const RunSpec spec = spec_of(options, nodes, options.shards_or(shards));
     if (!options.selected(spec.label)) continue;
     RunResult r = timed_point(spec);
-    std::printf(
-        "%14zux16-s%-3zu | %10.0f | %9.1f | %12.0f | %11llu | %9llu | %9llu\n",
-        nodes, effective, r.metric("events"), r.metric("wall_ms"),
-        r.metric("events_per_sec"),
-        static_cast<unsigned long long>(r.engine.cross_shard_msgs),
-        static_cast<unsigned long long>(r.engine.lbts_rounds),
-        static_cast<unsigned long long>(r.engine.blocked_waits));
+    std::printf("%22s | %10.0f | %9.1f | %12.0f | %11llu | %9llu | %9llu\n",
+                spec.label.c_str(), r.metric("events"), r.metric("wall_ms"),
+                r.metric("events_per_sec"),
+                static_cast<unsigned long long>(r.engine.cross_shard_msgs),
+                static_cast<unsigned long long>(r.engine.lbts_rounds),
+                static_cast<unsigned long long>(r.engine.blocked_waits));
     results.push_back(std::move(r));
   }
   if (skipped > 0) {
@@ -345,36 +342,29 @@ void run(const BenchOptions& options) {
 
   print_header(
       "Extension — sharded PDES sweep (512 -> 65536-node Clos, radix 16)",
-      "Conservative synchronization at switch-cut granularity: s1 = the "
-      "classic sequential engine, s>1 = the sharded fabric "
-      "(DESIGN.md 4.5).");
-  // shards == 1 points are the classic-engine baselines.  65536 keeps no
-  // classic baseline: it dates from the 16-bit NodeId days (the coroutine
-  // stack topped out one node short), and re-baselining now would redate
-  // every recorded comparison — the widened id is covered by the multisend
-  // family sweep below instead.  The blocked_waits column is the
-  // synchronization-stall report.
-  run_shard_sweep(options, "sharded point", pshard_spec,
-                  {{512, 1}, {512, 4},  // CI-pinned pair
-                   {4096, 1}, {4096, 4},
-                   {16384, 1}, {16384, 2}, {16384, 4}, {16384, 8},
-                   {32768, 1}, {32768, 4},
-                   {65536, 2}, {65536, 4}, {65536, 8}},
-                  results);
-
-  print_header(
-      "Extension — multisend sharded sweep (flat multisend, 512 -> "
-      "65536-node Clos)",
-      "The second family the conservative-PDES fabric runs, after gm_mcast "
-      "(DESIGN.md 4.6): s1 = the gm::Cluster stack, s>1 = the sharded "
-      "fabric.");
-  // The msend-512 s1/s4 pair is CI-pinned like the pshard pair.  16384 and
-  // 65536 document multisend at fabric sizes the coroutine stack reaches
-  // slowly (16384) or only since the 32-bit NodeId (65536).
-  run_shard_sweep(options, "multisend point", msend_spec,
-                  {{512, 1}, {512, 4},  // CI-pinned pair
-                   {16384, 1}, {16384, 4},
-                   {65536, 4}},
+      "Conservative synchronization at switch-cut granularity for the two "
+      "families the fabric runs, gm_mcast (pshard) and the paper's flat "
+      "multisend (msend): s1 = the classic sequential engine, s>1 = the "
+      "sharded fabric (DESIGN.md 4.5, 4.6).");
+  // The 512-endpoint s1/s4 pairs are CI-pinned, and they run before any
+  // point above 4,096 endpoints: those leave resident memory behind that
+  // malloc_trim cannot return, which would count in a later point's
+  // peak_rss_kb.  pshard-65536 keeps no classic baseline: it dates from
+  // the 16-bit NodeId days (the coroutine stack topped out one node
+  // short), and re-baselining now would redate every recorded
+  // comparison — msend-65536 covers the widened id instead.  The
+  // blocked_waits column is the synchronization-stall report.
+  run_shard_sweep(options,
+                  {{pshard_spec, 512, 1}, {pshard_spec, 512, 4},
+                   {msend_spec, 512, 1}, {msend_spec, 512, 4},
+                   {pshard_spec, 4096, 1}, {pshard_spec, 4096, 4},
+                   {pshard_spec, 16384, 1}, {pshard_spec, 16384, 2},
+                   {pshard_spec, 16384, 4}, {pshard_spec, 16384, 8},
+                   {pshard_spec, 32768, 1}, {pshard_spec, 32768, 4},
+                   {pshard_spec, 65536, 2}, {pshard_spec, 65536, 4},
+                   {pshard_spec, 65536, 8},
+                   {msend_spec, 16384, 1}, {msend_spec, 16384, 4},
+                   {msend_spec, 65536, 4}},
                   results);
 
   write_bench_json("ext_scalability", options, results);

@@ -34,7 +34,6 @@ sim::Task<void> Port::pump() {
                         ? SendStatus::kFailed
                         : SendStatus::kOk;
         if (op.status == SendStatus::kFailed) ++stats_.failed_sends;
-        if (op.pinned) memory_.unpin(op.pinned);
         op.result = std::move(event.data);
         op.done.fire();
         // A completed operation returned its send token.
@@ -156,18 +155,6 @@ sim::Task<SendStatus> Port::send(net::NodeId dest, net::PortId dest_port,
   nic_.post_send(
       nic::SendRequest{port_id_, dest, dest_port, std::move(data), tag,
                        handle});
-  co_return co_await finish(handle);
-}
-
-sim::Task<SendStatus> Port::send_from(RegionRef region, net::NodeId dest,
-                                      net::PortId dest_port,
-                                      std::uint32_t tag) {
-  memory_.pin(region);  // throws on unregistered memory
-  ++stats_.sends;
-  const nic::OpHandle handle = co_await enter_nic(true);
-  track(handle).pinned = region;
-  nic_.post_send(nic::SendRequest{port_id_, dest, dest_port, region->data(),
-                                  tag, handle});
   co_return co_await finish(handle);
 }
 

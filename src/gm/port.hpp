@@ -1,9 +1,9 @@
 // The GM user-level API: a port with blocking (coroutine) send/receive.
 //
 // This is the layer application code and the mini-MPI are written against.
-// It mirrors how MPICH-GM uses GM: OS-bypass ports, registered memory,
-// pre-posted receive buffers, an event queue the host polls, and — new in
-// this work — multisend and multicast send operations.
+// It mirrors how MPICH-GM uses GM: OS-bypass ports, pre-posted receive
+// buffers, an event queue the host polls, and — new in this work —
+// multisend and multicast send operations.
 //
 // Blocking semantics: `co_await port.send(...)` suspends the calling
 // simulated process until the NIC reports completion (all packets
@@ -18,12 +18,13 @@
 #include <optional>
 #include <vector>
 
-#include "gm/registered_memory.hpp"
 #include "nic/nic.hpp"
 #include "sim/flat_map.hpp"
 #include "sim/simulator.hpp"
 
 namespace nicmcast::gm {
+
+using nic::Payload;
 
 enum class SendStatus : std::uint8_t { kOk, kFailed };
 
@@ -57,7 +58,6 @@ class Port {
   [[nodiscard]] net::PortId port_id() const { return port_id_; }
   [[nodiscard]] nic::Nic& nic() { return nic_; }
   [[nodiscard]] const PortStats& stats() const { return stats_; }
-  [[nodiscard]] MemoryRegistry& memory() { return memory_; }
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
 
   // ---- Blocking operations (call from a simulated process) ----
@@ -100,12 +100,6 @@ class Port {
   /// Next message delivered to this port, in arrival order.
   sim::Task<RecvMessage> receive();
 
-  /// Registered-memory variant: sends from a registered region, keeping it
-  /// pinned until the NIC completes (premature deregistration throws).
-  sim::Task<SendStatus> send_from(RegionRef region, net::NodeId dest,
-                                  net::PortId dest_port,
-                                  std::uint32_t tag = 0);
-
   // ---- Non-blocking operations ----
 
   /// Posts a send without blocking (the gm_send_with_callback pattern
@@ -147,8 +141,7 @@ class Port {
   struct OpState {
     sim::Trigger done;
     SendStatus status = SendStatus::kOk;
-    RegionRef pinned;  // registered-memory sends keep their region pinned
-    Payload result;    // reduction result (root side of nic_reduce)
+    Payload result;  // reduction result (root side of nic_reduce)
   };
 
   /// Charges the host posting (build the event, cross the PCI bus), waits
@@ -168,7 +161,6 @@ class Port {
   sim::Simulator& sim_;
   nic::Nic& nic_;
   net::PortId port_id_;
-  MemoryRegistry memory_;
 
   sim::Channel<RecvMessage> inbox_;
   // Flat table (sim/flat_map.hpp): the pump hits this once per NIC event.

@@ -37,6 +37,15 @@ inline gm::Payload make_payload(std::size_t n, std::uint8_t salt = 0) {
   return p;
 }
 
+/// True when `got` holds exactly the bytes of `want`.  One memcmp, not
+/// std::vector's operator==: GCC compiles that to a byte loop whose speed
+/// moves with its code address (Intel's JCC erratum), and the runners call
+/// this once per delivery.
+inline bool same_payload(const gm::Payload& got, const gm::Payload& want) {
+  return got.size() == want.size() &&
+         (got.empty() || std::memcmp(got.data(), want.data(), got.size()) == 0);
+}
+
 inline std::vector<net::NodeId> everyone_but(net::NodeId root, std::size_t n) {
   std::vector<net::NodeId> v;
   // size_t index: a NodeId loop counter wraps (historically: infinite loop

@@ -186,7 +186,8 @@ RunResult run_gm_mcast(const RunSpec& spec) {
       if (got.size() != bytes) {
         throw std::logic_error("harness: broadcast payload lost");
       }
-      if (got != make_payload(bytes, static_cast<std::uint8_t>(iter))) {
+      if (!same_payload(got,
+                        make_payload(bytes, static_cast<std::uint8_t>(iter)))) {
         *delivered = false;  // recorded, not fatal: reliability benches report it
       }
       auto& d = (*done)[iter];
@@ -289,7 +290,8 @@ RunResult run_mpi_bcast(const RunSpec& spec) {
         data = make_payload(bytes, static_cast<std::uint8_t>(iter));
       }
       co_await self.bcast(data, 0);
-      if (data != make_payload(bytes, static_cast<std::uint8_t>(iter))) {
+      if (!same_payload(data,
+                        make_payload(bytes, static_cast<std::uint8_t>(iter)))) {
         throw std::logic_error("harness: corrupted MPI broadcast");
       }
       auto& d = (*done)[iter];

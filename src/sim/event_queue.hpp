@@ -122,75 +122,20 @@ class EventQueue {
     return wheel_.top().when;
   }
 
-  /// Pops and returns the earliest pending event.  Precondition: !empty().
+  /// Pops and returns the earliest pending event: the only way an event
+  /// leaves the queue to run.  Precondition: !empty().
   std::pair<TimePoint, Action> pop() {
     skip_stale();
     const WheelItem top = wheel_.top();
     wheel_.pop_top();
-    Action action = std::move(slots_[top.slot].action);
+    std::pair<TimePoint, Action> out{top.when,
+                                     std::move(slots_[top.slot].action)};
     release(top.slot);
     --live_;
     ++stats_.executed;
     fold_order(top.when, top.seq);
-    return {top.when, std::move(action)};
+    return out;
   }
-
-  // ---- Batched same-tick execution ----------------------------------------
-  //
-  // The batched dispatch path extracts every item sharing the earliest
-  // pending timestamp in one call, then takes them one by one at execution
-  // time.  Slots stay armed across the extraction, so a cancel() issued by
-  // an earlier batch member against a later one is honoured exactly as the
-  // unbatched pop path would have honoured it (the later take() sees a
-  // disarmed or re-armed slot and skips).  Executed counts and the order
-  // hash fold at take() time, in pop order — bit-identical to pop().
-  //
-  // Between pop_run() and the last take()/requeue(), pop() and next_time()
-  // must not be called: the extracted items are out of the wheel.
-
-  /// Batched-dispatch entry point.  When the earliest pending event is
-  /// alone at its timestamp (the common case), this is pop(): `when` and
-  /// `action` are set, `out` is left empty, and 1 is returned.  Otherwise
-  /// the whole same-timestamp run is extracted into `out` (seq-ascending;
-  /// stale members inside the run are extracted too and fall out at
-  /// take()) and its length returned.  Precondition: !empty().
-  std::size_t pop_tick(std::vector<WheelItem>& out, TimePoint& when,
-                       Action& action) {
-    out.clear();
-    skip_stale();
-    WheelItem single;
-    const std::size_t n = wheel_.pop_top_or_run(single, out);
-    if (out.empty()) {
-      when = single.when;
-      action = std::move(slots_[single.slot].action);
-      release(single.slot);
-      --live_;
-      ++stats_.executed;
-      fold_order(single.when, single.seq);
-    } else {
-      when = out.front().when;
-    }
-    return n;
-  }
-
-  /// Moves the action of an extracted item into `action` and accounts the
-  /// execution.  Returns false (leaving `action` untouched) for items
-  /// cancelled before or during the batch.
-  bool take(const WheelItem& item, Action& action) {
-    Slot& s = slots_[item.slot];
-    if (!s.armed || s.seq != item.seq) return false;
-    action = std::move(s.action);
-    release(item.slot);
-    --live_;
-    ++stats_.executed;
-    fold_order(item.when, item.seq);
-    return true;
-  }
-
-  /// Returns an extracted-but-not-taken item to the wheel (exception
-  /// unwinding through a batch).  The slot is still armed; only the wheel
-  /// position is restored.
-  void requeue(const WheelItem& item) { wheel_.push(item); }
 
  private:
   static constexpr std::uint32_t kNilSlot =

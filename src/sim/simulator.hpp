@@ -105,53 +105,28 @@ class Simulator {
 
   // ---- Execution ----
   //
-  // Every run loop dispatches one tick at a time through step_batch(); the
-  // executed (when, seq) order — and so event_order_hash — equals popping
-  // the queue one event at a time (EventQueue::pop), which the queue-level
-  // tests use as their reference.
+  // Every run loop goes through step(), one event per step in (when, seq)
+  // order, so event_order_hash folds the same sequence whichever loop ran.
 
-  /// Runs every event at the earliest pending timestamp as one
-  /// prefetch-friendly loop and returns how many executed (0 when every
-  /// member was cancelled mid-batch).  Same-tick events scheduled by batch
-  /// members run in the *next* batch at the same instant, preserving seq
-  /// order exactly.  Precondition: pending_events() > 0.
-  std::size_t step_batch() {
-    TimePoint when;
-    EventQueue::Action action;
-    queue_.pop_tick(batch_, when, action);
+  /// Pops the earliest pending event, moves the clock to it and runs it.
+  /// An event that throws has already left the queue; the rest of its tick
+  /// stays pending.  Precondition: pending_events() > 0.
+  void step() {
+    auto [when, action] = queue_.pop();
     now_ = when;
-    if (batch_.empty()) {
-      action();
-      return 1;
-    }
-    std::size_t ran = 0;
-    for (std::size_t i = 0; i < batch_.size(); ++i) {
-      if (!queue_.take(batch_[i], action)) continue;
-      try {
-        action();
-      } catch (...) {
-        // Restore the untouched tail so the queue stays consistent for
-        // whoever catches this (tests drive failure paths through here).
-        for (std::size_t j = i + 1; j < batch_.size(); ++j) {
-          queue_.requeue(batch_[j]);
-        }
-        throw;
-      }
-      ++ran;
-    }
-    return ran;
+    action();
   }
 
   /// Runs until no events remain, then rethrows the first process failure.
   void run() {
-    while (!queue_.empty()) step_batch();
+    while (!queue_.empty()) step();
     rethrow_failure();
   }
 
   /// Runs until the clock would pass `deadline`.  Events exactly at the
   /// deadline are executed.  Returns true if events remain afterwards.
   bool run_until(TimePoint deadline) {
-    while (!queue_.empty() && queue_.next_time() <= deadline) step_batch();
+    while (!queue_.empty() && queue_.next_time() <= deadline) step();
     if (now_ < deadline) now_ = deadline;
     rethrow_failure();
     return !queue_.empty();
@@ -166,7 +141,8 @@ class Simulator {
   std::size_t run_before(TimePoint horizon) {
     std::size_t executed = 0;
     while (!queue_.empty() && queue_.next_time() < horizon) {
-      executed += step_batch();
+      step();
+      ++executed;
     }
     rethrow_failure();
     return executed;
@@ -221,7 +197,6 @@ class Simulator {
 
   TimePoint now_{0};
   EventQueue queue_;
-  std::vector<WheelItem> batch_;  // step_batch scratch, reused across ticks
   Rng rng_{0x9e3779b97f4a7c15ULL};
   Tracer tracer_;
   std::deque<Task<void>> processes_;  // deque: stable element addresses

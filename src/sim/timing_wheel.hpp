@@ -23,8 +23,7 @@
 // holds items whose fine index is <= the cursor while all wheel/overflow
 // items are strictly beyond it — so the back of `ready_` is always the
 // global (when, seq) minimum.  Pop order is therefore bit-identical to the
-// old binary heap's, while a pop is a comparison-free pop_back() and a
-// same-timestamp run sits contiguous at the tail in reverse-seq order.
+// old binary heap's, while a pop is a comparison-free pop_back().
 //
 // The cursor only moves over slots verified empty (or drained), and items
 // scheduled at-or-behind the cursor (the raw queue allows scheduling into
@@ -83,49 +82,6 @@ class TimingWheel {
     --size_;
   }
 
-  /// Pops the earliest item into `single` and returns 1 when it is alone
-  /// at its timestamp; otherwise extracts the whole same-timestamp run
-  /// into `out` (appended in ascending seq order) and returns its length.
-  /// The aloneness test is O(1) and exact: `ready_` is sorted, so an item
-  /// sharing the minimum's timestamp would sit directly before it.
-  /// Precondition: size() > 0.
-  std::size_t pop_top_or_run(WheelItem& single, std::vector<WheelItem>& out) {
-    ensure_ready();
-    const std::size_t n = ready_.size();
-    if (n < 2 || ready_[n - 2].when != ready_[n - 1].when) {
-      single = ready_.back();
-      ready_.pop_back();
-      --size_;
-      return 1;
-    }
-    return pop_run(out);
-  }
-
-  /// Pops the maximal run of items sharing top()'s timestamp, appending
-  /// them to `out` in ascending seq order — exactly the order N pop_top()
-  /// calls would have produced.  Precondition: size() > 0.
-  ///
-  /// Once ensure_ready() has the earliest item in `ready_`, every stored
-  /// item with that timestamp is in `ready_` too: equal timestamps share a
-  /// fine slot, a drained slot empties completely, and later same-tick
-  /// pushes land at-or-behind the cursor and join `ready_` directly.  So
-  /// one extraction really is the whole tick — the descending-sorted tail,
-  /// copied out back-to-front.
-  std::size_t pop_run(std::vector<WheelItem>& out) {
-    ensure_ready();
-    const TimePoint when = ready_.back().when;
-    std::size_t b = ready_.size();
-    while (b > 0 && ready_[b - 1].when == when) --b;
-    const std::size_t run = ready_.size() - b;
-    out.reserve(out.size() + run);
-    for (std::size_t i = ready_.size(); i-- > b;) {
-      out.push_back(ready_[i]);
-    }
-    ready_.resize(b);
-    size_ -= run;
-    return run;
-  }
-
   /// Items stored, including lazily-cancelled ones the owner will skip.
   [[nodiscard]] std::size_t size() const { return size_; }
 
@@ -175,7 +131,10 @@ class TimingWheel {
   /// Sorted insert (descending by Later): rare relative to pops — only
   /// items scheduled at-or-behind the cursor and boundary-cascade items
   /// land here one at a time; bucket drains go through drain_fine_slot's
-  /// bulk append + sort instead.
+  /// bulk append + sort instead.  The insert moves every item that pops
+  /// after the new one: an event scheduled into the cursor's slot while a
+  /// wide tick runs moves the tick's unpopped members, and n events
+  /// scheduled at the current instant before any pops cost O(n²) moves.
   void push_ready(const WheelItem& item) {
     ready_.insert(std::upper_bound(ready_.begin(), ready_.end(), item, Later{}),
                   item);

@@ -201,47 +201,6 @@ TEST(GmPort, ReceiveOrderMatchesArrival) {
   EXPECT_EQ(tags, (std::vector<std::uint32_t>{1, 2, 3, 4}));
 }
 
-TEST(GmPort, RegisteredSendPinsUntilComplete) {
-  Cluster c(small_cluster(2));
-  c.port(1).provide_receive_buffer(4096);
-  Port& sender = c.port(0);
-  RegionRef region = sender.memory().allocate(128);
-  sender.memory().register_region(region);
-  region->data() = make_payload(128);
-
-  bool done = false;
-  c.simulator().spawn([](Port& p, RegionRef r, bool& flag) -> sim::Task<void> {
-    EXPECT_EQ(co_await p.send_from(r, 1, 0, 0), SendStatus::kOk);
-    flag = true;
-  }(sender, region, done));
-
-  // Mid-flight, deregistration must be refused.
-  c.simulator().schedule_after(sim::usec(2), [&] {
-    EXPECT_GT(region->pin_count(), 0u);
-    EXPECT_THROW(sender.memory().deregister_region(region), std::logic_error);
-  });
-  c.run();
-  EXPECT_TRUE(done);
-  EXPECT_EQ(region->pin_count(), 0u);
-  sender.memory().deregister_region(region);
-}
-
-TEST(GmPort, SendFromUnregisteredMemoryThrows) {
-  Cluster c(small_cluster(2));
-  Port& sender = c.port(0);
-  RegionRef region = sender.memory().allocate(64);
-  bool threw = false;
-  c.simulator().spawn([](Port& p, RegionRef r, bool& flag) -> sim::Task<void> {
-    try {
-      co_await p.send_from(r, 1, 0, 0);
-    } catch (const std::logic_error&) {
-      flag = true;
-    }
-  }(sender, region, threw));
-  c.run();
-  EXPECT_TRUE(threw);
-}
-
 TEST(GmPort, PendingMessagesCountsUnclaimed) {
   Cluster c(small_cluster(2));
   c.port(1).provide_receive_buffers(2, 4096);

@@ -180,5 +180,88 @@ TEST(Simulator, ZeroDelayEventsPreserveFifoOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
+// ---- Events sharing one timestamp ------------------------------------------
+//
+// Each step pops one event, so a tick's members run one at a time, in seq
+// order, with the rest of the tick still in the queue.  The reference is a
+// bare EventQueue::pop() loop over the same history.
+
+TEST(Simulator, EventCancelsALaterEventOfItsOwnTick) {
+  Simulator sim;
+  std::vector<int> order;
+  EventId third{};
+  sim.schedule_at(TimePoint{100}, [&] {
+    order.push_back(0);
+    EXPECT_TRUE(sim.cancel(third));
+  });
+  sim.schedule_at(TimePoint{100}, [&] { order.push_back(1); });
+  third = sim.schedule_at(TimePoint{100}, [&] { order.push_back(2); });
+  sim.schedule_at(TimePoint{200}, [&] { order.push_back(3); });
+  // run_before counts the events that ran, not the cancelled one.
+  EXPECT_EQ(sim.run_before(TimePoint{200}), 2u);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 3}));
+
+  EventQueue q;
+  EventId q_third{};
+  q.schedule(TimePoint{100}, [&] { q.cancel(q_third); });
+  q.schedule(TimePoint{100}, [] {});
+  q_third = q.schedule(TimePoint{100}, [] {});
+  q.schedule(TimePoint{200}, [] {});
+  while (!q.empty()) q.pop().second();
+  EXPECT_EQ(sim.queue_stats().executed, q.stats().executed);
+  EXPECT_EQ(sim.queue_stats().cancelled, q.stats().cancelled);
+  EXPECT_EQ(sim.queue_stats().executed, 3u);
+  EXPECT_EQ(sim.queue_stats().cancelled, 1u);
+  EXPECT_EQ(sim.event_order_hash(), q.order_hash());
+}
+
+TEST(Simulator, SameTickSuccessorRunsAfterTheTicksLowerSeqs) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_at(TimePoint{50}, [&] {
+    order.push_back(0);
+    sim.schedule_at(TimePoint{50}, [&] {
+      EXPECT_EQ(sim.now(), TimePoint{50});
+      order.push_back(2);
+    });
+  });
+  sim.schedule_at(TimePoint{50}, [&] { order.push_back(1); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(sim.now(), TimePoint{50});
+
+  EventQueue q;
+  q.schedule(TimePoint{50}, [&q] { q.schedule(TimePoint{50}, [] {}); });
+  q.schedule(TimePoint{50}, [] {});
+  while (!q.empty()) q.pop().second();
+  EXPECT_EQ(sim.event_order_hash(), q.order_hash());
+  EXPECT_EQ(q.order_hash(), 0x7eb8049b1124fea6ULL);
+}
+
+TEST(Simulator, ThrowMidTickLeavesTheRestOfTheTickPending) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_at(TimePoint{100}, [&] { order.push_back(0); });
+  sim.schedule_at(TimePoint{100}, [] { throw std::runtime_error("boom"); });
+  sim.schedule_at(TimePoint{100}, [&] { order.push_back(2); });
+  sim.schedule_at(TimePoint{100}, [&] { order.push_back(3); });
+  sim.schedule_at(TimePoint{200}, [&] { order.push_back(4); });
+  EXPECT_THROW(sim.run(), std::runtime_error);
+  EXPECT_EQ(order, (std::vector<int>{0}));
+  EXPECT_EQ(sim.now(), TimePoint{100});
+  ASSERT_EQ(sim.pending_events(), 3u);
+  EXPECT_EQ(sim.next_event_time(), TimePoint{100});
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 2, 3, 4}));
+
+  EventQueue q;
+  for (int i = 0; i < 4; ++i) q.schedule(TimePoint{100}, [] {});
+  q.schedule(TimePoint{200}, [] {});
+  while (!q.empty()) q.pop().second();
+  EXPECT_EQ(sim.queue_stats().executed, 5u);  // the thrower ran too
+  EXPECT_EQ(sim.event_order_hash(), q.order_hash());
+}
+
 }  // namespace
 }  // namespace nicmcast::sim

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "sim/event_queue.hpp"
-#include "sim/simulator.hpp"
 #include "sim/time.hpp"
 
 namespace nicmcast::sim {
@@ -195,155 +194,6 @@ TEST(TimingWheelCancel, CancelInWheelVsCancelInOverflow) {
   while (!q.empty()) q.pop().second();
   EXPECT_EQ(order, (std::vector<int>{0, 1}));
   EXPECT_EQ(q.stats().cancelled, 2u);
-}
-
-// ---- Same-tick batch extraction -------------------------------------------
-//
-// pop_top_or_run / pop_run feed the simulator's batched dispatch; the
-// contract is that a batch drain produces exactly the (when, seq) sequence
-// N pop_top() calls would have, including across fine-slot wraps and with
-// cancellations landing mid-batch.
-
-TEST(TimingWheelBatch, SingleItemAvoidsRunExtraction) {
-  TimingWheel wheel;
-  wheel.push(WheelItem{TimePoint{kFineNs * 3}, 7, 0});
-  WheelItem single{};
-  std::vector<WheelItem> run;
-  EXPECT_EQ(wheel.pop_top_or_run(single, run), 1u);
-  EXPECT_TRUE(run.empty());
-  EXPECT_EQ(single.seq, 7u);
-  EXPECT_EQ(wheel.size(), 0u);
-}
-
-TEST(TimingWheelBatch, RunExtractionAcrossSlotWrap) {
-  // Two timestamps a full fine-wheel revolution apart share a masked slot.
-  // The earlier tick's run must come out complete and seq-ascending without
-  // dragging the later tick's items along.
-  TimingWheel wheel;
-  const TimePoint near{kFineNs * 5};
-  const TimePoint far{kFineNs * 5 + kFineSpanNs};
-  std::uint64_t seq = 0;
-  for (int i = 0; i < 9; ++i) {  // interleave: near, far, near, far, ...
-    wheel.push(WheelItem{(i % 2 == 0) ? near : far, seq++, 0});
-  }
-  WheelItem single{};
-  std::vector<WheelItem> run;
-  const std::size_t n = wheel.pop_top_or_run(single, run);
-  ASSERT_EQ(n, 5u);  // the five `near` items: seqs 0,2,4,6,8
-  ASSERT_EQ(run.size(), 5u);
-  for (std::size_t i = 0; i < run.size(); ++i) {
-    EXPECT_EQ(run[i].when, near);
-    EXPECT_EQ(run[i].seq, i * 2);
-  }
-  EXPECT_EQ(wheel.size(), 4u);
-  run.clear();
-  EXPECT_EQ(wheel.pop_top_or_run(single, run), 4u);
-  for (std::size_t i = 0; i < run.size(); ++i) {
-    EXPECT_EQ(run[i].when, far);
-    EXPECT_EQ(run[i].seq, i * 2 + 1);
-  }
-}
-
-TEST(TimingWheelBatch, LongRunMatchesPopTopOrder) {
-  // Past the 4-item peel threshold pop_run switches to partition +
-  // re-heapify; the order must still equal a pop_top drain.
-  std::mt19937_64 rng(99);
-  TimingWheel batched;
-  TimingWheel unbatched;
-  std::uint64_t seq = 0;
-  for (int round = 0; round < 64; ++round) {
-    const TimePoint when{static_cast<std::int64_t>(rng() % 8) * kFineNs};
-    const int burst = 1 + static_cast<int>(rng() % 12);
-    for (int i = 0; i < burst; ++i) {
-      const WheelItem item{when, seq++, 0};
-      batched.push(item);
-      unbatched.push(item);
-    }
-  }
-  std::vector<WheelItem> got;
-  WheelItem single{};
-  while (batched.size() > 0) {
-    std::vector<WheelItem> run;
-    if (batched.pop_top_or_run(single, run) == 1 && run.empty()) {
-      got.push_back(single);
-    } else {
-      got.insert(got.end(), run.begin(), run.end());
-    }
-  }
-  const std::vector<WheelItem> want = drain(unbatched);
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    ASSERT_EQ(got[i].when, want[i].when) << "index " << i;
-    ASSERT_EQ(got[i].seq, want[i].seq) << "index " << i;
-  }
-}
-
-TEST(TimingWheelBatch, CancelInsideBatchIsHonoured) {
-  // Three same-tick events; the first cancels the third while the batch is
-  // already extracted.  take() must refuse the cancelled member, and the
-  // executed count / order hash must match what the unbatched path yields
-  // for the identical schedule-then-cancel history.
-  auto run_history = [](bool batched) {
-    EventQueue q;
-    std::vector<int> order;
-    EventId third{};
-    q.schedule(TimePoint{100}, [&] {
-      order.push_back(0);
-      q.cancel(third);
-    });
-    q.schedule(TimePoint{100}, [&] { order.push_back(1); });
-    third = q.schedule(TimePoint{100}, [&] { order.push_back(2); });
-    q.schedule(TimePoint{200}, [&] { order.push_back(3); });
-
-    if (batched) {
-      while (!q.empty()) {
-        std::vector<WheelItem> batch;
-        TimePoint when{};
-        EventQueue::Action action;
-        const std::size_t n = q.pop_tick(batch, when, action);
-        if (batch.empty()) {
-          EXPECT_EQ(n, 1u);
-          action();
-        } else {
-          for (const WheelItem& item : batch) {
-            EventQueue::Action a;
-            if (q.take(item, a)) a();
-          }
-        }
-      }
-    } else {
-      while (!q.empty()) q.pop().second();
-    }
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 3}));
-    EXPECT_EQ(q.stats().cancelled, 1u);
-    EXPECT_EQ(q.stats().executed, 3u);
-    return q.order_hash();
-  };
-  const std::uint64_t batched_hash = run_history(true);
-  const std::uint64_t unbatched_hash = run_history(false);
-  EXPECT_EQ(batched_hash, unbatched_hash);
-}
-
-TEST(TimingWheelBatch, ScheduleIntoOwnTickJoinsTheBatchEitherWay) {
-  // An event scheduling a same-timestamp successor while its tick executes:
-  // the successor runs in this tick, with the hash of a bare per-event
-  // EventQueue::pop() loop over the same history.
-  Simulator sim;
-  std::vector<int> order;
-  sim.schedule_at(TimePoint{50}, [&] {
-    order.push_back(0);
-    sim.schedule_at(TimePoint{50}, [&] { order.push_back(2); });
-  });
-  sim.schedule_at(TimePoint{50}, [&] { order.push_back(1); });
-  sim.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-
-  EventQueue q;
-  q.schedule(TimePoint{50}, [&q] { q.schedule(TimePoint{50}, [] {}); });
-  q.schedule(TimePoint{50}, [] {});
-  while (!q.empty()) q.pop().second();
-  EXPECT_EQ(sim.event_order_hash(), q.order_hash());
-  EXPECT_EQ(q.order_hash(), 0x7eb8049b1124fea6ULL);
 }
 
 TEST(TimingWheelCancel, StatsSurfaceWheelBehaviour) {
