@@ -56,6 +56,15 @@ hash vector consistent with its shard count.  Entries recorded before the
 shards axis existed carry no sharded counters at all — that is legal
 history and is skipped, never failed.
 
+Every point of a fresh --scale run must also do linear work in its
+ready set: its engine.ready_shifts (the ready items that single-item
+inserts into the timing wheel's ready set moved) must not exceed its
+engine.events_executed, and a point that lacks the key fails.  Spawning
+n processes at one instant once moved n^2/2 items (536,854,528 against
+536,552 events at pshard-16384x16-s1); the sorted ready set now appends
+such inserts, and no point of the sweep moves more than 0.36 items per
+event (msend-512x16-s4).
+
 Every sharded scenario of the fresh run must carry the blocked_waits
 counter (slot reads that spun); its timing-dependent value is
 informational.  (null_msgs_sent stays in the JSON at a constant 0 and is
@@ -161,6 +170,23 @@ def check_sync_counters(label, want, run, failures):
           f"(recorded {rec_text}; informational)")
 
 
+def check_ready_shifts(label, run, failures):
+    shifts = run["engine"].get("ready_shifts")
+    events = run["engine"]["events_executed"]
+    if shifts is None:
+        failures.append(
+            f"{label}: run reports no 'ready_shifts' counter; the timing "
+            f"wheel's insert count is not plumbed")
+        return
+    ok = shifts <= events
+    print(f"{label}: {shifts:,} ready-set moves vs {events:,} events -> "
+          f"{'ok' if ok else 'SUPERLINEAR'}")
+    if not ok:
+        failures.append(
+            f"{label}: ready-set inserts moved {shifts:,} items for "
+            f"{events:,} events (more than one per event)")
+
+
 def check_route_memory(label, run, failures):
     routes = run["engine"]["routes_materialized"]
     full_pairs = run["metrics"]["full_pairs"]
@@ -253,6 +279,9 @@ def main() -> int:
         if scale_mode:
             check_route_memory(label, run, failures)
     if scale_mode:
+        for i, run in enumerate(fresh_doc["runs"]):
+            check_ready_shifts(run["spec"]["label"] or f"run {i}", run,
+                               failures)
         for label, run in fresh.items():
             if run["spec"].get("shards", 1) > 1:
                 check_sync_counters(label, recorded.get(label, {}), run,

@@ -173,6 +173,7 @@ json::Value result_to_json(const RunResult& result) {
   engine["wheel_cascades"] = e.wheel_cascades;
   engine["overflow_scheduled"] = e.overflow_scheduled;
   engine["overflow_promotions"] = e.overflow_promotions;
+  engine["ready_shifts"] = e.ready_shifts;
   engine["routes_materialized"] = e.routes_materialized;
   engine["route_links_stored"] = e.route_links_stored;
   engine["route_links_shared"] = e.route_links_shared;

@@ -36,6 +36,7 @@
 //                     "pool_slots": ...,
 //                     "wheel_occupancy_peak": ..., "wheel_cascades": ...,
 //                     "overflow_scheduled": ..., "overflow_promotions": ...,
+//                     "ready_shifts": ...,
 //                     "routes_materialized": ..., "route_links_stored": ...,
 //                     "route_links_shared": ..., "route_links_scanned": ...,
 //                     "event_order_hash": "<decimal string: 64-bit exact>",

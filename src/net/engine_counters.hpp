@@ -34,6 +34,7 @@ struct EngineCounters {
   std::uint64_t wheel_cascades = 0;        // coarse buckets cascaded to fine
   std::uint64_t overflow_scheduled = 0;    // schedules beyond coarse horizon
   std::uint64_t overflow_promotions = 0;   // overflow items promoted inward
+  std::uint64_t ready_shifts = 0;          // ready items moved by inserts
   // Lazy route-cache behaviour (net::RouteTable):
   std::uint64_t routes_materialized = 0;   // (src, dst) pairs computed
   std::uint64_t route_links_stored = 0;    // LinkIds held across arenas
@@ -74,6 +75,7 @@ inline void accumulate(EngineCounters& into, const sim::EventQueue::Stats& q) {
   into.wheel_cascades += q.wheel_cascades;
   into.overflow_scheduled += q.overflow_scheduled;
   into.overflow_promotions += q.overflow_promotions;
+  into.ready_shifts += q.ready_shifts;
 }
 
 /// Adds one route table's counters.

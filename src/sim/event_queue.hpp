@@ -60,6 +60,7 @@ class EventQueue {
     std::uint64_t wheel_cascades = 0;        // coarse buckets cascaded to fine
     std::uint64_t overflow_scheduled = 0;    // schedules beyond coarse horizon
     std::uint64_t overflow_promotions = 0;   // overflow items promoted inward
+    std::uint64_t ready_shifts = 0;  // ready items moved by sorted inserts
   };
 
   /// Schedules `action` at absolute time `when`.  Returns an id usable with
@@ -108,6 +109,7 @@ class EventQueue {
     stats_.wheel_cascades = wheel_.cascades();
     stats_.overflow_scheduled = wheel_.overflow_scheduled();
     stats_.overflow_promotions = wheel_.overflow_promotions();
+    stats_.ready_shifts = wheel_.ready_shifts();
     return stats_;
   }
 

@@ -4,7 +4,7 @@
 // determinism contract every BENCH_*.json trajectory and golden test pins.
 // A binary heap pays O(log n) per schedule/pop against that key; the wheel
 // pays O(1) on the hot tick path by bucketing events by time and only
-// heap-ordering the handful that share the slot currently being drained:
+// sorting the handful that share the slot currently being drained:
 //
 //   - fine wheel:   1024 slots of 64 ns — link/DMA/processing events land
 //                   here (the engine's cost model is all sub-microsecond to
@@ -18,12 +18,23 @@
 //                   approaches (promotions are counted — see stats).
 //
 // Tie-break preservation: the slot width never splits the ordering.  Every
-// bucket is drained into `ready_`, a vector kept sorted descending by
-// (when, seq), before anything is popped from it, and `ready_` only ever
-// holds items whose fine index is <= the cursor while all wheel/overflow
-// items are strictly beyond it — so the back of `ready_` is always the
-// global (when, seq) minimum.  Pop order is therefore bit-identical to the
-// old binary heap's, while a pop is a comparison-free pop_back().
+// bucket is drained into `ready_`, a vector sorted ascending by (when, seq)
+// from index `head_`, before anything is popped from it, and `ready_` only
+// ever holds items whose fine index is <= the cursor while all
+// wheel/overflow items are strictly beyond it — so `ready_[head_]` is always
+// the global (when, seq) minimum.  Pop order is therefore bit-identical to
+// the old binary heap's, while a pop is a comparison-free `++head_` (the
+// vector is cleared once the head passes its end, so `ready_.empty()` stays
+// the emptiness test).
+//
+// Why ascending from a head: events scheduled at the current instant sort
+// after everything already ready, and whole clusters spawn one process per
+// node at t = 0 before anything runs.  Appending such an item is O(1); a
+// descending layout would put it at the front and move every ready item,
+// n²/2 moves for n spawns.  The rarer insert that lands inside the ready
+// set moves the shorter side: the items after it toward the back, or the
+// items before it into the gap that pops left at the front (counted in
+// ready_shifts()).
 //
 // The cursor only moves over slots verified empty (or drained), and items
 // scheduled at-or-behind the cursor (the raw queue allows scheduling into
@@ -72,13 +83,16 @@ class TimingWheel {
   /// never discards or reorders an item, so it is peek-safe.
   [[nodiscard]] const WheelItem& top() {
     ensure_ready();
-    return ready_.back();
+    return ready_[head_];
   }
 
   /// Removes the item top() returned.  Precondition: size() > 0.
   void pop_top() {
     ensure_ready();
-    ready_.pop_back();
+    if (++head_ == ready_.size()) {
+      ready_.clear();
+      head_ = 0;
+    }
     --size_;
   }
 
@@ -95,14 +109,23 @@ class TimingWheel {
   [[nodiscard]] std::uint64_t overflow_promotions() const {
     return overflow_promotions_;
   }
+  /// Ready items that single-item inserts moved to make room: zero while
+  /// every insert sorts after everything ready.
+  [[nodiscard]] std::uint64_t ready_shifts() const { return ready_shifts_; }
 
  private:
-  /// "a fires after b": the greater-than comparator that makes
-  /// std::push_heap/pop_heap and std::priority_queue behave as min-heaps.
+  /// "a fires before b": the order of `ready_`.
+  struct Earlier {
+    bool operator()(const WheelItem& a, const WheelItem& b) const {
+      if (a.when != b.when) return a.when < b.when;
+      return a.seq < b.seq;
+    }
+  };
+  /// "a fires after b": the comparator that makes std::priority_queue a
+  /// min-heap.
   struct Later {
     bool operator()(const WheelItem& a, const WheelItem& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
+      return Earlier{}(b, a);
     }
   };
 
@@ -110,9 +133,8 @@ class TimingWheel {
   // node arena: pushing into a slot never allocates after warm-up (freed
   // nodes recycle through a free list), and a cascade re-links nodes from
   // the coarse list into fine lists without copying or touching the heap
-  // allocator.  In-bucket order is irrelevant — every drained bucket goes
-  // through the (when, seq) ready_ heap before anything pops — so LIFO
-  // linking is fine.
+  // allocator.  In-bucket order is irrelevant — every drained bucket is
+  // sorted into ready_ before anything pops — so LIFO linking is fine.
   static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
 
   struct Node {
@@ -128,16 +150,33 @@ class TimingWheel {
     return fine_idx >> kFineSlotBits;
   }
 
-  /// Sorted insert (descending by Later): rare relative to pops — only
-  /// items scheduled at-or-behind the cursor and boundary-cascade items
-  /// land here one at a time; bucket drains go through drain_fine_slot's
-  /// bulk append + sort instead.  The insert moves every item that pops
-  /// after the new one: an event scheduled into the cursor's slot while a
-  /// wide tick runs moves the tick's unpopped members, and n events
-  /// scheduled at the current instant before any pops cost O(n²) moves.
+  /// The single-item sorted insert, for items scheduled at-or-behind the
+  /// cursor and overflow items promoted into its slot; bucket drains go
+  /// through drain_fine_slot's bulk append + sort instead.  An item later
+  /// than everything ready (the common case: an event at the current
+  /// instant, or a process spawned at t = 0) is appended.  Any other item
+  /// moves the shorter side of ready_ by one: the items after it toward the
+  /// back, or, when pops have left a gap at the front, the items before it
+  /// into that gap.  Always shifting toward the back would double the moves
+  /// where sharded runs drain cross-shard messages near the front.
   void push_ready(const WheelItem& item) {
-    ready_.insert(std::upper_bound(ready_.begin(), ready_.end(), item, Later{}),
-                  item);
+    if (ready_.empty() || Earlier{}(ready_.back(), item)) {
+      ready_.push_back(item);
+      return;
+    }
+    const auto first = ready_.begin() + static_cast<std::ptrdiff_t>(head_);
+    const auto pos = std::upper_bound(first, ready_.end(), item, Earlier{});
+    const auto before = static_cast<std::size_t>(pos - first);
+    const auto after = static_cast<std::size_t>(ready_.end() - pos);
+    if (head_ > 0 && before < after) {
+      std::move(first, pos, first - 1);
+      *(pos - 1) = item;
+      --head_;
+      ready_shifts_ += before;
+    } else {
+      ready_.insert(pos, item);
+      ready_shifts_ += after;
+    }
   }
 
   [[nodiscard]] std::uint32_t alloc_node(const WheelItem& item) {
@@ -194,9 +233,10 @@ class TimingWheel {
 
   /// Drains the fine bucket at absolute index `f` (== cursor_) into ready_
   /// and clears its occupancy bit.  The whole bucket is appended first and
-  /// sorted once — O(k log k) instead of k sorted inserts at O(k) moves
-  /// each — then merged with whatever ready_ already held (cross_boundary
-  /// can cascade items into ready_ before draining the boundary slot).
+  /// put in order once — O(k log k) at worst instead of k sorted inserts at
+  /// O(k) moves each — then merged with whatever ready_ already held
+  /// (cross_boundary can promote overflow items into ready_ before draining
+  /// the boundary slot).
   void drain_fine_slot(std::uint64_t f) {
     const std::uint64_t slot = f & (kFineSlots - 1);
     std::uint32_t idx = fine_heads_[slot];
@@ -204,25 +244,30 @@ class TimingWheel {
     fine_bits_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
     const std::size_t old = ready_.size();
     // LIFO bucket + monotonically increasing seq means a slot that only
-    // ever saw in-order pushes walks out already descending — the common
-    // case by far — so sortedness is tracked during the append and the
-    // sort skipped when it held.  Cascades and re-pushes break it; those
+    // ever saw in-order pushes walks out descending — the common case by
+    // far — so that is tracked during the append, and such a bucket is
+    // reversed instead of sorted.  Cascades and re-pushes break it; those
     // buckets pay the O(k log k) sort.
-    bool sorted = true;
+    bool descending = true;
     while (idx != kNil) {
       const std::uint32_t next = pool_[idx].next;
       const WheelItem& item = pool_[idx].item;
-      if (ready_.size() > old && Later{}(item, ready_.back())) sorted = false;
+      if (ready_.size() > old && Earlier{}(ready_.back(), item)) {
+        descending = false;
+      }
       ready_.push_back(item);
       free_node(idx);
       --fine_count_;
       idx = next;
     }
+    const auto first = ready_.begin() + static_cast<std::ptrdiff_t>(head_);
     const auto mid = ready_.begin() + static_cast<std::ptrdiff_t>(old);
-    if (!sorted) std::sort(mid, ready_.end(), Later{});
-    if (old != 0) {
-      std::inplace_merge(ready_.begin(), mid, ready_.end(), Later{});
+    if (descending) {
+      std::reverse(mid, ready_.end());
+    } else {
+      std::sort(mid, ready_.end(), Earlier{});
     }
+    if (first != mid) std::inplace_merge(first, mid, ready_.end(), Earlier{});
   }
 
   /// First occupied fine slot with absolute index in [from, bound), or
@@ -278,6 +323,9 @@ class TimingWheel {
   /// Moves the cursor to the next coarse boundary, redistributes that
   /// coarse bucket into the fine wheel, and drains the boundary's own fine
   /// slot (pre-existing fine items plus just-cascaded ones) into ready_.
+  /// Cascaded items that belong to the boundary slot itself are re-linked
+  /// into it too, so they reach ready_ through the drain's one sort rather
+  /// than one sorted insert each.
   void cross_boundary(std::uint64_t boundary) {
     cursor_ = boundary;
     const std::uint64_t cslot = coarse_index(boundary) & (kCoarseSlots - 1);
@@ -289,13 +337,8 @@ class TimingWheel {
       while (idx != kNil) {
         const std::uint32_t next = pool_[idx].next;
         --coarse_count_;
-        const std::uint64_t f = fine_index(pool_[idx].item.when);
-        if (f <= cursor_) {
-          push_ready(pool_[idx].item);
-          free_node(idx);
-        } else {
-          link_fine(idx, f);  // re-link the node: no copy, no allocation
-        }
+        // Re-link the node: no copy, no allocation.
+        link_fine(idx, fine_index(pool_[idx].item.when));
         idx = next;
       }
     }
@@ -356,7 +399,8 @@ class TimingWheel {
   // countr_zero word operations instead of per-bucket empty() probes.
   std::array<std::uint64_t, kFineSlots / 64> fine_bits_{};
   std::array<std::uint64_t, kCoarseSlots / 64> coarse_bits_{};
-  std::vector<WheelItem> ready_;  // sorted descending by (when, seq)
+  std::vector<WheelItem> ready_;  // sorted ascending by (when, seq) from head_
+  std::size_t head_ = 0;          // index of the earliest ready item
   std::priority_queue<WheelItem, std::vector<WheelItem>, Later> overflow_;
   std::uint64_t cursor_ = 0;  // fine index of the slot drained into ready_
   std::size_t fine_count_ = 0;
@@ -365,6 +409,7 @@ class TimingWheel {
   std::uint64_t cascades_ = 0;
   std::uint64_t overflow_scheduled_ = 0;
   std::uint64_t overflow_promotions_ = 0;
+  std::uint64_t ready_shifts_ = 0;
 };
 
 }  // namespace nicmcast::sim

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <vector>
+
+#include "mcast/bcast.hpp"
+#include "mcast/tree.hpp"
+
 namespace nicmcast::gm {
 namespace {
 
@@ -64,6 +70,39 @@ TEST(Cluster, RunOnAllSpawnsEveryNode) {
   c.run();
   EXPECT_EQ(ran, 4);
   for (const auto& h : handles) EXPECT_TRUE(h->done());
+}
+
+TEST(Cluster, BringUpMovesNoReadyItem) {
+  // install_group opens every node's port, which spawns its pump, and
+  // run_on_all spawns every node's program: 2,048 processes scheduled at
+  // t = 0 before anything runs.  Each sorts after everything already
+  // ready, so bring-up is linear in the node count.
+  constexpr std::size_t kNodes = 1024;
+  Cluster c(ClusterConfig{.nodes = kNodes,
+                          .wiring = ClusterConfig::Wiring::kClos,
+                          .switch_radix = 16});
+  std::vector<net::NodeId> dests(kNodes - 1);
+  std::iota(dests.begin(), dests.end(), net::NodeId{1});
+  const mcast::Tree tree = mcast::build_binomial_tree(0, std::move(dests));
+  mcast::install_group(c, tree, 1);
+  for (std::size_t node = 1; node < kNodes; ++node) {
+    c.port(node).provide_receive_buffer(64);
+  }
+  std::size_t delivered = 0;
+  c.run_on_all([&tree, &delivered](Cluster& cl,
+                                   net::NodeId me) -> sim::Task<void> {
+    // Hoisted out of the call: GCC 12 double-frees conditional temporaries
+    // in coroutine argument lists.
+    Payload data = me == 0 ? Payload(64) : Payload{};
+    const Payload got =
+        co_await mcast::nic_bcast(cl.port(me), tree, 1, std::move(data));
+    if (got.size() == 64) ++delivered;
+  });
+  const sim::EventQueue::Stats& q = c.simulator().queue_stats();
+  EXPECT_GE(q.scheduled, 2 * kNodes);
+  EXPECT_EQ(q.ready_shifts, 0u);
+  c.run();
+  EXPECT_EQ(delivered, kNodes);
 }
 
 TEST(Cluster, AllToAllExchange) {

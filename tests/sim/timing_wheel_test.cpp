@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <random>
 #include <vector>
 
@@ -121,9 +122,71 @@ TEST(TimingWheel, ScheduleBehindCursorStaysOrdered) {
   wheel.pop_top();
 }
 
+TEST(TimingWheel, SameInstantPushesAppendWithoutMoves) {
+  // A cluster spawns one process per node at one instant before anything
+  // runs.  Each push sorts after everything ready, so none moves an item.
+  constexpr std::uint64_t kPushes = 65536;
+  TimingWheel wheel;
+  const TimePoint now{kFineSpanNs * 3 + 5};
+  wheel.push(WheelItem{now, 0, 0});
+  EXPECT_EQ(wheel.top().seq, 0u);  // cursor now sits on the instant's slot
+  wheel.pop_top();
+  for (std::uint64_t seq = 1; seq <= kPushes; ++seq) {
+    wheel.push(WheelItem{now, seq, 0});
+  }
+  EXPECT_EQ(wheel.ready_shifts(), 0u);
+  const std::vector<WheelItem> popped = drain(wheel);
+  ASSERT_EQ(popped.size(), kPushes);
+  for (std::uint64_t i = 0; i < kPushes; ++i) {
+    ASSERT_EQ(popped[i].seq, i + 1) << "index " << i;
+  }
+  EXPECT_EQ(wheel.ready_shifts(), 0u);
+}
+
+TEST(TimingWheel, InsertIntoPoppedSlotMovesTheShorterSide) {
+  // One fine slot holding 1,000 items at whens base+1 .. base+50, 20 per
+  // nanosecond; 100 pops leave a gap at the front of the ready set.
+  constexpr std::uint64_t kItems = 1000;
+  constexpr std::uint64_t kPops = 100;
+  TimingWheel wheel;
+  const std::int64_t base = kFineNs * 100;
+  std::uint64_t seq = 0;
+  for (; seq < kItems; ++seq) {
+    wheel.push(WheelItem{
+        TimePoint{base + 1 + static_cast<std::int64_t>(seq / 20)}, seq, 0});
+  }
+  for (std::uint64_t i = 0; i < kPops; ++i) {
+    ASSERT_EQ(wheel.top().seq, i);
+    wheel.pop_top();
+  }
+  // Ready now holds seqs 100..999 at whens base+6 .. base+50.
+  struct Case {
+    std::int64_t offset;  // when - base
+    std::uint64_t before;
+    std::uint64_t after;
+  };
+  const Case cases[] = {
+      {10, 100, 800},  // near the front: slides 100 items into the gap
+      {48, 861, 40},   // near the back: shifts the 40 later items
+      {5, 0, 902},     // before everything ready: fills the gap, no move
+  };
+  for (const Case& c : cases) {
+    const std::uint64_t shifts = wheel.ready_shifts();
+    wheel.push(WheelItem{TimePoint{base + c.offset}, seq++, 0});
+    EXPECT_EQ(wheel.ready_shifts() - shifts, std::min(c.before, c.after))
+        << "when base+" << c.offset;
+  }
+  const std::vector<WheelItem> popped = drain(wheel);
+  ASSERT_EQ(popped.size(), kItems - kPops + std::size(cases));
+  expect_sorted(popped);
+  EXPECT_EQ(popped.front().seq, kItems + 2);  // the base+5 item
+}
+
 TEST(TimingWheel, RandomizedMatchesSortedReference) {
-  // Mixed horizons (fine, coarse, overflow) with interleaved pops: the pop
-  // sequence must equal the (when, seq)-sorted reference.
+  // Mixed horizons (fine, coarse, overflow) and the current instant, with
+  // interleaved pops: the pop sequence must equal the (when, seq)-sorted
+  // reference.  Occasional wide bursts near the cursor fill the ready set,
+  // so later pushes land inside a partly popped one.
   std::mt19937_64 rng(12345);
   TimingWheel wheel;
   std::vector<WheelItem> reference;
@@ -132,20 +195,28 @@ TEST(TimingWheel, RandomizedMatchesSortedReference) {
   std::int64_t low_bound = 0;  // pops only move forward in time
 
   for (int round = 0; round < 2000; ++round) {
-    const int burst = static_cast<int>(rng() % 4);
+    const bool wide = rng() % 16 == 0;
+    const int burst = wide ? 64 + static_cast<int>(rng() % 192)
+                           : static_cast<int>(rng() % 4);
     for (int i = 0; i < burst; ++i) {
       std::int64_t when = 0;
-      switch (rng() % 4) {
-        case 0: when = low_bound + static_cast<std::int64_t>(rng() % 512); break;
-        case 1: when = low_bound + static_cast<std::int64_t>(rng() % kFineSpanNs); break;
-        case 2: when = low_bound + static_cast<std::int64_t>(rng() % kCoarseSpanNs); break;
-        default: when = low_bound + kCoarseSpanNs + static_cast<std::int64_t>(rng() % (4 * kCoarseSpanNs)); break;
+      if (wide) {
+        when = low_bound + static_cast<std::int64_t>(rng() % (2 * kFineNs));
+      } else {
+        switch (rng() % 5) {
+          case 0: when = low_bound; break;
+          case 1: when = low_bound + static_cast<std::int64_t>(rng() % 512); break;
+          case 2: when = low_bound + static_cast<std::int64_t>(rng() % kFineSpanNs); break;
+          case 3: when = low_bound + static_cast<std::int64_t>(rng() % kCoarseSpanNs); break;
+          default: when = low_bound + kCoarseSpanNs + static_cast<std::int64_t>(rng() % (4 * kCoarseSpanNs)); break;
+        }
       }
       const WheelItem item{TimePoint{when}, seq++, 0};
       wheel.push(item);
       reference.push_back(item);
     }
-    if (wheel.size() > 0 && rng() % 2 == 0) {
+    const int pops = rng() % 2 == 0 ? 1 + static_cast<int>(rng() % 8) : 0;
+    for (int i = 0; i < pops && wheel.size() > 0; ++i) {
       const WheelItem item = wheel.top();
       wheel.pop_top();
       low_bound = item.when.nanoseconds();
@@ -156,6 +227,8 @@ TEST(TimingWheel, RandomizedMatchesSortedReference) {
     popped.push_back(wheel.top());
     wheel.pop_top();
   }
+  // Some pushes sorted inside the ready set rather than after it.
+  EXPECT_GT(wheel.ready_shifts(), 0u);
 
   ASSERT_EQ(popped.size(), reference.size());
   expect_sorted(popped);
