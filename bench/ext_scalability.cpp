@@ -11,9 +11,10 @@
 //     per-point events/sec, per-point peak RSS, and the engine's lazy-route
 //     / timing-wheel counters in the JSON ("scale-<nodes>x<radix>" labels).
 //     The 128/512 points are pinned (exact event_order_hash + events/sec
-//     floor) by scripts/check_bench_regression.py --scale in CI, which caps
-//     the sweep with --max-nodes to stay fast; the larger points document
-//     wall clock and memory.  A full all-pairs route table at 4096 nodes
+//     floor) by scripts/check_bench_regression.py --scale, which CI runs on
+//     the full sweep; the larger points document wall clock and memory, and
+//     --max-nodes (the sanitizer jobs' cap) leaves them out.  A full
+//     all-pairs route table at 4096 nodes
 //     would hold 4096*4095 routes; the engine's routes_materialized counter
 //     in the JSON shows what the lazy RouteTable actually computed;
 //  3. the sharded sweep over the two families the sharded fabric runs:

@@ -184,9 +184,10 @@ Repetition run_chaos_soak(std::uint64_t base_seed) {
       throw std::logic_error("sim_microbench: soak scenario failed: " +
                              result.failure);
     }
-    rep.events += result.events_executed;
+    rep.events += result.engine.events_executed;
     rep.engine.event_order_hash =
-        (rep.engine.event_order_hash ^ result.event_order_hash) * kPrime;
+        (rep.engine.event_order_hash ^ result.engine.event_order_hash) *
+        kPrime;
   }
   rep.wall_s = seconds_since(start);
   rep.engine.events_executed = rep.events;

@@ -22,11 +22,11 @@ scenario against the *last* trajectory entry (the current engine):
 
 --scale mode (ext_scalability vs BENCH_scale.json) applies the same two
 checks, but only to scenarios the baseline marks "pinned" (the 128- and
-512-node points plus the pshard-512 shards-axis pair; CI caps the sweep
-with --max-nodes so the larger points never run there).  A pinned point
-also fails when its fresh per-point peak_rss_kb exceeds 1.5x the recorded
-value, so per-endpoint state that goes back to being sized by the
-configuration shows up; the margin absorbs a different libc.  A value of
+512-node points plus the pshard-512 shards-axis pair; CI runs the full
+sweep, and only a --max-nodes run leaves the larger points out).  A
+pinned point also fails when its fresh per-point peak_rss_kb exceeds
+1.5x the recorded value, so per-endpoint state that goes back to being
+sized by the configuration shows up; the margin absorbs a different libc.  A value of
 0 (not measured) on either side skips that check.  Unpinned points
 are checked only when present, and only for route memory:
 routes_materialized must stay >= 10x below the all-pairs route count

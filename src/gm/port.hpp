@@ -16,10 +16,10 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "nic/nic.hpp"
-#include "sim/flat_map.hpp"
 #include "sim/simulator.hpp"
 
 namespace nicmcast::gm {
@@ -163,8 +163,7 @@ class Port {
   net::PortId port_id_;
 
   sim::Channel<RecvMessage> inbox_;
-  // Flat table (sim/flat_map.hpp): the pump hits this once per NIC event.
-  sim::FlatMap<nic::OpHandle, std::unique_ptr<OpState>> pending_;
+  std::unordered_map<nic::OpHandle, std::unique_ptr<OpState>> pending_;
   sim::Gate token_freed_;
   std::size_t tokens_reserved_ = 0;  // nowait posts still crossing the bus
   nic::OpHandle next_handle_ = 1;  // 0 is the NIC's "no handle" sentinel

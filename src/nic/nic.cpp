@@ -49,10 +49,6 @@ Nic::Nic(sim::Simulator& sim, net::Network& network, net::NodeId id,
       cpu_(sim, "lanai"),
       sdma_(sim, "sdma"),
       rdma_(sim, "rdma") {
-  sender_conns_.bind_growth_counter(&stats_.map_growths);
-  receiver_conns_.bind_growth_counter(&stats_.map_growths);
-  groups_.bind_growth_counter(&stats_.map_growths);
-  pending_ops_.bind_growth_counter(&stats_.map_growths);
   network_.attach(id_, *this);
 }
 

@@ -28,6 +28,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "net/network.hpp"
@@ -38,7 +39,6 @@
 #include "nic/send_window.hpp"
 #include "nic/sequence.hpp"
 #include "nic/types.hpp"
-#include "sim/flat_map.hpp"
 #include "sim/ring_deque.hpp"
 #include "sim/simulator.hpp"
 
@@ -535,14 +535,13 @@ class Nic final : public net::PacketSink {
   // One slot per port, each null until port_state() first names the port,
   // so a NIC pays only for the ports its host opens or its peers address.
   std::array<std::unique_ptr<Port>, kPortsPerNic> ports_;
-  // Flat open-addressing tables (sim/flat_map.hpp): inline probe index,
-  // pooled entries with stable references, insertion-order iteration.
-  // Each grows from empty as peers appear; every rehash shows up in
-  // NicStats::map_growths.
-  sim::FlatMap<std::uint64_t, SenderConn> sender_conns_;
-  sim::FlatMap<std::uint64_t, ReceiverConn> receiver_conns_;
-  sim::FlatMap<net::GroupId, GroupState> groups_;
-  sim::FlatMap<OpHandle, PendingOp> pending_ops_;
+  // Each table grows from empty as peers appear.  No event path iterates
+  // one: only the auditor walks them, through sorted_keys, so hash order
+  // never reaches event order.
+  std::unordered_map<std::uint64_t, SenderConn> sender_conns_;
+  std::unordered_map<std::uint64_t, ReceiverConn> receiver_conns_;
+  std::unordered_map<net::GroupId, GroupState> groups_;
+  std::unordered_map<OpHandle, PendingOp> pending_ops_;
   // Forwards stalled on send-token exhaustion (ablation mode only).
   struct DeferredForward {
     net::GroupId group;

@@ -10,7 +10,7 @@
 // the commit message:
 //
 //   for seed in {1, 7, 42}: run_soak(make_spec(seed)) and print
-//   event_order_hash / events_executed.
+//   engine.event_order_hash / engine.events_executed.
 #include <cstdint>
 
 #include <gtest/gtest.h>
@@ -41,10 +41,10 @@ TEST(Determinism, FixedSeedSoakMatchesGoldenEventOrder) {
     const SoakResult result = run_soak(make_spec(golden.seed));
     ASSERT_TRUE(result.ok) << "soak seed " << golden.seed
                            << " failed: " << result.failure;
-    EXPECT_EQ(result.event_order_hash, golden.event_order_hash)
+    EXPECT_EQ(result.engine.event_order_hash, golden.event_order_hash)
         << "seed " << golden.seed
         << ": executed event order diverged from the pinned golden run";
-    EXPECT_EQ(result.events_executed, golden.events_executed)
+    EXPECT_EQ(result.engine.events_executed, golden.events_executed)
         << "seed " << golden.seed;
   }
 }
@@ -54,8 +54,8 @@ TEST(Determinism, RepeatedRunsAreBitIdentical) {
   const SoakResult first = run_soak(spec);
   const SoakResult second = run_soak(spec);
   ASSERT_TRUE(first.ok) << first.failure;
-  EXPECT_EQ(first.event_order_hash, second.event_order_hash);
-  EXPECT_EQ(first.events_executed, second.events_executed);
+  EXPECT_EQ(first.engine.event_order_hash, second.engine.event_order_hash);
+  EXPECT_EQ(first.engine.events_executed, second.engine.events_executed);
   EXPECT_EQ(first.retransmissions, second.retransmissions);
   EXPECT_EQ(first.ledger.data_sent, second.ledger.data_sent);
   EXPECT_EQ(first.ledger.events_delivered, second.ledger.events_delivered);

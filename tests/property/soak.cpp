@@ -9,6 +9,7 @@
 #include "gm/cluster.hpp"
 #include "gm/port.hpp"
 #include "harness/experiment_util.hpp"
+#include "harness/runners.hpp"
 #include "mcast/bcast.hpp"
 #include "mcast/tree.hpp"
 #include "net/fault_model.hpp"
@@ -403,19 +404,18 @@ SoakResult run_soak(const SoakSpec& spec) {
     }
   }
 
-  result.events_executed = cluster.simulator().queue_stats().executed;
-  result.event_order_hash = cluster.simulator().event_order_hash();
-  result.routes_materialized =
-      cluster.network().route_stats().routes_materialized;
+  harness::RunResult collected;
+  harness::collect(cluster, collected);
+  result.engine = collected.engine;
   // The workload is tree- and pair-structured, so the lazy RouteTable must
   // never end up computing the full all-pairs table; if it does, something
   // reintroduced an eager all_routes()-style walk.
   const std::uint64_t full_pairs =
       static_cast<std::uint64_t>(spec.nodes) * (spec.nodes - 1);
-  if (spec.nodes >= 8 && result.routes_materialized >= full_pairs) {
+  if (spec.nodes >= 8 && result.engine.routes_materialized >= full_pairs) {
     shared->failures.push_back(
         "route table fully materialized: " +
-        std::to_string(result.routes_materialized) + "/" +
+        std::to_string(result.engine.routes_materialized) + "/" +
         std::to_string(full_pairs) + " pairs");
   }
   result.ledger = auditor.ledger();

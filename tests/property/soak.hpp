@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <string>
 
+#include "net/engine_counters.hpp"
 #include "nic/auditor.hpp"
 
 namespace nicmcast::soak {
@@ -67,14 +68,10 @@ struct SoakResult {
   std::uint64_t retransmissions = 0;
   std::uint64_t conn_resets = 0;
   std::uint64_t conns_reclaimed = 0;
-  /// Simulator events executed to drain the scenario (throughput metric).
-  std::uint64_t events_executed = 0;
-  /// Deterministic hash of the executed (time, seq) event order: equal
-  /// seeds must yield equal hashes, before and after engine changes.
-  std::uint64_t event_order_hash = 0;
-  /// (src, dst) routes the lazy RouteTable actually computed; a full
-  /// all-pairs materialization here is itself an invariant violation.
-  std::uint64_t routes_materialized = 0;
+  /// What the simulator did to drain the scenario, from harness::collect:
+  /// equal seeds must yield equal event_order_hash values, before and
+  /// after engine changes.
+  net::EngineCounters engine;
 };
 
 /// Runs one scenario to drain and checks every invariant.

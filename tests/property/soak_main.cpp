@@ -163,6 +163,7 @@ int main(int argc, char** argv) {
         const soak::SoakResult r = soak::run_soak_seed(spec.seed);
         harness::RunResult out;
         out.spec = spec;
+        out.engine = r.engine;
         out.set_metric("ok", r.ok ? 1.0 : 0.0);
         if (max_shards > 1) {
           const ShardCheck check =

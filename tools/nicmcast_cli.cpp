@@ -12,15 +12,21 @@
 //   nicmcast_cli sweep   --nodes 16 --iters 30 --threads 4 --json out.json
 //
 // Exit code 0 on success; 1 on a runtime error; 2 on bad usage: an
-// unknown command, a flag the command does not read, or a flag without a
-// value.
+// unknown command, a flag the command does not read, a flag without a
+// value, or a value the flag does not take (an --algo or --tree outside its
+// list, a number that does not parse whole or is negative, a --loss
+// outside [0, 1)).
 #include <algorithm>
 #include <array>
+#include <charconv>
 #include <cstdio>
 #include <iterator>
+#include <limits>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "harness/bench_io.hpp"
@@ -31,6 +37,23 @@ using namespace nicmcast::harness;
 
 namespace {
 
+/// A flag value the command cannot use: bad usage, like an unknown flag.
+struct BadValue : std::invalid_argument {
+  BadValue(const std::string& key, const std::string& value)
+      : std::invalid_argument("bad value for --" + key + ": '" + value +
+                              "'") {}
+};
+
+/// Parses all of `text` as a T, or throws BadValue.
+template <typename T>
+T parse_whole(const std::string& key, const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end) throw BadValue(key, text);
+  return value;
+}
+
 struct Args {
   std::map<std::string, std::string> options;
 
@@ -39,14 +62,37 @@ struct Args {
     auto it = options.find(key);
     return it == options.end() ? fallback : it->second;
   }
+  /// A non-negative integer: from_chars takes no sign for unsigned types.
   [[nodiscard]] std::size_t get_u(const std::string& key,
                                   std::size_t fallback) const {
     auto it = options.find(key);
-    return it == options.end() ? fallback : std::stoul(it->second);
+    return it == options.end() ? fallback
+                               : parse_whole<std::size_t>(key, it->second);
   }
-  [[nodiscard]] double get_d(const std::string& key, double fallback) const {
+  /// A number in [0, below).
+  [[nodiscard]] double get_d(
+      const std::string& key, double fallback,
+      double below = std::numeric_limits<double>::infinity()) const {
     auto it = options.find(key);
-    return it == options.end() ? fallback : std::stod(it->second);
+    if (it == options.end()) return fallback;
+    const double value = parse_whole<double>(key, it->second);
+    if (!(value >= 0.0 && value < below)) throw BadValue(key, it->second);
+    return value;
+  }
+  /// The choice whose to_string name the value is.
+  template <typename E, std::size_t N>
+  [[nodiscard]] E get_choice(const std::string& key, E fallback,
+                             const E (&choices)[N]) const {
+    auto it = options.find(key);
+    if (it == options.end()) return fallback;
+    for (const E choice : choices) {
+      if (to_string(choice) == it->second) return choice;
+    }
+    throw BadValue(key, it->second);
+  }
+  [[nodiscard]] Algo get_algo() const {
+    return get_choice("algo", Algo::kNicBased,
+                      {Algo::kNicBased, Algo::kHostBased});
   }
 };
 
@@ -62,13 +108,6 @@ int usage() {
                "  barrier: --algo nic|host\n"
                "  sweep:   --loss P\n");
   return 2;
-}
-
-TreeShape parse_tree(const std::string& shape) {
-  if (shape == "binomial") return TreeShape::kBinomial;
-  if (shape == "chain") return TreeShape::kChain;
-  if (shape == "flat") return TreeShape::kFlat;
-  return TreeShape::kPostal;
 }
 
 /// Shared flags -> BenchOptions; the --seed is honoured verbatim for the
@@ -96,12 +135,13 @@ int cmd_mcast(const Args& args) {
   spec.experiment = Experiment::kGmMulticast;
   spec.nodes = args.get_u("nodes", 16);
   spec.message_bytes = args.get_u("size", 512);
-  spec.algo = args.get("algo", "nic") == "nic" ? Algo::kNicBased
-                                               : Algo::kHostBased;
-  spec.tree = spec.algo == Algo::kNicBased
-                  ? parse_tree(args.get("tree", "postal"))
-                  : TreeShape::kBinomial;
-  spec.loss_rate = args.get_d("loss", 0.0);
+  spec.algo = args.get_algo();
+  const TreeShape tree = args.get_choice(
+      "tree", TreeShape::kPostal,
+      {TreeShape::kPostal, TreeShape::kBinomial, TreeShape::kChain,
+       TreeShape::kFlat});
+  spec.tree = spec.algo == Algo::kNicBased ? tree : TreeShape::kBinomial;
+  spec.loss_rate = args.get_d("loss", 0.0, 1.0);
   spec.corrupt_rate = spec.loss_rate / 2;
   spec.seed = options.base_seed;
   spec.warmup = 2;
@@ -125,8 +165,7 @@ int cmd_bcast(const Args& args) {
   spec.message_bytes = args.get_u("size", 4);
   spec.avg_skew_us = args.get_d("skew", 0.0);
   spec.iterations = static_cast<int>(args.get_u("iters", 30));
-  spec.algo = args.get("algo", "nic") == "nic" ? Algo::kNicBased
-                                               : Algo::kHostBased;
+  spec.algo = args.get_algo();
   spec.seed = static_cast<std::uint64_t>(args.get_u("seed", 7));
   const auto results = run_single(spec, options);
   std::printf("mpi-bcast nodes=%zu size=%zuB algo=%s avg-skew=%.0fus: "
@@ -145,8 +184,7 @@ int cmd_barrier(const Args& args) {
   RunSpec spec;
   spec.experiment = Experiment::kBarrier;
   spec.nodes = args.get_u("nodes", 16);
-  spec.algo = args.get("algo", "nic") == "nic" ? Algo::kNicBased
-                                               : Algo::kHostBased;
+  spec.algo = args.get_algo();
   spec.seed = options.base_seed;
   spec.iterations = static_cast<int>(args.get_u("iters", 20));
   const auto results = run_single(spec, options);
@@ -164,7 +202,7 @@ int cmd_sweep(const Args& args) {
   RunSpec base;
   base.experiment = Experiment::kGmMulticast;
   base.nodes = args.get_u("nodes", 16);
-  base.loss_rate = args.get_d("loss", 0.0);
+  base.loss_rate = args.get_d("loss", 0.0, 1.0);
   base.corrupt_rate = base.loss_rate / 2;
   base.warmup = 2;
   base.iterations = static_cast<int>(args.get_u("iters", 20));
@@ -240,6 +278,9 @@ int main(int argc, char** argv) {
   }
   try {
     return command->run(args);
+  } catch (const BadValue& e) {
+    std::fprintf(stderr, "nicmcast_cli: %s\n", e.what());
+    return usage();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
