@@ -166,8 +166,8 @@ Repetition run_mcast_forwarding(std::uint64_t base_seed) {
 // ---- Scenario 4: chaos-soak protocol mix ----------------------------------
 //
 // A fixed slice of the randomized soak campaign: small messages, faults,
-// retransmissions, control handshakes — the workload where event-queue and
-// descriptor churn dominate over payload size.
+// retransmissions — the workload where event-queue and descriptor churn
+// dominate over payload size.
 
 Repetition run_chaos_soak(std::uint64_t base_seed) {
   constexpr std::size_t kScenarios = 150;

@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <stdexcept>
 #include <string>
 
 namespace nicmcast::harness {
@@ -42,12 +41,12 @@ namespace {
   std::exit(code);
 }
 
-std::uint64_t parse_u64(const char* text, std::string_view bench_name) {
-  try {
-    return std::stoull(text);
-  } catch (const std::exception&) {
-    usage_and_exit(bench_name, 2);
-  }
+/// `text` as a T (parse_count), or the usage text and exit 2.
+template <typename T>
+T parse_flag(const char* text, std::string_view bench_name) {
+  const std::optional<T> value = parse_count<T>(text);
+  if (!value) usage_and_exit(bench_name, 2);
+  return *value;
 }
 
 }  // namespace
@@ -64,22 +63,18 @@ BenchOptions parse_bench_options(int argc, char** argv,
     if (arg == "--help" || arg == "-h") {
       usage_and_exit(bench_name, 0);
     } else if (arg == "--threads") {
-      options.threads =
-          static_cast<unsigned>(parse_u64(value(), bench_name));
+      options.threads = parse_flag<unsigned>(value(), bench_name);
       if (options.threads == 0) options.threads = 1;
     } else if (arg == "--json") {
       options.json_path = value();
     } else if (arg == "--iters") {
-      options.iterations =
-          static_cast<int>(parse_u64(value(), bench_name));
+      options.iterations = parse_flag<int>(value(), bench_name);
     } else if (arg == "--seed") {
-      options.base_seed = parse_u64(value(), bench_name);
+      options.base_seed = parse_flag<std::uint64_t>(value(), bench_name);
     } else if (arg == "--max-nodes") {
-      options.max_nodes =
-          static_cast<std::size_t>(parse_u64(value(), bench_name));
+      options.max_nodes = parse_flag<std::size_t>(value(), bench_name);
     } else if (arg == "--shards") {
-      options.shards =
-          static_cast<std::size_t>(parse_u64(value(), bench_name));
+      options.shards = parse_flag<std::size_t>(value(), bench_name);
     } else if (arg == "--only") {
       options.only = value();
     } else {

@@ -56,8 +56,14 @@
 //   }
 #pragma once
 
+#include <charconv>
+#include <concepts>
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "harness/json.hpp"
@@ -102,8 +108,23 @@ struct BenchOptions {
   }
 };
 
+/// Parses all of `text` as a count that fits a T: decimal digits only (no
+/// sign, space or suffix) and at most T's maximum; std::nullopt otherwise.
+/// Every numeric bench flag and nicmcast_cli's integer flags parse here.
+template <std::integral T>
+[[nodiscard]] std::optional<T> parse_count(std::string_view text) {
+  std::uint64_t value = 0;
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end ||
+      value > static_cast<std::uint64_t>(std::numeric_limits<T>::max())) {
+    return std::nullopt;
+  }
+  return static_cast<T>(value);
+}
+
 /// Parses the shared bench flags.  Prints usage and calls std::exit(2) on
-/// a bad flag, std::exit(0) for --help.
+/// a bad flag or value, std::exit(0) for --help.
 [[nodiscard]] BenchOptions parse_bench_options(int argc, char** argv,
                                                std::string_view bench_name);
 

@@ -8,8 +8,6 @@ namespace nicmcast::mpi {
 
 namespace {
 
-constexpr std::size_t kEagerBufferCapacity = 16287;
-
 /// Reserved tag space for internal broadcast traffic.
 constexpr std::uint16_t kBcastTagBase = 0xB000;
 
@@ -144,7 +142,7 @@ World::World(gm::Cluster& cluster, MpiConfig config)
   processes_.reserve(cluster.size());
   for (std::size_t i = 0; i < cluster.size(); ++i) {
     gm::Port& port = cluster.port(i);
-    port.provide_receive_buffers(config_.eager_buffers, kEagerBufferCapacity);
+    port.provide_receive_buffers(config_.eager_buffers, kEagerLimit);
     processes_.push_back(std::make_unique<Process>(*this, port));
   }
 }
@@ -184,7 +182,7 @@ int Process::size() const { return world_.comm_world().size(); }
 const Comm& Process::world_comm() const { return world_.comm_world(); }
 
 void Process::replenish_eager_buffer() {
-  port_.provide_receive_buffer(kEagerBufferCapacity);
+  port_.provide_receive_buffer(kEagerLimit);
 }
 
 sim::Task<void> Process::charge_host(std::size_t copy_bytes) {
@@ -256,17 +254,15 @@ sim::Task<void> Process::send(const Comm& comm, int dest, std::uint16_t tag,
                               Payload data) {
   CallGuard guard(in_call_);
   ++stats_.sends;
-  if (comm.node_of(dest) == port_.node() &&
-      data.size() > world_.config().eager_limit) {
+  if (comm.node_of(dest) == port_.node() && data.size() > kEagerLimit) {
     // A blocking rendezvous to self cannot complete (the matching receive
     // runs in the same, currently blocked, rank) — standard MPI declares
     // this erroneous.
     throw std::logic_error("send-to-self above the eager limit deadlocks");
   }
-  const Envelope env{data.size() <= world_.config().eager_limit
-                         ? Kind::kEager
-                         : Kind::kRndvRts,
-                     comm.context(), tag};
+  const Envelope env{
+      data.size() <= kEagerLimit ? Kind::kEager : Kind::kRndvRts,
+      comm.context(), tag};
   if (env.kind == Kind::kEager) {
     co_await eager_send(comm, dest, env, std::move(data));
   } else {
@@ -469,7 +465,7 @@ sim::Task<void> Process::bcast(const Comm& comm, Payload& data, int root,
     // the original rendezvous-based host path (paper §5) unless the
     // RDMA-multicast extension is enabled (paper §7 future work).
     if (algorithm == BcastAlgorithm::kNicBased &&
-        data.size() <= world_.config().eager_limit) {
+        data.size() <= kEagerLimit) {
       co_await bcast_nic_based(comm, data, root, tag);
     } else if (algorithm == BcastAlgorithm::kNicBased &&
                world_.config().rdma_multicast) {
@@ -497,7 +493,7 @@ sim::Task<void> Process::bcast_host_based(const Comm& comm, Payload& data,
     data = co_await receive_from(comm, node_of_vrank(role.parent_vrank), tag);
   }
 
-  if (data.size() <= world_.config().eager_limit) {
+  if (data.size() <= kEagerLimit) {
     // Eager: copy into the registered send buffer once, then post every
     // child's send back to back and await the completions (MPICH-GM's
     // gm_send_with_callback fan-out).

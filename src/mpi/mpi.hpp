@@ -43,14 +43,16 @@ enum class BarrierAlgorithm : std::uint8_t {
   kNicBased,       // NIC-level gather/release over the group tree (ext.)
 };
 
+/// Largest eager-mode message (paper §6.2: 16287 bytes), and the capacity
+/// of every preposted eager receive buffer.
+inline constexpr std::size_t kEagerLimit = 16287;
+
 struct MpiConfig {
-  /// Largest eager-mode message (paper §6.2: 16287 bytes).
-  std::size_t eager_limit = 16287;
   /// Preposted eager receive buffers per process (replenished on use).
   std::size_t eager_buffers = 32;
   BcastAlgorithm bcast_algorithm = BcastAlgorithm::kNicBased;
   BarrierAlgorithm barrier_algorithm = BarrierAlgorithm::kDissemination;
-  /// Extension (paper §7): serve >eager_limit broadcasts with the NIC
+  /// Extension (paper §7): serve >kEagerLimit broadcasts with the NIC
   /// multicast too — an announce/ready handshake posts exact-size landing
   /// buffers (the RDMA targets) at every member, then the payload streams
   /// down the tree with per-packet NIC forwarding and no host copies.

@@ -38,7 +38,7 @@ enum class PacketType : std::uint8_t {
   kAck,        // acknowledgment (positive, cumulative per port/group)
   kMcastData,  // multicast data packet (NIC-forwarded along the tree)
   kMcastAck,   // child -> parent multicast acknowledgment
-  kCtrl,       // control (group-table update, rendezvous handshake)
+  kCtrl,       // control: the connection reset handshake
   kBarrier,    // NIC-level barrier: arrive (up) / release (down)
   kReduce,     // NIC-level reduction: combined contribution (up)
   kReduceAck,  // parent -> child: contribution absorbed

@@ -162,7 +162,6 @@ void ProtocolAuditor::check_drained(const Nic& nic) {
     // still-set handle is leaked bookkeeping.
     if (conn.timer) violation(nic, peer + ": retransmit timer armed at drain");
     if (conn.ctrl_timer) violation(nic, peer + ": ctrl timer armed at drain");
-    if (conn.idle_timer) violation(nic, peer + ": idle timer armed at drain");
     // A ctrl handshake either completes or gives up (ctrl -> kNone); a
     // pending state with no timer to drive it would hang forever.
     if (conn.ctrl != Nic::Ctrl::kNone) {

@@ -60,13 +60,6 @@ struct NicConfig {
   /// fails the operation back to the host.
   std::size_t max_retries = 30;
 
-  /// Idle sender-connection reclaim: once a connection has had no
-  /// outstanding send records for this long, the NIC runs a kCtrl
-  /// close handshake with the peer and erases both endpoints' Go-back-N
-  /// state (the maps would otherwise grow with every peer ever talked to).
-  /// Duration{0} (the default) disables reclaim.
-  sim::Duration conn_idle_timeout = sim::Duration{0};
-
   /// LANai lane-combine bandwidth for NIC-level reduction (extension;
   /// paper §7 / "NIC-Based Reduction in Myrinet Clusters").  The 133 MHz
   /// LANai loads, adds and stores each 8-byte lane — slow enough that NIC

@@ -12,15 +12,12 @@ namespace nicmcast::nic {
 namespace {
 
 // kCtrl subtypes, carried in msg_offset (the same discriminator trick the
-// barrier uses for arrive/release).  Reset: after a max-retries failure the
+// barrier uses for arrive/release).  After a max-retries failure the
 // sender's next_seq is ahead of the receiver's expected_seq and every later
-// send would be dropped as out-of-order; the request re-seats the receiver
-// at the carried seq.  Close: reclaims an idle connection's Go-back-N state
-// on both ends.
+// send would be dropped as out-of-order; the reset request re-seats the
+// receiver at the carried seq.
 constexpr std::uint32_t kCtrlResetReq = 0;
 constexpr std::uint32_t kCtrlResetAck = 1;
-constexpr std::uint32_t kCtrlCloseReq = 2;
-constexpr std::uint32_t kCtrlCloseAck = 3;
 
 /// Builds the reverse-direction header for an acknowledgment of `data`.
 net::PacketHeader ack_header_for(const net::Packet& data, SeqNum cumulative) {
@@ -135,7 +132,6 @@ void Nic::post_multisend(MultisendRequest request) {
               const std::uint64_t key =
                   conn_key(p.header.src_port, dest, p.header.dst_port);
               SenderConn& conn = sender_conns_[key];
-              conn_activity(key, conn);
               p.header.seq = conn.next_seq++;
               conn.records.push_back(
                   p.header.seq, sim_.now(),
@@ -371,7 +367,6 @@ void Nic::send_data_packet(net::PortId port, net::NodeId dest,
                            OpHandle handle) {
   const std::uint64_t key = conn_key(port, dest, dest_port);
   SenderConn& conn = sender_conns_[key];
-  conn_activity(key, conn);
 
   net::PacketHeader header;
   header.type = net::PacketType::kData;
@@ -601,7 +596,6 @@ void Nic::handle_ack(const net::Packet& packet) {
   }
   sim_.cancel(conn.timer);
   arm_conn_timer(key);
-  if (conn.records.empty()) arm_idle_timer(key);
 }
 
 void Nic::handle_mcast_data(const net::Packet& packet) {
@@ -684,26 +678,19 @@ void Nic::handle_mcast_ack(const net::Packet& packet) {
 }
 
 // ---------------------------------------------------------------------------
-// kCtrl connection handshakes
+// kCtrl reset handshake
 //
-// Reset — sent by a sender whose max-retries failure cleared its window:
-// next_seq is now ahead of the receiver's expected_seq, and without a
-// resync every later send on the connection would be dropped as
-// out-of-order and time out as well (the connection is wedged forever).
-// The request carries the seq the receiver must expect next; any
-// half-assembled message it was accumulating is abandoned (the sender
-// already reported kSendFailed for it) and its host buffer returns to the
-// port's pool.
+// Sent by a sender whose max-retries failure cleared its window: next_seq
+// is now ahead of the receiver's expected_seq, and without a resync every
+// later send on the connection would be dropped as out-of-order and time
+// out as well (the connection is wedged forever).  The request carries the
+// seq the receiver must expect next; any half-assembled message it was
+// accumulating is abandoned (the sender already reported kSendFailed for
+// it) and its host buffer returns to the port's pool.
 //
-// Close — sent by a sender whose connection has been idle for
-// conn_idle_timeout: if the receiver agrees the stream is drained
-// (expected_seq matches, no partial assembly) both ends erase their state.
-// New traffic aborts an in-flight close and resyncs with a reset, because
-// the peer may have erased its state already.
-//
-// Both handshakes retry on the retransmit timeout, bounded by max_retries;
-// an unreachable peer makes them give up silently (a future send failure
-// re-initiates the reset; a kept idle entry merely occupies memory).
+// The request retries on the retransmit timeout, bounded by max_retries;
+// an unreachable peer makes it give up silently (the next send failure
+// re-initiates the reset).  Connection entries are never erased.
 // ---------------------------------------------------------------------------
 
 void Nic::handle_ctrl(const net::Packet& packet) {
@@ -751,46 +738,6 @@ void Nic::handle_ctrl(const net::Packet& packet) {
       }
       sim_.cancel(conn.ctrl_timer);
       conn.ctrl = Ctrl::kNone;
-      if (conn.records.empty()) arm_idle_timer(key);
-      break;
-    }
-    case kCtrlCloseReq: {
-      auto it = receiver_conns_.find(key);
-      if (it == receiver_conns_.end()) {
-        // Already reclaimed (or never seen): re-ack so the sender's close
-        // converges even when the first ack was lost.
-        send_ctrl(key, kCtrlCloseAck, packet.header.seq);
-        return;
-      }
-      const ReceiverConn& conn = it->second;
-      const bool drained =
-          conn.expected_seq == packet.header.seq &&
-          (!conn.assembly || conn.assembly->fully_accepted());
-      if (!drained) return;  // traffic still in flight; sender aborts
-      receiver_conns_.erase(it);
-      send_ctrl(key, kCtrlCloseAck, packet.header.seq);
-      break;
-    }
-    case kCtrlCloseAck: {
-      auto it = sender_conns_.find(key);
-      if (it == sender_conns_.end()) return;
-      SenderConn& conn = it->second;
-      if (conn.ctrl != Ctrl::kClose || packet.header.seq != conn.ctrl_seq) {
-        return;
-      }
-      // conn_activity aborts the close before any new record is created, so
-      // reaching here with traffic would be a protocol bug; re-check anyway
-      // rather than erase live state.
-      if (!conn.records.empty() || conn.next_seq != conn.ctrl_seq) return;
-      sim_.cancel(conn.timer);
-      sim_.cancel(conn.ctrl_timer);
-      sim_.cancel(conn.idle_timer);
-      ++stats_.conns_reclaimed;
-      trace("nic", [&] {
-        return "idle conn to node" + std::to_string(conn_peer(key)) +
-               " reclaimed";
-      });
-      sender_conns_.erase(it);
       break;
     }
     default:
@@ -839,69 +786,21 @@ void Nic::arm_ctrl_timer(std::uint64_t key) {
 }
 
 void Nic::ctrl_timeout(std::uint64_t key) {
-  auto it = sender_conns_.find(key);
-  if (it == sender_conns_.end()) return;
-  SenderConn& conn = it->second;
+  SenderConn& conn = sender_conns_[key];
   conn.ctrl_timer.reset();
   if (conn.ctrl == Ctrl::kNone) return;
   if (conn.ctrl_retries >= config_.max_retries) {
-    // Peer unreachable.  Reset: give up — the next send failure initiates a
-    // fresh handshake.  Close: back off and retry after another idle period;
-    // GC is best-effort background work and must not strand the entry just
-    // because one handshake fell inside a loss burst.
-    const bool was_close = conn.ctrl == Ctrl::kClose;
+    // Peer unreachable: give up — the next send failure initiates a fresh
+    // handshake.
     conn.ctrl = Ctrl::kNone;
-    if (was_close) arm_idle_timer(key);
     return;
   }
   ++conn.ctrl_retries;
-  if (conn.ctrl == Ctrl::kReset) {
-    // New sends may have been posted since the last attempt; re-anchor the
-    // resync point at the oldest outstanding record.
-    conn.ctrl_seq =
-        conn.records.empty() ? conn.next_seq : conn.records.front_seq();
-    send_ctrl(key, kCtrlResetReq, conn.ctrl_seq);
-  } else {
-    send_ctrl(key, kCtrlCloseReq, conn.ctrl_seq);
-  }
-  arm_ctrl_timer(key);
-}
-
-void Nic::conn_activity(std::uint64_t key, SenderConn& conn) {
-  sim_.cancel(conn.idle_timer);
-  if (conn.ctrl == Ctrl::kClose) {
-    // The peer may already have erased its receiver state when our
-    // CloseReq landed; without a resync it would drop the new seqs as
-    // out-of-order forever.  If it has not erased, the reset re-seats it
-    // at the seq it already expected — harmless either way.
-    sim_.cancel(conn.ctrl_timer);
-    conn.ctrl = Ctrl::kNone;
-    begin_conn_reset(key);
-  }
-}
-
-void Nic::arm_idle_timer(std::uint64_t key) {
-  if (config_.conn_idle_timeout <= sim::Duration{0}) return;
-  auto it = sender_conns_.find(key);
-  if (it == sender_conns_.end()) return;
-  SenderConn& conn = it->second;
-  if (conn.idle_timer || conn.ctrl != Ctrl::kNone || !conn.records.empty()) {
-    return;
-  }
-  conn.idle_timer = sim_.schedule_after(config_.conn_idle_timeout,
-                                        [this, key] { idle_timeout(key); });
-}
-
-void Nic::idle_timeout(std::uint64_t key) {
-  auto it = sender_conns_.find(key);
-  if (it == sender_conns_.end()) return;
-  SenderConn& conn = it->second;
-  conn.idle_timer.reset();
-  if (!conn.records.empty() || conn.ctrl != Ctrl::kNone) return;
-  conn.ctrl = Ctrl::kClose;
-  conn.ctrl_retries = 0;
-  conn.ctrl_seq = conn.next_seq;
-  send_ctrl(key, kCtrlCloseReq, conn.ctrl_seq);
+  // New sends may have been posted since the last attempt; re-anchor the
+  // resync point at the oldest outstanding record.
+  conn.ctrl_seq =
+      conn.records.empty() ? conn.next_seq : conn.records.front_seq();
+  send_ctrl(key, kCtrlResetReq, conn.ctrl_seq);
   arm_ctrl_timer(key);
 }
 

@@ -187,10 +187,9 @@ class Nic final : public net::PacketSink {
   };
 
   // kCtrl handshake a sender connection may have in flight: a reset
-  // (resynchronise the receiver after a max-retries failure left next_seq
-  // ahead of its expected_seq) or a close (reclaim an idle connection's
-  // state on both ends).  At most one runs at a time per connection.
-  enum class Ctrl : std::uint8_t { kNone, kReset, kClose };
+  // resynchronises the receiver after a max-retries failure left next_seq
+  // ahead of its expected_seq.
+  enum class Ctrl : std::uint8_t { kNone, kReset };
 
   struct SenderConn {
     SeqNum next_seq = 0;
@@ -203,7 +202,6 @@ class Nic final : public net::PacketSink {
     SeqNum ctrl_seq = 0;  // seq carried by the outstanding ctrl request
     std::uint32_t ctrl_retries = 0;
     std::optional<sim::EventId> ctrl_timer;
-    std::optional<sim::EventId> idle_timer;  // armed when records drain
   };
 
   // One in-flight incoming message.  `accepted` counts bytes the receive
@@ -465,17 +463,12 @@ class Nic final : public net::PacketSink {
                       const net::Packet& packet, HostEvent::Type event_type,
                       ReleaseFn on_rdma_done = nullptr);
 
-  // -- kCtrl connection handshakes (reset after failure; idle close) --
+  // -- kCtrl reset handshake (resync after a max-retries failure) --
   void handle_ctrl(const net::Packet& packet);
   void begin_conn_reset(std::uint64_t key);
   void send_ctrl(std::uint64_t key, std::uint32_t subtype, SeqNum seq);
   void arm_ctrl_timer(std::uint64_t key);
   void ctrl_timeout(std::uint64_t key);
-  // New traffic on a connection: cancels the idle timer and aborts (with a
-  // resync) any close handshake in flight.  Call before assigning seqs.
-  void conn_activity(std::uint64_t key, SenderConn& conn);
-  void arm_idle_timer(std::uint64_t key);
-  void idle_timeout(std::uint64_t key);
 
   // -- Reliability --
   void arm_conn_timer(std::uint64_t key);

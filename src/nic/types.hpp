@@ -127,9 +127,8 @@ struct NicStats {
   std::uint64_t reduce_resends = 0;
   std::uint64_t nic_buffer_drops = 0;     // packets refused: SRAM pool empty
   std::uint64_t rx_buffers_high_water = 0;
-  std::uint64_t ctrl_packets = 0;      // kCtrl reset/close handshake packets
+  std::uint64_t ctrl_packets = 0;      // kCtrl reset handshake packets
   std::uint64_t conn_resets = 0;       // reset handshakes initiated
-  std::uint64_t conns_reclaimed = 0;   // idle sender connections closed
   // -- memory-model observability (perf trajectory, not protocol state) --
   std::uint64_t descriptor_allocs = 0;   // descriptor pool grew by one
   std::uint64_t descriptor_reuses = 0;   // descriptor served from free list
@@ -168,7 +167,6 @@ inline constexpr NicStatsField kNicStatsFields[] = {
     {"rx_buffers_high_water", &NicStats::rx_buffers_high_water},
     {"ctrl_packets", &NicStats::ctrl_packets},
     {"conn_resets", &NicStats::conn_resets},
-    {"conns_reclaimed", &NicStats::conns_reclaimed},
     {"descriptor_allocs", &NicStats::descriptor_allocs},
     {"descriptor_reuses", &NicStats::descriptor_reuses},
     {"payload_bytes_copied", &NicStats::payload_bytes_copied},

@@ -10,9 +10,9 @@
 //                   here (the engine's cost model is all sub-microsecond to
 //                   a-few-microsecond steps), giving a ~65 us horizon;
 //   - coarse wheel: 1024 slots of one fine-span (~65 us) each — retransmit
-//                   and idle-close timers (milliseconds) land here and are
-//                   cascaded into the fine wheel when the cursor crosses
-//                   their coarse slot, a ~67 ms horizon;
+//                   timers (milliseconds) land here and are cascaded into
+//                   the fine wheel when the cursor crosses their coarse
+//                   slot, a ~67 ms horizon;
 //   - overflow heap: a (when, seq) min-heap for anything beyond the coarse
 //                   horizon, promoted into the wheels as the cursor
 //                   approaches (promotions are counted — see stats).

@@ -260,85 +260,106 @@ TEST(Reliability, DrainAuditSkipsUnusedPortsAndFlagsHeldTokens) {
       << auditor.report();
 }
 
-TEST(Reliability, IdleConnectionsReclaimed) {
-  // Regression: per-peer connection state was never reclaimed — a
-  // long-lived node leaked an entry for every peer it ever talked to.
+// Both reset-handshake tests: a 100-us retransmit timeout and 3 retries, so
+// 4 dropped data packets fail a one-packet send and start a reset.
+NicConfig reset_config() {
   NicConfig config;
-  config.conn_idle_timeout = sim::msec(5);
-  TestCluster c(3, config);
-  c.post_buffers(1, 1, 4096);
-  c.post_buffers(2, 1, 4096);
-  c.nic(0).post_send(SendRequest{0, 1, 0, make_payload(64, 1), 0, 1});
-  c.nic(0).post_send(SendRequest{0, 2, 0, make_payload(64, 2), 0, 2});
-  c.sim.run();  // delivery + acks, then the idle close handshakes
-  EXPECT_EQ(c.drain_events(1).size(), 1u);
-  EXPECT_EQ(c.drain_events(2).size(), 1u);
-  EXPECT_EQ(c.nic(0).debug_sender_conn_count(), 0u);
-  EXPECT_EQ(c.nic(1).debug_receiver_conn_count(), 0u);
-  EXPECT_EQ(c.nic(2).debug_receiver_conn_count(), 0u);
-  EXPECT_EQ(c.nic(0).stats().conns_reclaimed, 2u);
-}
-
-TEST(Reliability, IdleCloseRetriesAfterLossBurstSwallowsHandshake) {
-  // Found by the chaos soak (burst injector): when every packet of an idle
-  // close handshake fell inside a loss burst, the sender exhausted
-  // max_retries, gave up, and stranded the connection entry forever.  The
-  // close must re-arm the idle timer and try again once the burst clears.
-  NicConfig config;
-  config.conn_idle_timeout = sim::msec(5);
   config.retransmit_timeout = sim::usec(100);
   config.max_retries = 3;
-  TestCluster c(2, config);
+  return config;
+}
+
+TEST(Reliability, ResetHandshakeRetriesALostRequest) {
+  TestCluster c(2, reset_config());
+  ProtocolAuditor auditor;
+  for (auto& nic : c.nics) nic->set_auditor(&auditor);
   c.post_buffers(1, 1, 4096);
   auto faults = scripted();
-  // Swallow the whole first handshake: initial CloseReq + 3 retries.
+  faults->add_rule({.type = net::PacketType::kData}, net::FaultAction::kDrop,
+                   4);
+  // The first ResetReq is lost; the ctrl timer must resend it.
+  faults->add_rule({.type = net::PacketType::kCtrl}, net::FaultAction::kDrop,
+                   1);
+  c.network.set_fault_injector(std::move(faults));
+  c.nic(0).post_send(SendRequest{0, 1, 0, make_payload(64), 0, 1});
+  c.sim.run();
+  auto sent = c.drain_events(0);
+  ASSERT_EQ(sent.size(), 1u);
+  EXPECT_EQ(sent[0].type, HostEvent::Type::kSendFailed);
+  EXPECT_EQ(c.nic(0).stats().conn_resets, 1u);
+  EXPECT_EQ(c.nic(0).stats().ctrl_packets, 2u);  // the lost request + retry
+  EXPECT_EQ(c.nic(1).stats().ctrl_packets, 1u);  // one ResetAck
+
+  const Payload msg = make_payload(128, 7);
+  c.nic(0).post_send(SendRequest{0, 1, 0, msg, 1, 2});
+  c.sim.run();
+  sent = c.drain_events(0);
+  ASSERT_EQ(sent.size(), 1u);
+  EXPECT_EQ(sent[0].type, HostEvent::Type::kSendComplete);
+  const auto recv = c.drain_events(1);
+  ASSERT_EQ(recv.size(), 1u);
+  EXPECT_EQ(recv[0].data, msg);
+  auditor.check_drained(c.nic(0));
+  auditor.check_drained(c.nic(1));
+  EXPECT_TRUE(auditor.ok()) << auditor.report();
+}
+
+TEST(Reliability, ResetHandshakeGivesUpAndTheNextFailureRestartsIt) {
+  TestCluster c(2, reset_config());
+  ProtocolAuditor auditor;
+  for (auto& nic : c.nics) nic->set_auditor(&auditor);
+  c.post_buffers(1, 1, 4096);
+  auto faults = scripted();
+  faults->add_rule({.type = net::PacketType::kData}, net::FaultAction::kDrop,
+                   4);
+  // Every attempt of the first reset is lost: ResetReq + 3 retries.
   faults->add_rule({.type = net::PacketType::kCtrl}, net::FaultAction::kDrop,
                    4);
   c.network.set_fault_injector(std::move(faults));
-  c.nic(0).post_send(SendRequest{0, 1, 0, make_payload(64, 1), 0, 1});
+  c.nic(0).post_send(SendRequest{0, 1, 0, make_payload(64), 0, 1});
   c.sim.run();
-  EXPECT_EQ(c.drain_events(1).size(), 1u);
-  EXPECT_EQ(c.nic(0).debug_sender_conn_count(), 0u);
-  EXPECT_EQ(c.nic(1).debug_receiver_conn_count(), 0u);
-  EXPECT_EQ(c.nic(0).stats().conns_reclaimed, 1u);
+  auto sent = c.drain_events(0);
+  ASSERT_EQ(sent.size(), 1u);
+  EXPECT_EQ(sent[0].type, HostEvent::Type::kSendFailed);
+  EXPECT_EQ(c.nic(0).stats().conn_resets, 1u);
+  EXPECT_EQ(c.nic(0).stats().ctrl_packets, 4u);
+  EXPECT_EQ(c.nic(1).stats().ctrl_packets, 0u);
+
+  // The receiver was never re-seated, so the next send is dropped as
+  // out-of-order until it fails too; that failure starts a fresh reset.
+  c.nic(0).post_send(SendRequest{0, 1, 0, make_payload(96, 3), 1, 2});
+  c.sim.run();
+  sent = c.drain_events(0);
+  ASSERT_EQ(sent.size(), 1u);
+  EXPECT_EQ(sent[0].type, HostEvent::Type::kSendFailed);
+  EXPECT_EQ(c.nic(0).stats().conn_resets, 2u);
+  EXPECT_EQ(c.nic(1).stats().out_of_order_drops, 4u);
+  EXPECT_EQ(c.nic(0).stats().ctrl_packets, 5u);
+  EXPECT_EQ(c.nic(1).stats().ctrl_packets, 1u);
+
+  const Payload msg = make_payload(128, 7);
+  c.nic(0).post_send(SendRequest{0, 1, 0, msg, 2, 3});
+  c.sim.run();
+  sent = c.drain_events(0);
+  ASSERT_EQ(sent.size(), 1u);
+  EXPECT_EQ(sent[0].type, HostEvent::Type::kSendComplete);
+  const auto recv = c.drain_events(1);
+  ASSERT_EQ(recv.size(), 1u);
+  EXPECT_EQ(recv[0].data, msg);
+  auditor.check_drained(c.nic(0));
+  auditor.check_drained(c.nic(1));
+  EXPECT_TRUE(auditor.ok()) << auditor.report();
 }
 
-TEST(Reliability, IdleReclaimDisabledByDefault) {
+TEST(Reliability, DrainedConnectionKeepsItsState) {
+  // Connection entries live for the run: a drained connection keeps its
+  // Go-back-N state on both ends.
   TestCluster c(2);
   c.post_buffers(1, 1, 4096);
   c.nic(0).post_send(SendRequest{0, 1, 0, make_payload(64), 0, 1});
   c.sim.run();
   EXPECT_EQ(c.nic(0).debug_sender_conn_count(), 1u);
   EXPECT_EQ(c.nic(1).debug_receiver_conn_count(), 1u);
-  EXPECT_EQ(c.nic(0).stats().conns_reclaimed, 0u);
-}
-
-TEST(Reliability, NewTrafficAbortsIdleCloseAndResyncs) {
-  // A send posted while a close handshake is in flight must abort the close
-  // and proactively resync (the peer may have erased its state already),
-  // then the connection drains and is reclaimed on the next idle period.
-  NicConfig config;
-  config.conn_idle_timeout = sim::msec(5);
-  TestCluster c(2, config);
-  c.post_buffers(1, 2, 4096);
-  auto faults = scripted();
-  // Lose the first CloseReq so the handshake is still open at t=5.5ms.
-  faults->add_rule({.type = net::PacketType::kCtrl}, net::FaultAction::kDrop,
-                   1);
-  c.network.set_fault_injector(std::move(faults));
-  c.nic(0).post_send(SendRequest{0, 1, 0, make_payload(64, 1), 0, 1});
-  const Payload second = make_payload(96, 2);
-  c.sim.schedule_after(sim::msec(5) + sim::usec(500), [&c, &second] {
-    c.nic(0).post_send(SendRequest{0, 1, 0, second, 0, 2});
-  });
-  c.sim.run();
-  const auto recv = c.drain_events(1);
-  ASSERT_EQ(recv.size(), 2u);
-  EXPECT_EQ(recv[1].data, second);
-  EXPECT_EQ(c.nic(0).stats().conn_resets, 1u);
-  // Once the second message drained, the idle close retried and reclaimed.
-  EXPECT_EQ(c.nic(0).debug_sender_conn_count(), 0u);
-  EXPECT_EQ(c.nic(0).stats().conns_reclaimed, 1u);
 }
 
 }  // namespace

@@ -4,13 +4,11 @@
 // One soak scenario = one seed.  The seed deterministically derives a
 // SoakSpec (cluster size and wiring, tree shape, injector family and its
 // parameters, workload mix, whether sequence spaces start just below the
-// 2^32 wrap, whether idle-connection GC is on); run_soak executes it and
-// checks, at drain:
+// 2^32 wrap); run_soak executes it and checks, at drain:
 //   - every workload coroutine finished (nothing wedged),
 //   - every payload arrived exactly once, in order, bit-exact,
 //   - every ProtocolAuditor invariant held (packet ledger, token/rx-buffer
-//     conservation, per-stream exactly-once acceptance, timer quiescence),
-//   - with GC enabled, the connection maps drained to zero.
+//     conservation, per-stream exactly-once acceptance, timer quiescence).
 //
 // run_soak_seed wraps run_soak with a deterministic greedy shrink: on
 // failure it re-runs progressively simpler variants of the spec and reports
@@ -51,7 +49,6 @@ struct SoakSpec {
   bool barrier = false;    // NIC barrier at the top of every round
   bool reduce = false;     // NIC reduction after the rounds
   bool wrap_seqs = false;  // start sequence spaces just below 2^32
-  bool idle_gc = false;    // enable conn_idle_timeout reclaim
 
   [[nodiscard]] std::string describe() const;
 };
@@ -67,7 +64,6 @@ struct SoakResult {
   nic::ProtocolAuditor::Ledger ledger;
   std::uint64_t retransmissions = 0;
   std::uint64_t conn_resets = 0;
-  std::uint64_t conns_reclaimed = 0;
   /// What the simulator did to drain the scenario, from harness::collect:
   /// equal seeds must yield equal event_order_hash values, before and
   /// after engine changes.

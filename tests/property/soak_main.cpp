@@ -3,8 +3,8 @@
 //   soak_driver --iters 1000 --threads 8 --seed 1 --json BENCH_soak.json
 //
 // Every iteration derives one randomized scenario (cluster size/wiring,
-// tree shape, injector family, workload mix, sequence-wrap and idle-GC
-// toggles) from derive_seed(base_seed, index), runs it to drain with the
+// tree shape, injector family, workload mix, sequence-wrap toggle) from
+// derive_seed(base_seed, index), runs it to drain with the
 // ProtocolAuditor attached to every NIC, and checks all invariants.
 // Failures are re-run on the main thread (runs are deterministic) so the
 // report carries the shrunk minimal reproduction.  Exit status 1 when any
@@ -175,8 +175,6 @@ int main(int argc, char** argv) {
         out.set_metric("retransmissions",
                        static_cast<double>(r.retransmissions));
         out.set_metric("conn_resets", static_cast<double>(r.conn_resets));
-        out.set_metric("conns_reclaimed",
-                       static_cast<double>(r.conns_reclaimed));
         out.set_metric("data_sent", static_cast<double>(r.ledger.data_sent));
         out.set_metric("data_accepted",
                        static_cast<double>(r.ledger.data_accepted));

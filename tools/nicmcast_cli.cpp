@@ -14,8 +14,8 @@
 // Exit code 0 on success; 1 on a runtime error; 2 on bad usage: an
 // unknown command, a flag the command does not read, a flag without a
 // value, or a value the flag does not take (an --algo or --tree outside its
-// list, a number that does not parse whole or is negative, a --loss
-// outside [0, 1)).
+// list, a count that is not all decimal digits or does not fit its field,
+// a number that does not parse whole, a --loss outside [0, 1)).
 #include <algorithm>
 #include <array>
 #include <charconv>
@@ -23,6 +23,7 @@
 #include <iterator>
 #include <limits>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -44,10 +45,9 @@ struct BadValue : std::invalid_argument {
                               "'") {}
 };
 
-/// Parses all of `text` as a T, or throws BadValue.
-template <typename T>
-T parse_whole(const std::string& key, const std::string& text) {
-  T value{};
+/// Parses all of `text` as a double, or throws BadValue.
+double parse_double(const std::string& key, const std::string& text) {
+  double value = 0.0;
   const char* end = text.data() + text.size();
   const auto [ptr, ec] = std::from_chars(text.data(), end, value);
   if (ec != std::errc{} || ptr != end) throw BadValue(key, text);
@@ -62,12 +62,14 @@ struct Args {
     auto it = options.find(key);
     return it == options.end() ? fallback : it->second;
   }
-  /// A non-negative integer: from_chars takes no sign for unsigned types.
-  [[nodiscard]] std::size_t get_u(const std::string& key,
-                                  std::size_t fallback) const {
+  /// A count that fits a T (harness::parse_count).
+  template <typename T>
+  [[nodiscard]] T get_u(const std::string& key, T fallback) const {
     auto it = options.find(key);
-    return it == options.end() ? fallback
-                               : parse_whole<std::size_t>(key, it->second);
+    if (it == options.end()) return fallback;
+    const std::optional<T> value = parse_count<T>(it->second);
+    if (!value) throw BadValue(key, it->second);
+    return *value;
   }
   /// A number in [0, below).
   [[nodiscard]] double get_d(
@@ -75,7 +77,7 @@ struct Args {
       double below = std::numeric_limits<double>::infinity()) const {
     auto it = options.find(key);
     if (it == options.end()) return fallback;
-    const double value = parse_whole<double>(key, it->second);
+    const double value = parse_double(key, it->second);
     if (!(value >= 0.0 && value < below)) throw BadValue(key, it->second);
     return value;
   }
@@ -115,10 +117,10 @@ int usage() {
 /// for the sweep.
 BenchOptions bench_options(const Args& args) {
   BenchOptions options;
-  options.threads = static_cast<unsigned>(args.get_u("threads", 1));
+  options.threads = args.get_u<unsigned>("threads", 1);
   if (options.threads == 0) options.threads = 1;
   options.json_path = args.get("json", "");
-  options.base_seed = static_cast<std::uint64_t>(args.get_u("seed", 1));
+  options.base_seed = args.get_u<std::uint64_t>("seed", 1);
   return options;
 }
 
@@ -133,8 +135,8 @@ int cmd_mcast(const Args& args) {
   const BenchOptions options = bench_options(args);
   RunSpec spec;
   spec.experiment = Experiment::kGmMulticast;
-  spec.nodes = args.get_u("nodes", 16);
-  spec.message_bytes = args.get_u("size", 512);
+  spec.nodes = args.get_u<std::size_t>("nodes", 16);
+  spec.message_bytes = args.get_u<std::size_t>("size", 512);
   spec.algo = args.get_algo();
   const TreeShape tree = args.get_choice(
       "tree", TreeShape::kPostal,
@@ -145,7 +147,7 @@ int cmd_mcast(const Args& args) {
   spec.corrupt_rate = spec.loss_rate / 2;
   spec.seed = options.base_seed;
   spec.warmup = 2;
-  spec.iterations = static_cast<int>(args.get_u("iters", 20));
+  spec.iterations = args.get_u<int>("iters", 20);
   const auto results = run_single(spec, options);
   std::printf("gm-mcast nodes=%zu size=%zuB algo=%s tree=%s loss=%.3f: "
               "%.2f us\n",
@@ -161,12 +163,12 @@ int cmd_bcast(const Args& args) {
   const BenchOptions options = bench_options(args);
   RunSpec spec;
   spec.experiment = Experiment::kSkewBcast;
-  spec.nodes = args.get_u("nodes", 16);
-  spec.message_bytes = args.get_u("size", 4);
+  spec.nodes = args.get_u<std::size_t>("nodes", 16);
+  spec.message_bytes = args.get_u<std::size_t>("size", 4);
   spec.avg_skew_us = args.get_d("skew", 0.0);
-  spec.iterations = static_cast<int>(args.get_u("iters", 30));
+  spec.iterations = args.get_u<int>("iters", 30);
   spec.algo = args.get_algo();
-  spec.seed = static_cast<std::uint64_t>(args.get_u("seed", 7));
+  spec.seed = args.get_u<std::uint64_t>("seed", 7);
   const auto results = run_single(spec, options);
   std::printf("mpi-bcast nodes=%zu size=%zuB algo=%s avg-skew=%.0fus: "
               "avg CPU time in MPI_Bcast %.2f us (max %.2f us)\n",
@@ -183,10 +185,10 @@ int cmd_barrier(const Args& args) {
   const BenchOptions options = bench_options(args);
   RunSpec spec;
   spec.experiment = Experiment::kBarrier;
-  spec.nodes = args.get_u("nodes", 16);
+  spec.nodes = args.get_u<std::size_t>("nodes", 16);
   spec.algo = args.get_algo();
   spec.seed = options.base_seed;
-  spec.iterations = static_cast<int>(args.get_u("iters", 20));
+  spec.iterations = args.get_u<int>("iters", 20);
   const auto results = run_single(spec, options);
   std::printf("barrier nodes=%zu algo=%s: %.2f us per round\n", spec.nodes,
               std::string(to_string(spec.algo)).c_str(),
@@ -201,11 +203,11 @@ int cmd_sweep(const Args& args) {
 
   RunSpec base;
   base.experiment = Experiment::kGmMulticast;
-  base.nodes = args.get_u("nodes", 16);
+  base.nodes = args.get_u<std::size_t>("nodes", 16);
   base.loss_rate = args.get_d("loss", 0.0, 1.0);
   base.corrupt_rate = base.loss_rate / 2;
   base.warmup = 2;
-  base.iterations = static_cast<int>(args.get_u("iters", 20));
+  base.iterations = args.get_u<int>("iters", 20);
 
   const auto specs =
       Sweep(base)
