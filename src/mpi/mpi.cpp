@@ -142,7 +142,7 @@ World::World(gm::Cluster& cluster, MpiConfig config)
   processes_.reserve(cluster.size());
   for (std::size_t i = 0; i < cluster.size(); ++i) {
     gm::Port& port = cluster.port(i);
-    port.provide_receive_buffers(config_.eager_buffers, kEagerLimit);
+    port.provide_receive_buffers(kEagerBuffers, kEagerLimit);
     processes_.push_back(std::make_unique<Process>(*this, port));
   }
 }
@@ -186,10 +186,8 @@ void Process::replenish_eager_buffer() {
 }
 
 sim::Task<void> Process::charge_host(std::size_t copy_bytes) {
-  sim::Duration cost = world_.config().call_overhead;
-  if (copy_bytes > 0) {
-    cost += sim::transfer_time(copy_bytes, world_.config().host_copy_mbps);
-  }
+  sim::Duration cost = kCallOverhead;
+  if (copy_bytes > 0) cost += sim::transfer_time(copy_bytes, kHostCopyMbps);
   co_await simulator().wait(cost);
 }
 

@@ -46,10 +46,19 @@ enum class BarrierAlgorithm : std::uint8_t {
 /// Largest eager-mode message (paper §6.2: 16287 bytes), and the capacity
 /// of every preposted eager receive buffer.
 inline constexpr std::size_t kEagerLimit = 16287;
+/// Preposted eager receive buffers per process (replenished on use).
+inline constexpr std::size_t kEagerBuffers = 32;
+/// Host memcpy bandwidth for eager-mode copies between the user buffer and
+/// the pre-registered GM bounce buffers.  This is what makes the MPI-level
+/// latency exceed the GM level, and causes the paper's dip at the
+/// 16287-byte eager limit ("the larger cost of copying the data to their
+/// final locations", §6.2).  Rendezvous transfers land directly (RDMA) and
+/// pay no copy.  ~Pentium-III class memory bandwidth.
+inline constexpr double kHostCopyMbps = 700.0;
+/// Fixed host cost per MPI call (queue search, envelope handling).
+inline constexpr sim::Duration kCallOverhead = sim::usec(0.3);
 
 struct MpiConfig {
-  /// Preposted eager receive buffers per process (replenished on use).
-  std::size_t eager_buffers = 32;
   BcastAlgorithm bcast_algorithm = BcastAlgorithm::kNicBased;
   BarrierAlgorithm barrier_algorithm = BarrierAlgorithm::kDissemination;
   /// Extension (paper §7): serve >kEagerLimit broadcasts with the NIC
@@ -64,15 +73,6 @@ struct MpiConfig {
   /// instead of at the hosts.  Beneficial for small vectors (the LANai
   /// combines slowly), exactly as that companion paper found.
   bool nic_reduction = false;
-  /// Host memcpy bandwidth for eager-mode copies between the user buffer
-  /// and the pre-registered GM bounce buffers.  This is what makes the
-  /// MPI-level latency exceed the GM level, and causes the paper's dip at
-  /// the 16287-byte eager limit ("the larger cost of copying the data to
-  /// their final locations", §6.2).  Rendezvous transfers land directly
-  /// (RDMA) and pay no copy.  ~Pentium-III class memory bandwidth.
-  double host_copy_mbps = 700.0;
-  /// Fixed host cost per MPI call (queue search, envelope handling).
-  sim::Duration call_overhead = sim::usec(0.3);
 };
 
 struct ProcessStats {

@@ -71,12 +71,8 @@ void Nic::post_send(SendRequest request) {
     return "send token posted, " + std::to_string(message.size()) +
            "B to node " + std::to_string(request.dest);
   });
-  cpu_.run(config_.send_token_processing,
-           [this, request = std::move(request), message] {
-             start_unicast_packets(request.port, request.dest,
-                                   request.dest_port, message, request.tag,
-                                   request.handle);
-           });
+  send_message(request.port, {request.dest}, request.dest_port,
+               std::move(message), request.tag, request.handle);
 }
 
 void Nic::post_multisend(MultisendRequest request) {
@@ -87,68 +83,23 @@ void Nic::post_multisend(MultisendRequest request) {
     throw std::invalid_argument("post_multisend: empty destination list");
   }
   MessageRef message = net::Buffer::take(std::move(request.data));
-  const auto fragments = fragment_message(message.size());
   open_op("post_multisend", request.port, request.handle,
           HostEvent::Type::kMultisendComplete,
-          fragments.size() * request.dests.size());
+          fragment_message(message.size()).size() * request.dests.size());
 
   if (options_.multisend_uses_multiple_tokens) {
     // Ablation (paper §5 alternative 1): one full send-token translation
     // and one host DMA per destination; saves only the host postings.
     for (net::NodeId dest : request.dests) {
-      cpu_.run(config_.send_token_processing,
-               [this, port = request.port, dest,
-                dest_port = request.dest_port, message, tag = request.tag,
-                handle = request.handle] {
-                 start_unicast_packets(port, dest, dest_port, message, tag,
-                                       handle);
-               });
+      send_message(request.port, {dest}, request.dest_port, message,
+                   request.tag, request.handle);
     }
     return;
   }
-
   // Chosen design (alternative 2): one token translation, one host DMA per
   // packet, then replica chaining through the descriptor callback.
-  cpu_.run(config_.send_token_processing, [this, request = std::move(request),
-                                           message, fragments] {
-    for (const Fragment frag : fragments) {
-      sdma_then(frag.length, [this, request, message, frag] {
-        net::PacketHeader header;
-        header.type = net::PacketType::kData;
-        header.src = id_;
-        header.src_port = request.port;
-        header.dst_port = request.dest_port;
-        header.msg_offset = frag.offset;
-        header.msg_length = static_cast<std::uint32_t>(message.size());
-        header.tag = request.tag;
-        auto descriptor = make_descriptor(build_packet(header, message, frag));
-        start_replica_chain(
-            descriptor, request.dests,
-            [this, message, frag, handle = request.handle](net::Packet& p,
-                                                           net::NodeId dest) {
-              // Per-replica: aim at the next destination and stamp the
-              // per-connection Go-back-N sequence number + send record.
-              p.header.dst = dest;
-              const std::uint64_t key =
-                  conn_key(p.header.src_port, dest, p.header.dst_port);
-              SenderConn& conn = sender_conns_[key];
-              p.header.seq = conn.next_seq++;
-              conn.records.push_back(
-                  p.header.seq, sim_.now(),
-                  SendRecord{message, frag, p.header, 0, handle});
-            },
-            [this](const net::Packet& p,
-                   const net::Network::TxTiming& timing) {
-              const std::uint64_t key = conn_key(p.header.src_port,
-                                                 p.header.dst,
-                                                 p.header.dst_port);
-              SenderConn& conn = sender_conns_[key];
-              conn.records.touch(p.header.seq, timing.tx_done);
-              arm_conn_timer(key);
-            });
-      });
-    }
-  });
+  send_message(request.port, std::move(request.dests), request.dest_port,
+               std::move(message), request.tag, request.handle);
 }
 
 void Nic::post_mcast_send(McastSendRequest request) {
@@ -170,14 +121,33 @@ void Nic::post_mcast_send(McastSendRequest request) {
   cpu_.run(config_.send_token_processing,
            [this, group_id = request.group, message, fragments,
             tag = request.tag, handle = request.handle] {
-             for (const Fragment frag : fragments) {
-               sdma_then(frag.length,
-                         [this, group_id, message, frag, tag, handle] {
-                           launch_mcast_packet(group_id, groups_.at(group_id),
-                                               message, frag, tag, handle);
-                         });
-             }
-           });
+    for (const Fragment frag : fragments) {
+      sdma_then(frag.length, [this, group_id, message, frag, tag, handle] {
+        GroupState& state = groups_.at(group_id);
+        if (state.entry.children.empty()) {
+          // Degenerate tree: nothing to transmit, the packet is "delivered".
+          op_packet_acked(handle);
+          return;
+        }
+        net::PacketHeader header;
+        header.type = net::PacketType::kMcastData;
+        header.src = id_;
+        header.src_port = state.entry.port;
+        header.dst_port = state.entry.port;
+        // Paper §5: a multicast packet carries the SAME sequence number and
+        // send record towards every child.
+        header.seq = state.send_seq++;
+        header.group = group_id;
+        header.msg_offset = frag.offset;
+        header.msg_length = static_cast<std::uint32_t>(message.size());
+        header.tag = tag;
+        send_tree_packet(group_id, SendRecord{.message = message,
+                                              .fragment = frag,
+                                              .header = header,
+                                              .handle = handle});
+      });
+    }
+  });
 }
 
 void Nic::post_barrier(net::PortId port, net::GroupId group,
@@ -336,15 +306,48 @@ std::vector<Nic::Fragment> Nic::fragment_message(std::size_t size) const {
   return fragments;
 }
 
-void Nic::start_unicast_packets(net::PortId port, net::NodeId dest,
-                                net::PortId dest_port, MessageRef message,
-                                std::uint32_t tag, OpHandle handle) {
-  for (const Fragment frag : fragment_message(message.size())) {
-    sdma_then(frag.length, [this, port, dest, dest_port, message, frag, tag,
-                            handle] {
-      send_data_packet(port, dest, dest_port, message, frag, tag, handle);
-    });
-  }
+void Nic::send_message(net::PortId port, std::vector<net::NodeId> dests,
+                       net::PortId dest_port, MessageRef message,
+                       std::uint32_t tag, OpHandle handle) {
+  cpu_.run(config_.send_token_processing,
+           [this, dests = std::move(dests), message = std::move(message),
+            handle, tag, port, dest_port] {
+    for (const Fragment frag : fragment_message(message.size())) {
+      sdma_then(frag.length, [this, dests, message, frag, handle, tag, port,
+                              dest_port] {
+        net::PacketHeader header;
+        header.type = net::PacketType::kData;
+        header.src = id_;
+        header.src_port = port;
+        header.dst_port = dest_port;
+        header.msg_offset = frag.offset;
+        header.msg_length = static_cast<std::uint32_t>(message.size());
+        header.tag = tag;
+        start_replica_chain(
+            make_descriptor(build_packet(header, message, frag)), dests,
+            [this, message, frag, handle](net::Packet& p, net::NodeId dest) {
+              // Per replica: aim at the destination and stamp the
+              // connection's Go-back-N sequence number and send record.
+              p.header.dst = dest;
+              SenderConn& conn = sender_conns_[conn_key(
+                  p.header.src_port, dest, p.header.dst_port)];
+              p.header.seq = conn.next_seq++;
+              conn.records.push_back(p.header.seq, sim_.now(),
+                                     SendRecord{.message = message,
+                                                .fragment = frag,
+                                                .header = p.header,
+                                                .handle = handle});
+            },
+            [this](const net::Packet& p,
+                   const net::Network::TxTiming& timing) {
+              const std::uint64_t key = conn_key(
+                  p.header.src_port, p.header.dst, p.header.dst_port);
+              sender_conns_[key].records.touch(p.header.seq, timing.tx_done);
+              arm_conn_timer(key);
+            });
+      });
+    }
+  });
 }
 
 void Nic::sdma_then(std::size_t bytes, sim::EventQueue::Action next) {
@@ -359,33 +362,6 @@ DescriptorRef Nic::make_descriptor(net::Packet packet) {
   stats_.descriptor_allocs = descriptors_.allocs();
   stats_.descriptor_reuses = descriptors_.reuses();
   return descriptor;
-}
-
-void Nic::send_data_packet(net::PortId port, net::NodeId dest,
-                           net::PortId dest_port, const MessageRef& message,
-                           Fragment fragment, std::uint32_t tag,
-                           OpHandle handle) {
-  const std::uint64_t key = conn_key(port, dest, dest_port);
-  SenderConn& conn = sender_conns_[key];
-
-  net::PacketHeader header;
-  header.type = net::PacketType::kData;
-  header.src = id_;
-  header.dst = dest;
-  header.src_port = port;
-  header.dst_port = dest_port;
-  header.seq = conn.next_seq++;
-  header.msg_offset = fragment.offset;
-  header.msg_length = static_cast<std::uint32_t>(message.size());
-  header.tag = tag;
-
-  conn.records.push_back(header.seq, sim_.now(),
-                         SendRecord{message, fragment, header, 0, handle});
-  const auto timing =
-      transmit(make_descriptor(build_packet(header, message, fragment)));
-  // Timers measure from the wire: long streams queue far behind the CPU.
-  conn.records.stamp_back(timing.tx_done);
-  arm_conn_timer(key);
 }
 
 net::Packet Nic::build_packet(const net::PacketHeader& header,
@@ -413,7 +389,7 @@ net::Network::TxTiming Nic::transmit(DescriptorRef descriptor) {
 }
 
 void Nic::start_replica_chain(DescriptorRef descriptor,
-                              std::vector<net::NodeId> dests,
+                              const std::vector<net::NodeId>& dests,
                               PrepareFn prepare, OnTransmitFn on_transmit) {
   struct ChainState {
     std::vector<net::NodeId> dests;
@@ -421,13 +397,13 @@ void Nic::start_replica_chain(DescriptorRef descriptor,
     PrepareFn prepare;
     OnTransmitFn on_transmit;
   };
-  auto state = std::make_shared<ChainState>();
-  state->dests = std::move(dests);
-  state->prepare = std::move(prepare);
-  state->on_transmit = std::move(on_transmit);
-
-  state->prepare(descriptor->packet, state->dests[0]);
-  if (state->dests.size() > 1) {
+  prepare(descriptor->packet, dests.front());
+  std::shared_ptr<ChainState> state;
+  if (dests.size() > 1) {
+    state = std::make_shared<ChainState>();
+    state->dests = dests;
+    state->prepare = std::move(prepare);
+    state->on_transmit = std::move(on_transmit);
     descriptor->on_tx_complete = [this, state](DescriptorRef d) {
       ++state->index;
       if (state->index >= state->dests.size()) return;  // chain done; freed
@@ -440,7 +416,37 @@ void Nic::start_replica_chain(DescriptorRef descriptor,
     };
   }
   const auto timing = transmit(descriptor);
-  if (state->on_transmit) state->on_transmit(descriptor->packet, timing);
+  OnTransmitFn& report = state ? state->on_transmit : on_transmit;
+  if (report) report(descriptor->packet, timing);
+}
+
+void Nic::send_tree_packet(net::GroupId group_id, SendRecord record,
+                           ReleaseFn on_forwarded) {
+  GroupState& group = groups_.at(group_id);
+  DescriptorRef descriptor = make_descriptor(
+      build_packet(record.header, record.message, record.fragment));
+  const SeqNum seq = record.header.seq;
+  group.records.push_back(seq, sim_.now(), std::move(record));
+  arm_group_timer(group_id);
+  start_replica_chain(
+      std::move(descriptor), group.entry.children,
+      [](net::Packet& p, net::NodeId dest) { p.header.dst = dest; },
+      // The on_transmit closure fires once per replica and lives exactly as
+      // long as the chain, so the remaining-replica count rides in a
+      // mutable by-value capture instead of a heap counter.
+      [this, group_id,
+       replicas_left = static_cast<std::uint32_t>(group.entry.children.size()),
+       on_forwarded = std::move(on_forwarded)](
+          const net::Packet& p,
+          const net::Network::TxTiming& timing) mutable {
+        touch_group_record(group_id, p.header.seq, timing.tx_done);
+        arm_group_timer(group_id);
+        if (--replicas_left == 0 && on_forwarded) {
+          // The staging buffer is free once the last replica has left the
+          // wire (retransmissions refetch from host memory).
+          sim_.schedule_at(timing.tx_done, std::move(on_forwarded));
+        }
+      });
 }
 
 void Nic::touch_group_record(net::GroupId group_id, SeqNum seq,
@@ -450,41 +456,32 @@ void Nic::touch_group_record(net::GroupId group_id, SeqNum seq,
   it->second.records.touch(seq, sent_at);
 }
 
-void Nic::launch_mcast_packet(net::GroupId group_id, GroupState& group,
-                              const MessageRef& message, Fragment fragment,
-                              std::uint32_t tag, OpHandle handle) {
-  if (group.entry.children.empty()) {
-    // Degenerate tree: nothing to transmit, the packet is "delivered".
-    op_packet_acked(handle);
-    return;
+// ---------------------------------------------------------------------------
+// Send records: one lifecycle for connections and groups.  Each caller
+// keeps its own ack test (a cumulative seq, or every child's acked entry)
+// and its own follow-up (the connection's reset handshake).
+// ---------------------------------------------------------------------------
+
+template <typename Acked>
+void Nic::retire_acked(net::PortId port, SendWindow<SendRecord>& records,
+                       Acked acked) {
+  while (!records.empty() && acked(records.front_seq())) {
+    const SendRecord& front = records.front_cold();
+    if (front.handle != 0) op_packet_acked(front.handle);
+    if (front.holds_token) release_send_token(port);
+    if (front.holds_rx_buffer) release_rx_buffer();
+    records.pop_front();
   }
-  net::PacketHeader header;
-  header.type = net::PacketType::kMcastData;
-  header.src = id_;
-  header.src_port = group.entry.port;
-  header.dst_port = group.entry.port;
-  // Paper §5: a multicast packet carries the SAME sequence number and send
-  // record towards every child.
-  header.seq = group.send_seq++;
-  header.group = group_id;
-  header.msg_offset = fragment.offset;
-  header.msg_length = static_cast<std::uint32_t>(message.size());
-  header.tag = tag;
+}
 
-  group.records.push_back(header.seq, sim_.now(),
-                          GroupRecord{message, fragment, header, 0, handle});
-  arm_group_timer(group_id);
-
-  auto descriptor =
-      make_descriptor(build_packet(header, message, fragment));
-  start_replica_chain(
-      descriptor, group.entry.children,
-      [](net::Packet& p, net::NodeId dest) { p.header.dst = dest; },
-      [this, group_id](const net::Packet& p,
-                       const net::Network::TxTiming& timing) {
-        touch_group_record(group_id, p.header.seq, timing.tx_done);
-        arm_group_timer(group_id);
-      });
+void Nic::give_up(net::PortId port, SendWindow<SendRecord>& records) {
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const SendRecord& record = records.cold(i);
+    if (record.handle != 0) fail_operation(record.handle);
+    if (record.holds_token) release_send_token(port);
+    if (record.holds_rx_buffer) release_rx_buffer();
+  }
+  records.clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -589,11 +586,10 @@ void Nic::handle_ack(const net::Packet& packet) {
   auto it = sender_conns_.find(key);
   if (it == sender_conns_.end()) return;  // stale ack
   SenderConn& conn = it->second;
-  while (!conn.records.empty() &&
-         seq_before_eq(conn.records.front_seq(), packet.header.seq)) {
-    op_packet_acked(conn.records.front_cold().handle);
-    conn.records.pop_front();
-  }
+  // Cumulative ack: every record up to the acked seq arrived.
+  retire_acked(packet.header.dst_port, conn.records, [&](SeqNum seq) {
+    return seq_before_eq(seq, packet.header.seq);
+  });
   sim_.cancel(conn.timer);
   arm_conn_timer(key);
 }
@@ -660,19 +656,12 @@ void Nic::handle_mcast_ack(const net::Packet& packet) {
     group.child_next_acked[*child] = next;
   }
 
-  // Prune records every child has acknowledged.
-  while (!group.records.empty()) {
-    const SeqNum front_seq = group.records.front_seq();
-    const bool all_acked = std::all_of(
-        group.child_next_acked.begin(), group.child_next_acked.end(),
-        [&](SeqNum n) { return seq_before(front_seq, n); });
-    if (!all_acked) break;
-    const GroupRecord& front = group.records.front_cold();
-    if (front.handle != 0) op_packet_acked(front.handle);
-    if (front.holds_token) release_send_token(group.entry.port);
-    if (front.holds_rx_buffer) release_rx_buffer();
-    group.records.pop_front();
-  }
+  // Retire the records every child has acknowledged.
+  retire_acked(group.entry.port, group.records, [&](SeqNum seq) {
+    return std::all_of(group.child_next_acked.begin(),
+                       group.child_next_acked.end(),
+                       [&](SeqNum n) { return seq_before(seq, n); });
+  });
   sim_.cancel(group.timer);
   arm_group_timer(packet.header.group);
 }
@@ -817,7 +806,22 @@ bool Nic::ensure_assembly(net::PortId port, AssemblyRef& slot,
                           const net::Packet& packet) {
   // In-order delivery means a new message begins exactly when the previous
   // one has had all its bytes accepted (its RDMA may still be draining).
-  if (slot && !slot->fully_accepted()) return true;
+  if (slot && !slot->fully_accepted()) {
+    // The sender interleaved another message's packet into this one on the
+    // same connection: merging it would lose one message and corrupt the
+    // other, so fail loudly instead.
+    if (packet.header.msg_offset != slot->accepted ||
+        packet.header.msg_length != slot->data.size()) [[unlikely]] {
+      std::string what = "interleaved message: ";
+      what += packet.describe();
+      what += " does not continue the open ";
+      what += std::to_string(slot->data.size());
+      what += "-byte message at byte ";
+      what += std::to_string(slot->accepted);
+      throw std::logic_error(what);
+    }
+    return true;
+  }
 
   // GM matches receive buffers by size: take the first posted buffer large
   // enough for the whole message.  No fit => receiver overrun; the sender's
@@ -1164,54 +1168,21 @@ void Nic::start_forward(net::GroupId group_id, const net::Packet& packet,
   cpu_.run(config_.forward_processing + config_.header_rewrite,
            [this, group_id, packet, holds_token,
             on_forwarded = std::move(on_forwarded)]() mutable {
-             begin_forward_chain(group_id, packet, holds_token,
-                                 std::move(on_forwarded));
-           });
-}
-
-void Nic::begin_forward_chain(net::GroupId group_id,
-                              const net::Packet& packet, bool holds_token,
-                              ReleaseFn on_forwarded) {
-  GroupState& group = groups_.at(group_id);
-  // Zero-copy forwarding: the record and every replica share the incoming
-  // packet's view of the root's block — a NIC hop never duplicates bytes.
-  MessageRef message = packet.payload;
-  ++stats_.payload_refs;
-  // The record's view holds exactly this packet's bytes, so the fragment is
-  // relative to it (offset 0); the wire offset within the whole message
-  // lives in the header and is preserved across retransmissions.
-  const Fragment fragment{0,
-                          static_cast<std::uint32_t>(packet.payload.size())};
-
-  net::PacketHeader header = packet.header;
-  header.src = id_;  // acks must come back to this hop
-  group.records.push_back(
-      header.seq, sim_.now(),
-      GroupRecord{message, fragment, header, 0, /*handle=*/0, holds_token,
-                  options_.hold_buffers_until_acked});
-  arm_group_timer(group_id);
-
-  net::Packet fwd;
-  fwd.header = header;
-  fwd.payload = packet.payload;
-  start_replica_chain(
-      make_descriptor(std::move(fwd)), group.entry.children,
-      [](net::Packet& p, net::NodeId dest) { p.header.dst = dest; },
-      // The on_transmit closure fires once per replica and lives exactly as
-      // long as the chain, so the remaining-replica count rides in a
-      // mutable by-value capture instead of a heap counter.
-      [this, group_id, replicas_left = group.entry.children.size(),
-       on_forwarded = std::move(on_forwarded)](
-          const net::Packet& p,
-          const net::Network::TxTiming& timing) mutable {
-        touch_group_record(group_id, p.header.seq, timing.tx_done);
-        arm_group_timer(group_id);
-        if (--replicas_left == 0 && on_forwarded) {
-          // The staging buffer is free once the last replica has left the
-          // wire (retransmissions refetch from host memory).
-          sim_.schedule_at(timing.tx_done, std::move(on_forwarded));
-        }
-      });
+    // Zero-copy forwarding: the record and every replica share the
+    // incoming packet's view of the root's block — a NIC hop never
+    // duplicates bytes.  The view holds exactly this packet's bytes, so the
+    // fragment is relative to it (offset 0); the wire offset within the
+    // whole message lives in the header and is preserved across
+    // retransmissions.
+    SendRecord record{
+        .message = packet.payload,
+        .fragment = {0, static_cast<std::uint32_t>(packet.payload.size())},
+        .header = packet.header,
+        .holds_token = holds_token,
+        .holds_rx_buffer = options_.hold_buffers_until_acked};
+    record.header.src = id_;  // acks must come back to this hop
+    send_tree_packet(group_id, std::move(record), std::move(on_forwarded));
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -1239,10 +1210,7 @@ void Nic::conn_timeout(std::uint64_t key) {
   if (conn.records.front_cold().retries >= config_.max_retries) {
     // Peer unreachable: fail every operation with records on this
     // connection and drop the window.
-    for (std::size_t i = 0; i < conn.records.size(); ++i) {
-      fail_operation(conn.records.cold(i).handle);
-    }
-    conn.records.clear();
+    give_up(conn_my_port(key), conn.records);
     // The receiver's expected_seq is now behind our next_seq (it never
     // accepted the abandoned window), so without a resync every later send
     // on this connection would be discarded as out-of-order and fail too —
@@ -1285,20 +1253,14 @@ void Nic::group_timeout(net::GroupId group_id) {
   }
 
   if (group.records.front_cold().retries >= config_.max_retries) {
-    for (std::size_t i = 0; i < group.records.size(); ++i) {
-      const GroupRecord& record = group.records.cold(i);
-      if (record.handle != 0) fail_operation(record.handle);
-      if (record.holds_token) release_send_token(group.entry.port);
-      if (record.holds_rx_buffer) release_rx_buffer();
-    }
-    group.records.clear();
+    give_up(group.entry.port, group.records);
     return;
   }
   // Selective Go-back-N (paper §5): retransmit a timed-out packet and its
   // successors ONLY towards children that have not acknowledged it.
   const auto& children = group.entry.children;
   for (std::size_t i = 0; i < group.records.size(); ++i) {
-    GroupRecord& record = group.records.cold(i);
+    SendRecord& record = group.records.cold(i);
     ++record.retries;
     group.records.hot(i).sent_at = sim_.now();
     const SeqNum record_seq = group.records.hot(i).seq;
@@ -1349,6 +1311,10 @@ void Nic::op_packet_acked(OpHandle handle) {
 
 void Nic::open_op(const char* op, net::PortId port, OpHandle handle,
                   HostEvent::Type complete_type, std::uint64_t packets) {
+  if (handle == 0) {
+    // A send record with handle 0 belongs to no operation (a forward's).
+    throw std::invalid_argument("a send handle must not be 0");
+  }
   consume_send_token(port);
   if (!pending_ops_.emplace(handle, PendingOp{complete_type, port, packets})
            .second) {

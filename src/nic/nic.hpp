@@ -172,19 +172,25 @@ class Nic final : public net::PacketSink {
     std::uint32_t length = 0;
   };
 
-  // -- Point-to-point Go-back-N state --
-
-  // Cold half of a point-to-point send record: everything retransmission
-  // and completion need, but the steady-state ack/restamp scans never
-  // touch.  The hot {seq, sent_at} pair lives in the SendWindow's parallel
-  // ring (nic/send_window.hpp).
+  // Cold half of a send record, for connections and groups alike:
+  // everything retransmission, retirement and failure need, but the
+  // steady-state ack/restamp scans never touch.  The hot {seq, sent_at}
+  // pair lives in the SendWindow's parallel ring (nic/send_window.hpp).
   struct SendRecord {
     MessageRef message;
     Fragment fragment;
     net::PacketHeader header;  // re-created on retransmission
     std::uint32_t retries = 0;
-    OpHandle handle = 0;
+    // Ablation mode: the forward grabbed a send token to release on
+    // retirement.
+    bool holds_token = false;
+    // Naive-buffer ablation: the forwarded packet's staging buffer is
+    // pinned until this record retires (all children acked).
+    bool holds_rx_buffer = false;
+    OpHandle handle = 0;  // 0 for a forward, which has no host operation
   };
+
+  // -- Point-to-point Go-back-N state --
 
   // kCtrl handshake a sender connection may have in flight: a reset
   // resynchronises the receiver after a max-retries failure left next_seq
@@ -232,20 +238,6 @@ class Nic final : public net::PacketSink {
   };
 
   // -- Multicast group state --
-
-  // Cold half of a multicast send record (hot pair in the SendWindow).
-  struct GroupRecord {
-    MessageRef message;
-    Fragment fragment;
-    net::PacketHeader header;
-    std::uint32_t retries = 0;
-    OpHandle handle = 0;  // root only; 0 for forwarded records
-    // Ablation mode: the forward grabbed a send token to release on prune.
-    bool holds_token = false;
-    // Naive-buffer ablation: the packet's staging buffer is pinned until
-    // this record is pruned (all children acked).
-    bool holds_rx_buffer = false;
-  };
 
   // One round of a NIC-level tree collective (extension; paper §7): the
   // barrier (Buntinas et al.'s "Fast NIC-Level Barrier") and the reduction.
@@ -309,7 +301,7 @@ class Nic final : public net::PacketSink {
     SeqNum recv_seq = 0;  // next expected from the parent
     SeqNum send_seq = 0;  // next to assign towards the children
     std::vector<SeqNum> child_next_acked;  // per child: next seq they expect
-    SendWindow<GroupRecord> records;  // pooled hot/cold, same as SenderConn
+    SendWindow<SendRecord> records;  // pooled hot/cold, same as SenderConn
     AssemblyRef assembly;
     std::optional<sim::EventId> timer;
     TreeRound barrier;
@@ -362,20 +354,21 @@ class Nic final : public net::PacketSink {
 
   // -- Send path --
   [[nodiscard]] std::vector<Fragment> fragment_message(std::size_t size) const;
-  void start_unicast_packets(net::PortId port, net::NodeId dest,
-                             net::PortId dest_port, MessageRef message,
-                             std::uint32_t tag, OpHandle handle);
+  /// One send token's work, for a unicast, a multisend and each
+  /// destination of the multiple-token ablation alike: the LANai
+  /// translates the token, then every packet crosses the PCI bus once and
+  /// leaves on a replica chain to `dests`, stamped per connection.
+  void send_message(net::PortId port, std::vector<net::NodeId> dests,
+                    net::PortId dest_port, MessageRef message,
+                    std::uint32_t tag, OpHandle handle);
   void sdma_then(std::size_t bytes, sim::EventQueue::Action next);
-  void send_data_packet(net::PortId port, net::NodeId dest,
-                        net::PortId dest_port, const MessageRef& message,
-                        Fragment fragment, std::uint32_t tag, OpHandle handle);
   /// Checks out a pooled descriptor for `packet` (counted in NicStats).
   DescriptorRef make_descriptor(net::Packet packet);
   net::Network::TxTiming transmit(DescriptorRef descriptor);
   net::Packet build_packet(const net::PacketHeader& header,
                            const MessageRef& message, Fragment fragment);
 
-  // -- Multisend / multicast replica chain --
+  // -- Replica chain: the only way a data packet leaves the NIC --
   // Inline-storage callables sized for this file's captures (a MessageRef
   // view + fragment + handles); anything bigger spills to the heap and is
   // counted by the engine's heap_actions stat.
@@ -386,23 +379,25 @@ class Nic final : public net::PacketSink {
   // (optional) reports the wire timing of each replica so callers can stamp
   // their send records with the true injection time (long streams queue on
   // the wire far behind the CPU, and retransmission timers must measure
-  // from the wire, not from record creation).
+  // from the wire, not from record creation).  A one-destination chain
+  // sends once and keeps no chain state.
   void start_replica_chain(DescriptorRef descriptor,
-                           std::vector<net::NodeId> dests, PrepareFn prepare,
+                           const std::vector<net::NodeId>& dests,
+                           PrepareFn prepare,
                            OnTransmitFn on_transmit = nullptr);
+
+  // -- Tree send: the multicast root and every forwarder --
+  /// Records `record`'s packet under its group seq, arms the group timer
+  /// and starts a replica to each child.  `on_forwarded` (optional) fires
+  /// once the last replica left the wire — a forward's chosen
+  /// staging-buffer release point; null at the root and in the naive
+  /// ablation (the record pins the buffer until all children ack).
+  void send_tree_packet(net::GroupId group_id, SendRecord record,
+                        ReleaseFn on_forwarded = nullptr);
   void touch_group_record(net::GroupId group_id, SeqNum seq,
                           sim::TimePoint sent_at);
-
-  void launch_mcast_packet(net::GroupId group_id, GroupState& group,
-                           const MessageRef& message, Fragment fragment,
-                           std::uint32_t tag, OpHandle handle);
-  // `on_forwarded` (optional) fires once the last replica left the wire —
-  // the chosen staging-buffer release point; null in the naive ablation
-  // (the record pins the buffer until all children ack).
   void start_forward(net::GroupId group_id, const net::Packet& packet,
                      ReleaseFn on_forwarded);
-  void begin_forward_chain(net::GroupId group_id, const net::Packet& packet,
-                           bool holds_token, ReleaseFn on_forwarded);
 
   // -- Receive path --
   void handle_data(const net::Packet& packet);
@@ -470,6 +465,17 @@ class Nic final : public net::PacketSink {
   void arm_ctrl_timer(std::uint64_t key);
   void ctrl_timeout(std::uint64_t key);
 
+  // -- Send records: one lifecycle for connections and groups --
+  /// Retires the window's front records while `acked(seq)` says every
+  /// destination has the record's packet: counts it towards the operation
+  /// and releases what the record held.
+  template <typename Acked>
+  void retire_acked(net::PortId port, SendWindow<SendRecord>& records,
+                    Acked acked);
+  /// Retries exhausted: fails every record's operation, releases what the
+  /// records held and empties the window.
+  void give_up(net::PortId port, SendWindow<SendRecord>& records);
+
   // -- Reliability --
   void arm_conn_timer(std::uint64_t key);
   void conn_timeout(std::uint64_t key);
@@ -481,7 +487,8 @@ class Nic final : public net::PacketSink {
 
   // -- Completion --
   /// Takes a send token and records operation `handle`, complete once
-  /// `packets` packet-destination acks arrive; throws on a duplicate handle.
+  /// `packets` packet-destination acks arrive; throws on a duplicate handle
+  /// and on handle 0, which marks a record with no host operation.
   void open_op(const char* op, net::PortId port, OpHandle handle,
                HostEvent::Type complete_type, std::uint64_t packets);
   void op_packet_acked(OpHandle handle);

@@ -77,12 +77,9 @@ class SendWindow {
     return now - front_sent_at() >= timeout;
   }
 
-  /// Timers measure from the wire, not from record creation: re-stamps the
-  /// newest record with its true injection time.
-  void stamp_back(sim::TimePoint sent_at) { hot_.back().sent_at = sent_at; }
-
-  /// Re-stamps record `seq`'s wire time after a (possibly queued) replica
-  /// left the link.  Records are in ascending seq order and the touched one
+  /// Timers measure from the wire, not from record creation: re-stamps
+  /// record `seq`'s wire time after a (possibly queued) replica left the
+  /// link.  Records are in ascending seq order and the touched one
   /// is usually at the back — the packet just handed to the wire — so the
   /// scan runs backwards over the hot ring only and stops as soon as it
   /// passes where `seq` would sit (already pruned by a racing ack).

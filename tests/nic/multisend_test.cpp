@@ -161,6 +161,102 @@ TEST(Multisend, SingleDestinationDegeneratesToUnicast) {
   EXPECT_EQ(c.nic(0).stats().header_rewrites, 0u);
 }
 
+// A unicast is a one-destination replica chain: the same bytes posted as a
+// unicast and as a one-destination multisend run the same events, send the
+// same packets and acks (a lost packet's retransmission included) and
+// deliver the same message.  Only the completion type differs.
+TEST(Multisend, OneDestinationRunsTheUnicastEvents) {
+  struct Outcome {
+    std::uint64_t event_order_hash;
+    std::uint64_t packets_sent;
+    std::uint64_t acks_sent;
+    std::uint64_t retransmissions;
+    std::vector<HostEvent> completions;
+    std::vector<HostEvent> deliveries;
+  };
+  auto run = [](bool multisend) {
+    TestCluster c(2);
+    c.post_buffers(1, 1, 16384);
+    auto faults = std::make_unique<net::ScriptedFaults>();
+    faults->add_rule({.type = net::PacketType::kData, .seq = 1},
+                     net::FaultAction::kDrop);
+    c.network.set_fault_injector(std::move(faults));
+    const Payload msg = make_payload(9000, 5);  // 3 packets
+    if (multisend) {
+      c.nic(0).post_multisend(MultisendRequest{0, {1}, 0, msg, 4, 7});
+    } else {
+      c.nic(0).post_send(SendRequest{0, 1, 0, msg, 4, 7});
+    }
+    c.sim.run();
+    Outcome out{c.sim.event_order_hash(), 0, 0, 0, c.drain_events(0),
+                c.drain_events(1)};
+    for (const auto& nic : c.nics) {
+      out.packets_sent += nic->stats().packets_sent;
+      out.acks_sent += nic->stats().acks_sent;
+      out.retransmissions += nic->stats().retransmissions;
+    }
+    return out;
+  };
+  const Outcome unicast = run(false);
+  const Outcome multisend = run(true);
+  EXPECT_EQ(multisend.event_order_hash, unicast.event_order_hash);
+  EXPECT_EQ(multisend.packets_sent, unicast.packets_sent);
+  EXPECT_EQ(multisend.acks_sent, unicast.acks_sent);
+  EXPECT_GT(unicast.retransmissions, 0u);
+  EXPECT_EQ(multisend.retransmissions, unicast.retransmissions);
+  ASSERT_EQ(unicast.deliveries.size(), 1u);
+  ASSERT_EQ(multisend.deliveries.size(), 1u);
+  EXPECT_EQ(multisend.deliveries[0].data, unicast.deliveries[0].data);
+  EXPECT_EQ(multisend.deliveries[0].data, make_payload(9000, 5));
+  ASSERT_EQ(unicast.completions.size(), 1u);
+  ASSERT_EQ(multisend.completions.size(), 1u);
+  EXPECT_EQ(unicast.completions[0].type, HostEvent::Type::kSendComplete);
+  EXPECT_EQ(multisend.completions[0].type,
+            HostEvent::Type::kMultisendComplete);
+  EXPECT_EQ(multisend.completions[0].handle, unicast.completions[0].handle);
+}
+
+// Receivers frame messages per connection and assume one message at a
+// time, but a multisend replica can be stamped between a multi-packet
+// unicast's fragments on the same connection.  Merging the two would lose
+// one message and corrupt the other, so the receiver throws instead.
+// Here node 2's connection gets fragment 0 of its 16 KB unicast as seq 0
+// and the 1 KB multisend replica as seq 1.
+TEST(Multisend, ReplicaInterleavedIntoAUnicastThrows) {
+  constexpr std::size_t kNodes = 64;
+  TestCluster c(kNodes);
+  std::vector<net::NodeId> dests;
+  for (std::size_t i = 1; i < kNodes; ++i) {
+    dests.push_back(static_cast<net::NodeId>(i));
+    c.post_buffers(i, 2, 16384);
+  }
+  c.nic(0).post_multisend(
+      MultisendRequest{0, dests, 0, make_payload(1024, 7), 1, 1});
+  for (std::size_t i = 1; i <= 15; ++i) {
+    c.nic(0).post_send(SendRequest{0, static_cast<net::NodeId>(i), 0,
+                                   make_payload(16384), 2, 1 + i});
+  }
+  // An event that throws has left the queue, so the run can resume: the
+  // replica is never accepted, node 0 retransmits it until max_retries,
+  // fails the connection's operations and resets it, and the run ends.
+  // Running it out also retires the events that still hold the NICs'
+  // descriptors, which the cluster would otherwise destroy first.
+  std::vector<std::string> errors;
+  for (;;) {
+    try {
+      c.sim.run();
+      break;
+    } catch (const std::logic_error& e) {
+      errors.emplace_back(e.what());
+    }
+  }
+  ASSERT_FALSE(errors.empty())
+      << "the interleaved replica was merged without an error";
+  EXPECT_NE(errors[0].find("DATA 0->2 seq=1 off=0 len=1024"),
+            std::string::npos)
+      << errors[0];
+}
+
 TEST(Multisend, EmptyDestinationListRejected) {
   TestCluster c(2);
   EXPECT_THROW(

@@ -201,6 +201,11 @@ TEST(Unicast, InvalidPostsRejected) {
                std::logic_error);  // self-send
   EXPECT_THROW(c.nic(0).post_recv_buffer(RecvBuffer{9, 64, 1}),
                std::out_of_range);
+  // Handle 0 marks a forward's send record, which has no host operation.
+  EXPECT_THROW(c.nic(0).post_send(SendRequest{0, 1, 0, {}, 0, 0}),
+               std::invalid_argument);
+  EXPECT_EQ(c.nic(0).send_tokens_available(0),
+            c.nic(0).config().send_tokens_per_port);
 }
 
 TEST(Unicast, DuplicateHandleRejected) {

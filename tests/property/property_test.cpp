@@ -29,7 +29,10 @@ Payload make_payload(std::size_t n, std::uint8_t salt = 0) {
 
 struct P2pCase {
   std::size_t size;
-  int drop_packet;  // -1: no fault; k: drop the k-th data packet once
+  // -1: no fault; k: drop the k-th data packet once.  As wide as `size`,
+  // so the struct has no padding: test discovery prints a parameter's raw
+  // bytes into its ctest name, and padding bytes are uninitialised.
+  std::int64_t drop_packet;
 };
 
 class P2pDeliverySweep : public ::testing::TestWithParam<P2pCase> {};
