@@ -35,6 +35,9 @@ struct ClusterConfig {
 class Cluster {
  public:
   explicit Cluster(ClusterConfig config = {});
+  // The NICs, ports and network die before sim_; a run cut short leaves
+  // events that still reference them.
+  ~Cluster() { sim_.drop_pending_events(); }
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 

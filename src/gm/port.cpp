@@ -205,11 +205,11 @@ sim::Task<RecvMessage> Port::receive() {
 }
 
 void Port::provide_receive_buffer(std::size_t capacity) {
-  nic_.post_recv_buffer(nic::RecvBuffer{port_id_, capacity, 0});
+  provide_receive_buffers(1, capacity);
 }
 
 void Port::provide_receive_buffers(std::size_t count, std::size_t capacity) {
-  for (std::size_t i = 0; i < count; ++i) provide_receive_buffer(capacity);
+  nic_.post_recv_buffer(nic::RecvBuffer{port_id_, capacity, 0}, count);
 }
 
 void Port::set_group(net::GroupId group, nic::GroupEntry entry) {

@@ -121,7 +121,7 @@ class Port {
 
   /// Pre-posts a receive buffer of `capacity` bytes (a receive token).
   void provide_receive_buffer(std::size_t capacity);
-  /// Convenience: posts `count` buffers.
+  /// Posts `count` buffers as one NIC job (nic::Nic::post_recv_buffer).
   void provide_receive_buffers(std::size_t count, std::size_t capacity);
 
   /// Writes this node's spanning-tree entry for `group` into the NIC group

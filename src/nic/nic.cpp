@@ -195,13 +195,18 @@ Nic::GroupState& Nic::owned_group(const char* op, net::PortId port,
   return it->second;
 }
 
-void Nic::post_recv_buffer(RecvBuffer buffer) {
+void Nic::post_recv_buffer(RecvBuffer buffer, std::size_t count) {
   if (buffer.port >= ports_.size()) {
     throw std::out_of_range("post_recv_buffer: bad port");
   }
-  cpu_.run(config_.recv_token_processing, [this, buffer] {
-    port_state(buffer.port).recv_buffers.push_back(buffer);
-  });
+  if (count == 0) return;
+  // One LANai job for the whole batch: the CPU FIFO already holds every
+  // receive-path job behind it, so no packet can see a partial batch.
+  cpu_.run(config_.recv_token_processing * static_cast<std::int64_t>(count),
+           [this, buffer, count] {
+             auto& buffers = port_state(buffer.port).recv_buffers;
+             buffers.insert(buffers.end(), count, buffer);
+           });
 }
 
 void Nic::set_group(net::GroupId group, GroupEntry entry) {
@@ -1315,11 +1320,13 @@ void Nic::open_op(const char* op, net::PortId port, OpHandle handle,
     // A send record with handle 0 belongs to no operation (a forward's).
     throw std::invalid_argument("a send handle must not be 0");
   }
-  consume_send_token(port);
-  if (!pending_ops_.emplace(handle, PendingOp{complete_type, port, packets})
-           .second) {
-    throw std::logic_error(std::string(op) + ": duplicate handle");
+  // Reject a duplicate before taking the token, or the token leaks.
+  if (pending_ops_.contains(handle)) {
+    throw std::logic_error(std::string(op) + ": duplicate handle " +
+                           std::to_string(handle));
   }
+  consume_send_token(port);
+  pending_ops_.try_emplace(handle, PendingOp{complete_type, port, packets});
 }
 
 void Nic::notify_host(net::PortId port, HostEvent::Type type,

@@ -79,7 +79,9 @@ class Nic final : public net::PacketSink {
   void post_send(SendRequest request);
   void post_multisend(MultisendRequest request);
   void post_mcast_send(McastSendRequest request);
-  void post_recv_buffer(RecvBuffer buffer);
+  /// Posts `count` copies of `buffer` as one LANai job that costs
+  /// `count` × recv_token_processing; none is usable before the job ends.
+  void post_recv_buffer(RecvBuffer buffer, std::size_t count = 1);
 
   /// NIC-level barrier arrival (extension; paper §7).  The host announces
   /// it reached the barrier for `group`'s current epoch; the NICs gather

@@ -102,6 +102,18 @@ class EventQueue {
     return true;
   }
 
+  /// Destroys every pending action unrun and empties the queue.  The
+  /// order hash and the counters keep their values.  The actions die after
+  /// the queue is empty, so a capture whose destructor cancels an event
+  /// finds nothing to cancel.
+  void clear() {
+    std::vector<Slot> dropped;
+    dropped.swap(slots_);
+    wheel_ = TimingWheel{};
+    free_head_ = kNilSlot;
+    live_ = 0;
+  }
+
   [[nodiscard]] bool empty() const { return live_ == 0; }
   [[nodiscard]] std::size_t size() const { return live_; }
 

@@ -150,6 +150,11 @@ class Simulator {
 
   [[nodiscard]] std::size_t pending_events() { return queue_.size(); }
 
+  /// Destroys every pending event unrun.  An owner whose model objects die
+  /// before the Simulator calls this first: a pending action may hold
+  /// references into them (a NIC's pooled descriptors).
+  void drop_pending_events() { queue_.clear(); }
+
   /// Earliest pending event time.  Precondition: pending_events() > 0.
   /// The sharded engine publishes this as the shard's LBTS contribution.
   [[nodiscard]] TimePoint next_event_time() { return queue_.next_time(); }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <numeric>
 #include <vector>
 
@@ -42,6 +43,22 @@ TEST(Cluster, BackToBackWiringNeedsTwoNodes) {
   EXPECT_THROW(Cluster(ClusterConfig{
                    .nodes = 3, .wiring = ClusterConfig::Wiring::kBackToBack}),
                std::invalid_argument);
+}
+
+TEST(Cluster, DestroyedMidRunWithPacketsInFlight) {
+  // A run cut short leaves packet events holding pooled NIC descriptors;
+  // the cluster drops them before its NICs go.
+  auto c = std::make_unique<Cluster>(ClusterConfig{.nodes = 4});
+  for (std::size_t node = 1; node < 4; ++node) {
+    c->port(node).provide_receive_buffer(65536);
+  }
+  c->simulator().spawn([](Cluster& cl) -> sim::Task<void> {
+    std::vector<net::NodeId> dests{1, 2, 3};
+    co_await cl.port(0).multisend(std::move(dests), 0, Payload(65536), 0);
+  }(*c));
+  c->simulator().run_for(sim::usec(50));
+  EXPECT_GT(c->simulator().pending_events(), 0u);
+  c.reset();
 }
 
 TEST(Cluster, ClosWiringConnectsEveryPair) {

@@ -195,11 +195,20 @@ TEST(Footprint, ClusterStateFollowsTraffic) {
   mcast::install_group(cluster, tree, 1);
   const double joined = per_endpoint(live_bytes() - before);
 
+  // The runners pre-post warmup + iterations buffers (31 in the suite's
+  // fabric-16k); the post is one queued NIC job, not one per buffer.
+  for (std::size_t node = 0; node < kEndpoints; ++node) {
+    cluster.port(node, 0).provide_receive_buffers(31, 4096);
+  }
+  const double posted = per_endpoint(live_bytes() - before) - joined;
+
   std::printf("bytes per endpoint at %zu endpoints: %.0f after construction, "
-              "%.0f with port 0 open and one group installed\n",
-              kEndpoints, built, joined);
+              "%.0f with port 0 open and one group installed, "
+              "+ %.0f with 31 receive buffers posted\n",
+              kEndpoints, built, joined, posted);
   EXPECT_LE(built, 2048.0);
   EXPECT_LE(joined, 4096.0);
+  EXPECT_LE(posted, 512.0);
 }
 
 // The engine's channels hold no preallocated storage: beyond its shards'

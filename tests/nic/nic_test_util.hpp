@@ -24,6 +24,10 @@ struct TestCluster {
     }
   }
 
+  // The NICs die before sim; a run cut short leaves events that still
+  // reference them.
+  ~TestCluster() { sim.drop_pending_events(); }
+
   Nic& nic(std::size_t i) { return *nics.at(i); }
 
   /// Posts `count` receive buffers of `capacity` bytes on port 0 of node i.

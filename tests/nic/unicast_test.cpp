@@ -2,6 +2,7 @@
 // protection and completion events.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <tuple>
 
 #include "nic_test_util.hpp"
@@ -210,9 +211,69 @@ TEST(Unicast, InvalidPostsRejected) {
 
 TEST(Unicast, DuplicateHandleRejected) {
   TestCluster c(2);
+  c.post_buffers(1, 1, 4096);
   c.nic(0).post_send(SendRequest{0, 1, 0, make_payload(8), 0, 7});
   EXPECT_THROW(c.nic(0).post_send(SendRequest{0, 1, 0, make_payload(8), 0, 7}),
                std::logic_error);
+  c.sim.run();
+  // The rejected post took no send token.
+  EXPECT_EQ(c.nic(0).send_tokens_available(0),
+            c.nic(0).config().send_tokens_per_port);
+}
+
+TEST(Unicast, BufferBatchIsOneLanaiJob) {
+  TestCluster c(2);
+  const std::size_t before = c.sim.pending_events();
+  c.nic(1).post_recv_buffer(RecvBuffer{0, 4096, 0}, 0);
+  EXPECT_EQ(c.sim.pending_events(), before);  // an empty batch is no job
+  c.nic(1).post_recv_buffer(RecvBuffer{0, 4096, 0}, 31);
+  EXPECT_EQ(c.sim.pending_events(), before + 1);
+  EXPECT_EQ(c.nic(1).cpu_busy_time(),
+            c.nic(1).config().recv_token_processing * 31);
+}
+
+TEST(Unicast, BufferBatchPostsEveryBufferWhenItEnds) {
+  TestCluster c(2);
+  c.nic(1).post_recv_buffer(RecvBuffer{0, 4096, 0}, 31);
+  const sim::TimePoint end =
+      sim::TimePoint{} + c.nic(1).config().recv_token_processing * 31;
+  c.sim.run_until(end - sim::nsec(1));
+  EXPECT_EQ(c.nic(1).recv_buffers_posted(0), 0u);
+  c.sim.run_until(end);
+  EXPECT_EQ(c.nic(1).recv_buffers_posted(0), 31u);
+}
+
+TEST(Unicast, PacketArrivingMidBatchIsAccepted) {
+  // The packet's receive job queues behind the batch on the LANai CPU, so
+  // it finds the buffers posted: no overrun, no retransmission.
+  TestCluster c(2);
+  c.nic(1).post_recv_buffer(RecvBuffer{0, 4096, 5}, 1000);
+  c.nic(0).post_send(SendRequest{0, 1, 0, make_payload(64), 0, 1});
+  const sim::TimePoint end =
+      sim::TimePoint{} + c.nic(1).config().recv_token_processing * 1000;
+  c.sim.run_until(end - sim::nsec(1));
+  ASSERT_EQ(c.nic(1).stats().packets_received, 1u);
+  EXPECT_EQ(c.nic(1).recv_buffers_posted(0), 0u);
+  c.sim.run();
+  const auto recv = c.drain_events(1);
+  ASSERT_EQ(recv.size(), 1u);
+  EXPECT_EQ(recv[0].data, make_payload(64));
+  EXPECT_EQ(c.nic(1).stats().no_token_drops, 0u);
+  EXPECT_EQ(c.nic(0).stats().retransmissions, 0u);
+  EXPECT_EQ(c.nic(1).recv_buffers_posted(0), 999u);
+}
+
+TEST(Unicast, ClusterDestroyedMidTransfer) {
+  // A multisend's pending replica events hold pooled descriptors;
+  // destroying the cluster drops them before the NICs that own the pools.
+  auto c = std::make_unique<TestCluster>(3);
+  c->post_buffers(1, 1, 65536);
+  c->post_buffers(2, 1, 65536);
+  c->nic(0).post_multisend(
+      MultisendRequest{0, {1, 2}, 0, make_payload(65536), 0, 1});
+  c->sim.run_for(sim::usec(20));
+  EXPECT_GT(c->sim.pending_events(), 0u);
+  c.reset();
 }
 
 TEST(Unicast, BuffersMatchedBySizeNotFifo) {

@@ -373,7 +373,7 @@ TEST(ShardedFamilies, DISABLED_PrintGoldens) {
 // addresses for scheduling decisions.
 std::vector<Golden> goldens() {
   return {
-      {{"multisend", &multisend, 0x2f83c99a5b5bcb2dULL},
+      {{"multisend", &multisend, 0x76ed5510a3bbfdb9ULL},
        {
            {0xf836c7e8cf90de5dULL, 0x4ccb4162c86bada5ULL},
            {0xc1b1201d9dc2279dULL, 0x37c6b718de471cc5ULL,
@@ -390,9 +390,9 @@ std::vector<Golden> goldens() {
 
 std::vector<SequentialGolden> classic_only_goldens() {
   return {
-      {"bcast", &bcast, 0x076b31edcfbcb01aULL},
-      {"skew", &skew, 0xb8ad18e4a0cf2611ULL},
-      {"barrier", &barrier, 0xdbd738ce28044686ULL},
+      {"bcast", &bcast, 0x4ba033c184ab209aULL},
+      {"skew", &skew, 0x4e7c3ed0d8a1d051ULL},
+      {"barrier", &barrier, 0x739636cc3f61c386ULL},
   };
 }
 

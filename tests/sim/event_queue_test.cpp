@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 namespace nicmcast::sim {
@@ -140,6 +141,22 @@ TEST(EventQueue, SmallCapturesStayInline) {
   EXPECT_EQ(q.stats().heap_actions, 1u);
   while (!q.empty()) q.pop().second();
   EXPECT_EQ(sink, 1u);
+}
+
+TEST(EventQueue, ClearDestroysPendingActionsUnrun) {
+  EventQueue q;
+  auto owned = std::make_shared<int>(0);
+  for (int i = 0; i < 3; ++i) {
+    q.schedule(TimePoint{10 + i}, [owned] { ++*owned; });
+  }
+  EXPECT_EQ(owned.use_count(), 4);
+  q.clear();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(owned.use_count(), 1);
+  // The queue stays usable.
+  q.schedule(TimePoint{20}, [owned] { ++*owned; });
+  q.pop().second();
+  EXPECT_EQ(*owned, 1);
 }
 
 TEST(EventQueue, ManyEventsStressOrdering) {
