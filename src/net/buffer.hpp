@@ -44,7 +44,10 @@ class Buffer {
   /// Empty view; data() is nullptr, size() is 0.
   Buffer() = default;
 
-  Buffer(const Buffer& other)
+  // noexcept: a copy only bumps the refcount.  A closure holding a const
+  // Buffer moves by copying, so this keeps such a closure nothrow-movable
+  // and inside sim::InlineFunction's inline storage.
+  Buffer(const Buffer& other) noexcept
       : block_(other.block_), offset_(other.offset_), size_(other.size_) {
     acquire(block_);
   }

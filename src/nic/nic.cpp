@@ -65,13 +65,12 @@ void Nic::post_send(SendRequest request) {
   // block every fragment, record and retransmission will reference.
   MessageRef message = net::Buffer::take(std::move(request.data));
   open_op("post_send", request.port, request.handle,
-          HostEvent::Type::kSendComplete,
-          fragment_message(message.size()).size());
+          HostEvent::Type::kSendComplete, packet_count(message.size()));
   trace("nic", [&] {
     return "send token posted, " + std::to_string(message.size()) +
            "B to node " + std::to_string(request.dest);
   });
-  send_message(request.port, {request.dest}, request.dest_port,
+  send_message(request.port, NodeList{request.dest}, request.dest_port,
                std::move(message), request.tag, request.handle);
 }
 
@@ -85,21 +84,23 @@ void Nic::post_multisend(MultisendRequest request) {
   MessageRef message = net::Buffer::take(std::move(request.data));
   open_op("post_multisend", request.port, request.handle,
           HostEvent::Type::kMultisendComplete,
-          fragment_message(message.size()).size() * request.dests.size());
+          packet_count(message.size()) * request.dests.size());
 
   if (options_.multisend_uses_multiple_tokens) {
     // Ablation (paper §5 alternative 1): one full send-token translation
     // and one host DMA per destination; saves only the host postings.
     for (net::NodeId dest : request.dests) {
-      send_message(request.port, {dest}, request.dest_port, message,
+      send_message(request.port, NodeList{dest}, request.dest_port, message,
                    request.tag, request.handle);
     }
     return;
   }
   // Chosen design (alternative 2): one token translation, one host DMA per
   // packet, then replica chaining through the descriptor callback.
-  send_message(request.port, std::move(request.dests), request.dest_port,
-               std::move(message), request.tag, request.handle);
+  send_message(request.port,
+               NodeList(request.dests.begin(), request.dests.end()),
+               request.dest_port, std::move(message), request.tag,
+               request.handle);
 }
 
 void Nic::post_mcast_send(McastSendRequest request) {
@@ -110,18 +111,18 @@ void Nic::post_mcast_send(McastSendRequest request) {
                            "a multicast");
   }
   MessageRef message = net::Buffer::take(std::move(request.data));
-  const auto fragments = fragment_message(message.size());
   open_op("post_mcast_send", request.port, request.handle,
-          HostEvent::Type::kMcastSendComplete, fragments.size());
+          HostEvent::Type::kMcastSendComplete, packet_count(message.size()));
   trace("mcast", [&] {
     return "mcast send posted grp=" + std::to_string(request.group) + " " +
            std::to_string(message.size()) + "B";
   });
 
   cpu_.run(config_.send_token_processing,
-           [this, group_id = request.group, message, fragments,
+           [this, group_id = request.group, message = std::move(message),
             tag = request.tag, handle = request.handle] {
-    for (const Fragment frag : fragments) {
+    for (std::size_t i = 0, n = packet_count(message.size()); i < n; ++i) {
+      const Fragment frag = fragment(message.size(), i);
       sdma_then(frag.length, [this, group_id, message, frag, tag, handle] {
         GroupState& state = groups_.at(group_id);
         if (state.entry.children.empty()) {
@@ -141,10 +142,12 @@ void Nic::post_mcast_send(McastSendRequest request) {
         header.msg_offset = frag.offset;
         header.msg_length = static_cast<std::uint32_t>(message.size());
         header.tag = tag;
-        send_tree_packet(group_id, SendRecord{.message = message,
-                                              .fragment = frag,
-                                              .header = header,
-                                              .handle = handle});
+        send_tree_packet(group_id,
+                         SendRecord{.message = message,
+                                    .fragment = frag,
+                                    .header = header,
+                                    .handle = handle},
+                         StagingRelease{});
       });
     }
   });
@@ -258,7 +261,7 @@ void Nic::remove_group(net::GroupId group) {
 
 bool Nic::has_deferred_forward(net::GroupId group) const {
   for (const DeferredForward& deferred : deferred_forwards_) {
-    if (deferred.group == group) return true;
+    if (deferred.packet.header.group == group) return true;
   }
   return false;
 }
@@ -295,29 +298,14 @@ Nic::Port& Nic::port_state(net::PortId port) {
 // Send path
 // ---------------------------------------------------------------------------
 
-std::vector<Nic::Fragment> Nic::fragment_message(std::size_t size) const {
-  std::vector<Fragment> fragments;
-  if (size == 0) {
-    fragments.push_back(Fragment{0, 0});
-    return fragments;
-  }
-  for (std::size_t offset = 0; offset < size;
-       offset += config_.max_packet_payload) {
-    const std::size_t len =
-        std::min(config_.max_packet_payload, size - offset);
-    fragments.push_back(Fragment{static_cast<std::uint32_t>(offset),
-                                 static_cast<std::uint32_t>(len)});
-  }
-  return fragments;
-}
-
-void Nic::send_message(net::PortId port, std::vector<net::NodeId> dests,
+void Nic::send_message(net::PortId port, NodeList dests,
                        net::PortId dest_port, MessageRef message,
                        std::uint32_t tag, OpHandle handle) {
   cpu_.run(config_.send_token_processing,
            [this, dests = std::move(dests), message = std::move(message),
             handle, tag, port, dest_port] {
-    for (const Fragment frag : fragment_message(message.size())) {
+    for (std::size_t i = 0, n = packet_count(message.size()); i < n; ++i) {
+      const Fragment frag = fragment(message.size(), i);
       sdma_then(frag.length, [this, dests, message, frag, handle, tag, port,
                               dest_port] {
         net::PacketHeader header;
@@ -394,10 +382,10 @@ net::Network::TxTiming Nic::transmit(DescriptorRef descriptor) {
 }
 
 void Nic::start_replica_chain(DescriptorRef descriptor,
-                              const std::vector<net::NodeId>& dests,
+                              std::span<const net::NodeId> dests,
                               PrepareFn prepare, OnTransmitFn on_transmit) {
   struct ChainState {
-    std::vector<net::NodeId> dests;
+    NodeList dests;
     std::size_t index = 0;
     PrepareFn prepare;
     OnTransmitFn on_transmit;
@@ -405,8 +393,9 @@ void Nic::start_replica_chain(DescriptorRef descriptor,
   prepare(descriptor->packet, dests.front());
   std::shared_ptr<ChainState> state;
   if (dests.size() > 1) {
-    state = std::make_shared<ChainState>();
-    state->dests = dests;
+    state = std::allocate_shared<ChainState>(
+        sim::PoolAllocator<ChainState>{});
+    state->dests.assign(dests.begin(), dests.end());
     state->prepare = std::move(prepare);
     state->on_transmit = std::move(on_transmit);
     descriptor->on_tx_complete = [this, state](DescriptorRef d) {
@@ -426,7 +415,7 @@ void Nic::start_replica_chain(DescriptorRef descriptor,
 }
 
 void Nic::send_tree_packet(net::GroupId group_id, SendRecord record,
-                           ReleaseFn on_forwarded) {
+                           StagingRelease on_forwarded) {
   GroupState& group = groups_.at(group_id);
   DescriptorRef descriptor = make_descriptor(
       build_packet(record.header, record.message, record.fragment));
@@ -446,10 +435,13 @@ void Nic::send_tree_packet(net::GroupId group_id, SendRecord record,
           const net::Network::TxTiming& timing) mutable {
         touch_group_record(group_id, p.header.seq, timing.tx_done);
         arm_group_timer(group_id);
-        if (--replicas_left == 0 && on_forwarded) {
+        if (--replicas_left == 0 && on_forwarded.pending()) {
           // The staging buffer is free once the last replica has left the
           // wire (retransmissions refetch from host memory).
-          sim_.schedule_at(timing.tx_done, std::move(on_forwarded));
+          sim_.schedule_at(timing.tx_done,
+                           [this, holder = std::move(on_forwarded)]() mutable {
+                             finish_staging(holder);
+                           });
         }
       });
 }
@@ -547,8 +539,7 @@ void Nic::handle_data(const net::Packet& packet) {
     return;
   }
   accept_payload(packet.header.dst_port, conn.assembly, packet,
-                 HostEvent::Type::kRecvComplete,
-                 [this] { release_rx_buffer(); });
+                 HostEvent::Type::kRecvComplete, StagingRelease::sole());
 }
 
 bool Nic::accept_in_order(net::PortId port, SeqNum& expected,
@@ -623,27 +614,20 @@ void Nic::handle_mcast_data(const net::Packet& packet) {
   // send record until every child acks; leaves (nothing to forward)
   // always release at RDMA completion.
   const bool record_pins = forwards && options_.hold_buffers_until_acked;
-  ReleaseFn rdma_release;
-  ReleaseFn forward_release;
-  if (record_pins) {
-    // Released when the record is pruned; both hooks stay empty.
-  } else if (forwards) {
+  // With record_pins, neither completion holds the buffer: it is released
+  // when the record is pruned.
+  StagingRelease rdma_release;
+  StagingRelease forward_release;
+  if (!record_pins) {
+    rdma_release = StagingRelease::sole();
     // Shared between the RDMA completion and the last replica's wire
-    // push: each consumer gets its own hook over one counter.
-    auto shares = std::make_shared<int>(2);
-    rdma_release = [this, shares] {
-      if (--*shares == 0) release_rx_buffer();
-    };
-    forward_release = [this, shares] {
-      if (--*shares == 0) release_rx_buffer();
-    };
-  } else {
-    rdma_release = [this] { release_rx_buffer(); };
+    // push: whichever finishes last returns the buffer.
+    if (forwards) forward_release = rdma_release.share();
   }
   if (forwards) {
     // NIC-based forwarding: re-queue towards the children without any
     // host involvement, per-packet (pipelining across the tree).
-    start_forward(packet.header.group, packet, std::move(forward_release));
+    start_forward(packet, std::move(forward_release));
   }
   accept_payload(group.entry.port, group.assembly, packet,
                  HostEvent::Type::kMcastRecvComplete, std::move(rdma_release));
@@ -837,7 +821,8 @@ bool Nic::ensure_assembly(net::PortId port, AssemblyRef& slot,
         return b.capacity >= packet.header.msg_length;
       });
   if (fit == buffers.end()) return false;
-  auto assembly = std::make_shared<Assembly>();
+  auto assembly =
+      std::allocate_shared<Assembly>(sim::PoolAllocator<Assembly>{});
   assembly->buffer = *fit;
   buffers.erase(fit);
   assembly->data.resize(packet.header.msg_length);
@@ -848,30 +833,35 @@ bool Nic::ensure_assembly(net::PortId port, AssemblyRef& slot,
 
 void Nic::accept_payload(net::PortId port, AssemblyRef assembly,
                          const net::Packet& packet,
-                         HostEvent::Type event_type, ReleaseFn on_rdma_done) {
+                         HostEvent::Type event_type,
+                         StagingRelease on_rdma_done) {
   const sim::Duration busy =
       config_.dma_startup +
       sim::transfer_time(packet.payload.size(), config_.host_dma_mbps);
   assembly->accepted += packet.payload.size();
-  rdma_.run(busy, [this, port, assembly = std::move(assembly),
-                   payload = packet.payload, header = packet.header,
-                   event_type,
-                   on_rdma_done = std::move(on_rdma_done)]() mutable {
+  // Only the header fields the completion reads are captured, so the
+  // closure fits the event queue's inline storage.
+  rdma_.run(busy, [this, assembly = std::move(assembly),
+                   payload = packet.payload,
+                   on_rdma_done = std::move(on_rdma_done),
+                   offset = packet.header.msg_offset, src = packet.header.src,
+                   group = packet.header.group, event_type, port,
+                   src_port = packet.header.src_port]() mutable {
     // The one copy on the receive side: RDMA lands the shared fragment
     // view into this message's host assembly buffer.
     std::copy(payload.begin(), payload.end(),
-              assembly->data.begin() + header.msg_offset);
+              assembly->data.begin() + offset);
     stats_.payload_bytes_copied += payload.size();
     assembly->received += payload.size();
-    if (on_rdma_done) on_rdma_done();
+    finish_staging(on_rdma_done);
     if (!assembly->fully_received()) return;
 
     HostEvent event;
     event.type = event_type;
     event.handle = assembly->buffer.handle;
-    event.src = header.src;
-    event.src_port = header.src_port;
-    event.group = header.group;
+    event.src = src;
+    event.src_port = src_port;
+    event.group = group;
     event.tag = assembly->tag;
     event.data = std::move(assembly->data);
     deliver_event(port, std::move(event));
@@ -1141,17 +1131,17 @@ void Nic::handle_reduce_ack(const net::Packet& packet) {
 // NIC-based forwarding
 // ---------------------------------------------------------------------------
 
-void Nic::start_forward(net::GroupId group_id, const net::Packet& packet,
-                        ReleaseFn on_forwarded) {
+void Nic::start_forward(const net::Packet& packet,
+                        StagingRelease on_forwarded) {
   bool holds_token = false;
   if (options_.forwarding_uses_send_tokens) {
     // Ablation: the rejected design — forwarding draws from the finite
     // send-token pool and stalls when it is empty.
-    const net::PortId port_id = groups_.at(group_id).entry.port;
+    const net::PortId port_id = groups_.at(packet.header.group).entry.port;
     Port& port = port_state(port_id);
     if (port.send_tokens_in_use >= config_.send_tokens_per_port) {
       deferred_forwards_.push_back(
-          DeferredForward{group_id, packet, std::move(on_forwarded)});
+          DeferredForward{packet, std::move(on_forwarded)});
       trace("mcast",
             [] { return std::string("forward STALLED waiting for send token"); });
       return;
@@ -1170,9 +1160,13 @@ void Nic::start_forward(net::GroupId group_id, const net::Packet& packet,
   // Forwarding").
   ++stats_.forwards;
   ++stats_.header_rewrites;  // first replica needs its header rewritten too
+  // The packet's header and payload are captured apart (an accepted
+  // packet is never corrupted), so the closure fits the event queue's
+  // inline storage.
   cpu_.run(config_.forward_processing + config_.header_rewrite,
-           [this, group_id, packet, holds_token,
-            on_forwarded = std::move(on_forwarded)]() mutable {
+           [this, payload = packet.payload,
+            on_forwarded = std::move(on_forwarded), header = packet.header,
+            holds_token]() mutable {
     // Zero-copy forwarding: the record and every replica share the
     // incoming packet's view of the root's block — a NIC hop never
     // duplicates bytes.  The view holds exactly this packet's bytes, so the
@@ -1180,13 +1174,13 @@ void Nic::start_forward(net::GroupId group_id, const net::Packet& packet,
     // whole message lives in the header and is preserved across
     // retransmissions.
     SendRecord record{
-        .message = packet.payload,
-        .fragment = {0, static_cast<std::uint32_t>(packet.payload.size())},
-        .header = packet.header,
+        .message = payload,
+        .fragment = {0, static_cast<std::uint32_t>(payload.size())},
+        .header = header,
         .holds_token = holds_token,
         .holds_rx_buffer = options_.hold_buffers_until_acked};
     record.header.src = id_;  // acks must come back to this hop
-    send_tree_packet(group_id, std::move(record), std::move(on_forwarded));
+    send_tree_packet(header.group, std::move(record), std::move(on_forwarded));
   });
 }
 
@@ -1341,8 +1335,8 @@ void Nic::notify_host(net::PortId port, HostEvent::Type type,
 void Nic::deliver_event(net::PortId port, HostEvent event) {
   if (auditor_) auditor_->on_event(*this, port, event);
   sim_.schedule_after(config_.event_delivery,
-                      [this, port, event = std::move(event)] {
-                        port_state(port).events.push(event);
+                      [this, port, event = std::move(event)]() mutable {
+                        port_state(port).events.push(std::move(event));
                       });
 }
 
@@ -1390,17 +1384,16 @@ void Nic::release_send_token(net::PortId port) {
     // dereferencing a dead group, which used to crash here.
     for (auto it = deferred_forwards_.begin();
          it != deferred_forwards_.end();) {
-      auto group_it = groups_.find(it->group);
+      auto group_it = groups_.find(it->packet.header.group);
       if (group_it == groups_.end()) {
-        if (it->on_forwarded) it->on_forwarded();  // free the staging buffer
+        finish_staging(it->on_forwarded);  // free the staging buffer
         it = deferred_forwards_.erase(it);
         continue;
       }
       if (group_it->second.entry.port == port) {
         DeferredForward deferred = std::move(*it);
         deferred_forwards_.erase(it);
-        start_forward(deferred.group, deferred.packet,
-                      std::move(deferred.on_forwarded));
+        start_forward(deferred.packet, std::move(deferred.on_forwarded));
         break;
       }
       ++it;

@@ -26,9 +26,11 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "net/network.hpp"
@@ -39,6 +41,7 @@
 #include "nic/send_window.hpp"
 #include "nic/sequence.hpp"
 #include "nic/types.hpp"
+#include "sim/block_pool.hpp"
 #include "sim/ring_deque.hpp"
 #include "sim/simulator.hpp"
 
@@ -164,10 +167,72 @@ class Nic final : public net::PacketSink {
   // payload bytes (see net/buffer.hpp).
   using MessageRef = net::Buffer;
 
-  // Staging-buffer release hooks (RDMA done, last replica on the wire).
-  // 32 inline bytes holds `this` plus a shared counter without the heap
-  // allocation std::function paid for the same capture.
-  using ReleaseFn = sim::InlineFunction<void(), 32>;
+  // Who returns a received packet's NIC staging buffer (paper §5,
+  // "Messages Forwarding"): nobody, when a send record pins it until every
+  // child acked (the naive ablation); this completion alone (the host RDMA
+  // of a packet nothing forwards); or the last of two holders, the RDMA
+  // and the forward's last replica on the wire, over one recycled count.
+  // A value rather than a callable, so the RDMA and forward closures that
+  // carry it fit sim::EventQueue::Action's inline storage.  A holder
+  // destroyed unfinished (pending events dropped at teardown) gives up its
+  // share of the count and releases nothing.
+  class StagingRelease {
+   public:
+    StagingRelease() = default;  // nobody
+    static StagingRelease sole() {
+      StagingRelease release;
+      release.pending_ = true;
+      return release;
+    }
+    /// Splits a sole holder in two over one recycled count: the buffer is
+    /// free once both have finished.
+    [[nodiscard]] StagingRelease share() {
+      if (!pending_ || holders_ != nullptr) {
+        throw std::logic_error("StagingRelease::share: not a sole holder");
+      }
+      holders_ = static_cast<std::uint32_t*>(
+          sim::BlockPool::allocate(sizeof(std::uint32_t)));
+      *holders_ = 2;
+      return StagingRelease(holders_);
+    }
+    StagingRelease(StagingRelease&& other) noexcept
+        : holders_(std::exchange(other.holders_, nullptr)),
+          pending_(std::exchange(other.pending_, false)) {}
+    StagingRelease& operator=(StagingRelease&& other) noexcept {
+      if (this != &other) {
+        static_cast<void>(finish());
+        holders_ = std::exchange(other.holders_, nullptr);
+        pending_ = std::exchange(other.pending_, false);
+      }
+      return *this;
+    }
+    StagingRelease(const StagingRelease&) = delete;
+    StagingRelease& operator=(const StagingRelease&) = delete;
+    ~StagingRelease() { static_cast<void>(finish()); }
+
+    /// True until this holder has finished.
+    [[nodiscard]] bool pending() const { return pending_; }
+    /// This holder is done; true when the staging buffer is now free.
+    [[nodiscard]] bool finish() {
+      if (!pending_) return false;
+      pending_ = false;
+      if (holders_ == nullptr) return true;
+      const bool last = --*holders_ == 0;
+      if (last) sim::BlockPool::deallocate(holders_, sizeof(std::uint32_t));
+      holders_ = nullptr;
+      return last;
+    }
+
+   private:
+    explicit StagingRelease(std::uint32_t* holders)
+        : holders_(holders), pending_(true) {}
+    std::uint32_t* holders_ = nullptr;  // the shared count; null otherwise
+    bool pending_ = false;
+  };
+
+  // Destination lists in pooled storage: every fragment of a send token
+  // and every replica chain keeps its own copy without a malloc.
+  using NodeList = std::vector<net::NodeId, sim::PoolAllocator<net::NodeId>>;
 
   struct Fragment {
     std::uint32_t offset = 0;
@@ -217,7 +282,9 @@ class Nic final : public net::PacketSink {
   // counts bytes the RDMA engine has landed in host memory.  Back-to-back
   // messages overlap: message m+1's packets can be accepted while message
   // m's RDMA is still draining, so each packet's completion must target its
-  // own message's assembly — hence shared ownership.
+  // own message's assembly — hence shared ownership.  ensure_assembly
+  // allocates assemblies through sim::PoolAllocator; only `data`, the host
+  // buffer the application receives, is a fresh allocation per message.
   struct Assembly {
     RecvBuffer buffer;
     Payload data;
@@ -355,14 +422,26 @@ class Nic final : public net::PacketSink {
   }
 
   // -- Send path --
-  [[nodiscard]] std::vector<Fragment> fragment_message(std::size_t size) const;
+  /// Packets a `size`-byte message takes; an empty message sends one.
+  [[nodiscard]] std::size_t packet_count(std::size_t size) const {
+    if (size == 0) return 1;
+    return (size + config_.max_packet_payload - 1) /
+           config_.max_packet_payload;
+  }
+  /// Packet `index`'s slice of a `size`-byte message.
+  [[nodiscard]] Fragment fragment(std::size_t size, std::size_t index) const {
+    const std::size_t offset = index * config_.max_packet_payload;
+    return Fragment{
+        static_cast<std::uint32_t>(offset),
+        static_cast<std::uint32_t>(
+            std::min(config_.max_packet_payload, size - offset))};
+  }
   /// One send token's work, for a unicast, a multisend and each
   /// destination of the multiple-token ablation alike: the LANai
   /// translates the token, then every packet crosses the PCI bus once and
   /// leaves on a replica chain to `dests`, stamped per connection.
-  void send_message(net::PortId port, std::vector<net::NodeId> dests,
-                    net::PortId dest_port, MessageRef message,
-                    std::uint32_t tag, OpHandle handle);
+  void send_message(net::PortId port, NodeList dests, net::PortId dest_port,
+                    MessageRef message, std::uint32_t tag, OpHandle handle);
   void sdma_then(std::size_t bytes, sim::EventQueue::Action next);
   /// Checks out a pooled descriptor for `packet` (counted in NicStats).
   DescriptorRef make_descriptor(net::Packet packet);
@@ -382,24 +461,25 @@ class Nic final : public net::PacketSink {
   // their send records with the true injection time (long streams queue on
   // the wire far behind the CPU, and retransmission timers must measure
   // from the wire, not from record creation).  A one-destination chain
-  // sends once and keeps no chain state.
+  // sends once and keeps no chain state; a longer one copies `dests` into
+  // a pooled chain state.
   void start_replica_chain(DescriptorRef descriptor,
-                           const std::vector<net::NodeId>& dests,
+                           std::span<const net::NodeId> dests,
                            PrepareFn prepare,
                            OnTransmitFn on_transmit = nullptr);
 
   // -- Tree send: the multicast root and every forwarder --
   /// Records `record`'s packet under its group seq, arms the group timer
-  /// and starts a replica to each child.  `on_forwarded` (optional) fires
+  /// and starts a replica to each child.  A pending `on_forwarded` finishes
   /// once the last replica left the wire — a forward's chosen
-  /// staging-buffer release point; null at the root and in the naive
-  /// ablation (the record pins the buffer until all children ack).
+  /// staging-buffer release point; it holds nothing at the root and in the
+  /// naive ablation (the record pins the buffer until all children ack).
   void send_tree_packet(net::GroupId group_id, SendRecord record,
-                        ReleaseFn on_forwarded = nullptr);
+                        StagingRelease on_forwarded);
   void touch_group_record(net::GroupId group_id, SeqNum seq,
                           sim::TimePoint sent_at);
-  void start_forward(net::GroupId group_id, const net::Packet& packet,
-                     ReleaseFn on_forwarded);
+  /// Forwards `packet` to the children of its group.
+  void start_forward(const net::Packet& packet, StagingRelease on_forwarded);
 
   // -- Receive path --
   void handle_data(const net::Packet& packet);
@@ -454,11 +534,15 @@ class Nic final : public net::PacketSink {
   bool ensure_assembly(net::PortId port, AssemblyRef& slot,
                        const net::Packet& packet);
   // Counts `packet` as accepted into `assembly` and RDMAs it to the host.
-  // `on_rdma_done` (optional) fires when this packet's RDMA completes —
-  // used to return the NIC staging buffer.
+  // `on_rdma_done` finishes when this packet's RDMA completes; if that
+  // frees the NIC staging buffer, the buffer is returned.
   void accept_payload(net::PortId port, AssemblyRef assembly,
                       const net::Packet& packet, HostEvent::Type event_type,
-                      ReleaseFn on_rdma_done = nullptr);
+                      StagingRelease on_rdma_done);
+  /// Finishes `holder`; returns the staging buffer if that freed it.
+  void finish_staging(StagingRelease& holder) {
+    if (holder.finish()) release_rx_buffer();
+  }
 
   // -- kCtrl reset handshake (resync after a max-retries failure) --
   void handle_ctrl(const net::Packet& packet);
@@ -546,9 +630,8 @@ class Nic final : public net::PacketSink {
   std::unordered_map<OpHandle, PendingOp> pending_ops_;
   // Forwards stalled on send-token exhaustion (ablation mode only).
   struct DeferredForward {
-    net::GroupId group;
     net::Packet packet;
-    ReleaseFn on_forwarded;
+    StagingRelease on_forwarded;
   };
   std::vector<DeferredForward> deferred_forwards_;
   std::size_t rx_buffers_in_use_ = 0;

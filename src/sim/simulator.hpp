@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/block_pool.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
 #include "sim/sync.hpp"
@@ -199,6 +200,17 @@ class Simulator {
     state->done_ = true;
     state->on_done_.fire();
   }
+
+  // First member, so destroyed last: the frames, NIC objects and closures
+  // of this run are freed by then, and the blocks they parked in the
+  // thread's sim::BlockPool go back to the heap.
+  struct PoolTrim {
+    PoolTrim() = default;
+    PoolTrim(const PoolTrim&) = delete;
+    PoolTrim& operator=(const PoolTrim&) = delete;
+    ~PoolTrim() { BlockPool::trim(); }
+  };
+  PoolTrim pool_trim_;
 
   TimePoint now_{0};
   EventQueue queue_;

@@ -1,14 +1,15 @@
-// Per-endpoint heap footprint of the classic stack, and per-channel
-// footprint of the sharded engine.
+// Per-endpoint heap footprint of the classic stack, per-channel footprint
+// of the sharded engine, and heap allocations per delivered message.
 //
 // The binary replaces every global operator new/delete form with one that
-// counts live bytes, so the test can state how much a gm::Cluster holds
-// per endpoint before any traffic, and after every node opens a GM port
-// and joins a multicast group.  NIC port records, Go-back-N tables and
-// group entries are built on first use; these bounds fail if per-node
-// state goes back to being sized by the configuration instead.  A
-// sharded engine's cross-shard channels are likewise empty until posts
-// fill them.
+// counts live bytes and calls, so the test can state how much a
+// gm::Cluster holds per endpoint before any traffic, and after every node
+// opens a GM port and joins a multicast group.  NIC port records,
+// Go-back-N tables and group entries are built on first use; these bounds
+// fail if per-node state goes back to being sized by the configuration
+// instead.  A sharded engine's cross-shard channels are likewise empty
+// until posts fill them.  Once a multicast run has warmed up, a delivered
+// message allocates only the host buffer the application receives.
 //
 // Each block carries a header that records its size, which works for the
 // aligned forms (sim::RingDeque allocates with std::align_val_t) and under
@@ -32,10 +33,12 @@
 #include "mcast/tree.hpp"
 #include "sim/sharded_engine.hpp"
 #include "sim/simulator.hpp"
+#include "sim/sync.hpp"
 
 namespace {
 
 std::atomic<std::int64_t> g_live_bytes{0};
+std::atomic<std::uint64_t> g_new_calls{0};
 
 constexpr std::size_t kMinHeader = alignof(std::max_align_t);
 
@@ -52,6 +55,7 @@ void* counted_alloc(std::size_t size, std::size_t align) noexcept {
   std::memcpy(user - sizeof(size), &size, sizeof(size));
   g_live_bytes.fetch_add(static_cast<std::int64_t>(size),
                          std::memory_order_relaxed);
+  g_new_calls.fetch_add(1, std::memory_order_relaxed);
   return user;
 }
 
@@ -150,6 +154,10 @@ std::int64_t live_bytes() {
   return g_live_bytes.load(std::memory_order_relaxed);
 }
 
+std::uint64_t new_calls() {
+  return g_new_calls.load(std::memory_order_relaxed);
+}
+
 double per_endpoint(std::int64_t bytes) {
   return static_cast<double>(bytes) / static_cast<double>(kEndpoints);
 }
@@ -160,9 +168,11 @@ void* volatile g_sink = nullptr;
 
 TEST(Footprint, CountsPlainAndAlignedForms) {
   const std::int64_t before = live_bytes();
+  const std::uint64_t calls = new_calls();
   auto* plain = new std::uint64_t[100];
   g_sink = plain;
   EXPECT_EQ(live_bytes() - before, 800);
+  EXPECT_EQ(new_calls() - calls, 1u);
   struct alignas(64) Line {
     std::byte bytes[64];
   };
@@ -171,6 +181,7 @@ TEST(Footprint, CountsPlainAndAlignedForms) {
   // NOLINTNEXTLINE(nicmcast-pointer-order): checks alignment, feeds no simulation state
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(aligned) % 64, 0u);
   EXPECT_EQ(live_bytes() - before, 800 + 192);
+  EXPECT_EQ(new_calls() - calls, 2u);
   delete[] plain;
   delete[] aligned;
   EXPECT_EQ(live_bytes(), before);
@@ -209,6 +220,89 @@ TEST(Footprint, ClusterStateFollowsTraffic) {
   EXPECT_LE(built, 2048.0);
   EXPECT_LE(joined, 4096.0);
   EXPECT_LE(posted, 512.0);
+}
+
+// A 1,024-endpoint binomial NIC multicast of 512 B: after two warm-up
+// iterations, eight more make at most 1.1 operator new calls per delivered
+// message.  The one a delivery needs is its host buffer; receive and
+// forward closures stay inside the event queue's inline storage, and
+// assemblies, chain states and coroutine frames are recycled.
+TEST(Footprint, DeliveredMessageAllocatesOnlyItsHostBuffer) {
+  constexpr int kWarmup = 2;
+  constexpr int kIterations = 8;
+  constexpr int kTotal = kWarmup + kIterations;
+  constexpr std::size_t kBytes = 512;
+  constexpr net::GroupId kGroup = 1;
+
+  std::vector<net::NodeId> dests(kEndpoints - 1);
+  std::iota(dests.begin(), dests.end(), net::NodeId{1});
+  const mcast::Tree tree = mcast::build_binomial_tree(0, std::move(dests));
+  Cluster cluster(ClusterConfig{.nodes = kEndpoints,
+                                .wiring = ClusterConfig::Wiring::kClos,
+                                .switch_radix = 16});
+  mcast::install_group(cluster, tree, kGroup);
+  for (std::size_t node = 1; node < kEndpoints; ++node) {
+    cluster.port(node, 0).provide_receive_buffers(kTotal, kBytes);
+  }
+
+  // Iteration barrier: the last arrival notes the operator new count, so
+  // calls[k] is the count when every node had finished k iterations.
+  struct Shared {
+    std::vector<Payload> payloads;
+    sim::Gate gate;
+    std::size_t arrived = 0;
+    std::vector<std::uint64_t> calls;
+    std::size_t deliveries = 0;
+    std::size_t mismatches = 0;
+
+    sim::Task<void> arrive() {
+      if (++arrived == kEndpoints) {
+        arrived = 0;
+        calls.push_back(new_calls());
+        gate.release();
+      } else {
+        co_await gate.wait();
+      }
+    }
+  };
+  Shared shared;
+  shared.calls.reserve(kTotal + 1);
+  for (int iter = 0; iter < kTotal; ++iter) {
+    shared.payloads.emplace_back(kBytes, std::byte(iter));
+  }
+
+  cluster.run_on_all([&shared, &tree](Cluster& cl,
+                                      net::NodeId me) -> sim::Task<void> {
+    for (int iter = 0; iter < kTotal; ++iter) {
+      co_await shared.arrive();
+      const Payload& expected = shared.payloads[iter];
+      Payload data;
+      if (me == tree.root()) data = expected;
+      const Payload got =
+          co_await mcast::nic_bcast(cl.port(me), tree, kGroup,
+                                    std::move(data),
+                                    static_cast<std::uint32_t>(iter));
+      if (me != tree.root()) {
+        ++shared.deliveries;
+        if (got != expected) ++shared.mismatches;
+      }
+    }
+    co_await shared.arrive();
+  });
+  cluster.run();
+
+  ASSERT_EQ(shared.calls.size(), static_cast<std::size_t>(kTotal + 1));
+  EXPECT_EQ(shared.deliveries, (kEndpoints - 1) * kTotal);
+  EXPECT_EQ(shared.mismatches, 0u);
+  const double measured =
+      static_cast<double>((kEndpoints - 1) * kIterations);
+  const double per_delivery =
+      static_cast<double>(shared.calls[kTotal] - shared.calls[kWarmup]) /
+      measured;
+  std::printf("operator new calls per delivered message after %d warm-up "
+              "iterations: %.3f over %d iterations of %zu deliveries\n",
+              kWarmup, per_delivery, kIterations, kEndpoints - 1);
+  EXPECT_LE(per_delivery, 1.1);
 }
 
 // The engine's channels hold no preallocated storage: beyond its shards'

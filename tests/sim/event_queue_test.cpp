@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <memory>
 #include <vector>
+
+#include "net/buffer.hpp"
 
 namespace nicmcast::sim {
 namespace {
@@ -134,13 +137,18 @@ TEST(EventQueue, SmallCapturesStayInline) {
   std::uint64_t sink = 0;
   q.schedule(TimePoint{1}, [&sink] { ++sink; });
   EXPECT_EQ(q.stats().heap_actions, 0u);
+  // A const Buffer member moves by copying; the copy is noexcept, so the
+  // closure still counts as nothrow-movable and stays inline.
+  const net::Buffer bytes = net::Buffer::filled(8, std::byte{1});
+  q.schedule(TimePoint{2}, [&sink, bytes] { sink += bytes.size(); });
+  EXPECT_EQ(q.stats().heap_actions, 0u);
   struct Huge {
     std::uint64_t words[32] = {};
   };
-  q.schedule(TimePoint{2}, [&sink, huge = Huge{}] { sink += huge.words[0]; });
+  q.schedule(TimePoint{3}, [&sink, huge = Huge{}] { sink += huge.words[0]; });
   EXPECT_EQ(q.stats().heap_actions, 1u);
   while (!q.empty()) q.pop().second();
-  EXPECT_EQ(sink, 1u);
+  EXPECT_EQ(sink, 9u);
 }
 
 TEST(EventQueue, ClearDestroysPendingActionsUnrun) {

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <coroutine>
+#include <cstddef>
+#include <new>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace nicmcast::sim {
@@ -41,6 +46,23 @@ Task<int> catches_child_error() {
 }
 
 Task<void> driver(int& out) { out = co_await nested_sum(); }
+
+// Awaiting it records the awaiting coroutine's frame address.
+struct FrameAddress {
+  void* address = nullptr;
+  bool await_ready() const noexcept { return false; }
+  bool await_suspend(std::coroutine_handle<> h) noexcept {
+    address = h.address();
+    return false;  // resume at once
+  }
+  void await_resume() const noexcept {}
+};
+
+Task<void*> own_frame() {
+  FrameAddress probe;
+  co_await probe;
+  co_return probe.address;
+}
 
 TEST(Task, StartsSuspended) {
   std::vector<int> log;
@@ -135,6 +157,60 @@ TEST(Task, DeeplyNestedAwaitChain) {
   Task<void> t = run();
   t.resume();
   EXPECT_EQ(out, kDepth);
+}
+
+TEST(Task, FinishedFrameIsReusedBySameSize) {
+  void* first = nullptr;
+  void* second = nullptr;
+  std::vector<void*> filler;
+  filler.reserve(4096 / 8);  // no vector growth between the two frames
+  auto run = [&]() -> Task<void> {
+    {
+      Task<void*> probe = own_frame();
+      first = co_await probe;
+    }  // the finished frame is destroyed here
+    // Requests of every size up to 4 KiB would take a block that went back
+    // to malloc's free lists; a parked frame stays out of their reach.
+    for (std::size_t bytes = 8; bytes <= 4096; bytes += 8) {
+      filler.push_back(::operator new(bytes));
+    }
+    second = co_await own_frame();
+  };
+  Task<void> t = run();
+  t.resume();
+  for (void* block : filler) ::operator delete(block);
+  ASSERT_TRUE(t.done());
+  EXPECT_NE(first, nullptr);
+  EXPECT_EQ(first, second);
+}
+
+TEST(Task, FrameDestroyedOnAnotherThreadIsSafe) {
+  std::vector<int> log;
+  // Made here, run and destroyed on another thread: the block joins that
+  // thread's free list.
+  Task<void> here = record(log, 1);
+  std::thread([&] {
+    here.resume();
+    here = Task<void>{};
+  }).join();
+  // Made on another thread, run and destroyed here.
+  Task<void> there;
+  std::thread([&] { there = record(log, 2); }).join();
+  there.resume();
+  there = Task<void>{};
+  // A thread_local built before the thread's pool outlives it: its frame
+  // is released after the pool is gone and goes back to the heap.
+  std::thread([&] {
+    // NOLINTNEXTLINE(nicmcast-thread-nondeterminism): the late-release case under test
+    thread_local std::optional<Task<void>> outlives_pool;
+    outlives_pool.emplace(record(log, 3));
+  }).join();
+  EXPECT_EQ(log, (std::vector<int>{1, 2}));
+  // This thread's pool still serves frames.
+  int out = 0;
+  Task<void> d = driver(out);
+  d.resume();
+  EXPECT_EQ(out, 13);
 }
 
 }  // namespace
