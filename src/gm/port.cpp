@@ -29,7 +29,7 @@ sim::Task<void> Port::pump() {
         if (it == pending_.end()) {
           throw std::logic_error("completion for unknown operation");
         }
-        OpState& op = *it->second;
+        OpState& op = it->second;
         op.status = event.type == nic::HostEvent::Type::kSendFailed
                         ? SendStatus::kFailed
                         : SendStatus::kOk;
@@ -69,10 +69,7 @@ sim::Task<nic::OpHandle> Port::enter_nic(bool takes_token) {
 }
 
 Port::OpState& Port::track(nic::OpHandle handle) {
-  auto op = std::make_unique<OpState>();
-  OpState& state = *op;
-  pending_.emplace(handle, std::move(op));
-  return state;
+  return pending_.try_emplace(handle).first->second;
 }
 
 sim::Task<SendStatus> Port::finish(nic::OpHandle handle, Payload* result) {
@@ -80,7 +77,7 @@ sim::Task<SendStatus> Port::finish(nic::OpHandle handle, Payload* result) {
   if (it == pending_.end()) {
     throw std::logic_error("wait_completion: unknown handle");
   }
-  OpState& state = *it->second;
+  OpState& state = it->second;
   co_await state.done.wait();
   const SendStatus status = state.status;
   if (result) *result = std::move(state.result);

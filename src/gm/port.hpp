@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -163,7 +162,8 @@ class Port {
   net::PortId port_id_;
 
   sim::Channel<RecvMessage> inbox_;
-  std::unordered_map<nic::OpHandle, std::unique_ptr<OpState>> pending_;
+  // Node-based, so an entry stays put while its operation awaits it.
+  std::unordered_map<nic::OpHandle, OpState> pending_;
   sim::Gate token_freed_;
   std::size_t tokens_reserved_ = 0;  // nowait posts still crossing the bus
   nic::OpHandle next_handle_ = 1;  // 0 is the NIC's "no handle" sentinel

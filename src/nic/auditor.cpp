@@ -12,7 +12,7 @@ namespace nicmcast::nic {
 namespace {
 
 // Drain violations are appended to a report that replay tests diff, so
-// they must come out in a stable order; the connection/group tables are
+// they must come out in a stable order; the connection tables are
 // unordered_maps whose iteration order follows the hash seed.
 template <typename Map>
 std::vector<typename Map::key_type> sorted_keys(const Map& map) {
@@ -175,9 +175,8 @@ void ProtocolAuditor::check_drained(const Nic& nic) {
                          ": partially assembled message stalled at drain");
     }
   }
-  for (const net::GroupId group_id : sorted_keys(nic.groups_)) {
-    const auto& group = nic.groups_.at(group_id);
-    const std::string label = "group " + std::to_string(group_id);
+  for (const auto& group : nic.groups_) {  // sorted by id
+    const std::string label = "group " + std::to_string(group.id);
     if (!group.records.empty()) {
       violation(nic, label + ": " + std::to_string(group.records.size()) +
                          " unacked forwarding record(s) at drain");

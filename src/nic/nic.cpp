@@ -124,7 +124,7 @@ void Nic::post_mcast_send(McastSendRequest request) {
     for (std::size_t i = 0, n = packet_count(message.size()); i < n; ++i) {
       const Fragment frag = fragment(message.size(), i);
       sdma_then(frag.length, [this, group_id, message, frag, tag, handle] {
-        GroupState& state = groups_.at(group_id);
+        GroupState& state = group_at(group_id);
         if (state.entry.children.empty()) {
           // Degenerate tree: nothing to transmit, the packet is "delivered".
           op_packet_acked(handle);
@@ -142,7 +142,7 @@ void Nic::post_mcast_send(McastSendRequest request) {
         header.msg_offset = frag.offset;
         header.msg_length = static_cast<std::uint32_t>(message.size());
         header.tag = tag;
-        send_tree_packet(group_id,
+        send_tree_packet(state,
                          SendRecord{.message = message,
                                     .fragment = frag,
                                     .header = header,
@@ -157,29 +157,47 @@ void Nic::post_barrier(net::PortId port, net::GroupId group,
                        OpHandle handle) {
   owned_group("post_barrier", port, group).barrier.enter("post_barrier");
   cpu_.run(config_.ack_processing, [this, group, handle] {
-    TreeRound& barrier = groups_.at(group).barrier;
-    barrier.host_arrived = true;
-    barrier.handle = handle;
-    barrier_check_complete(group);
+    GroupState& state = group_at(group);
+    state.barrier.host_arrived = true;
+    state.barrier.handle = handle;
+    barrier_check_complete(state);
   });
 }
 
 void Nic::post_reduce(net::PortId port, net::GroupId group, Payload data,
                       OpHandle handle) {
-  GroupState& state = owned_group("post_reduce", port, group);
+  ReduceRound& round = owned_group("post_reduce", port, group).reduce;
   if (data.empty() || data.size() % 8 != 0) {
     throw std::invalid_argument("post_reduce: data must be 8-byte lanes");
   }
-  state.reduce.enter("post_reduce");
+  round.enter("post_reduce");
   // The contribution crosses the PCI bus like any send payload.
   sdma_then(data.size(),
             [this, group, data = net::Buffer::take(std::move(data)), handle] {
-    ReduceRound& reduce = groups_.at(group).reduce;
-    reduce_combine(group, data);
-    reduce.host_arrived = true;
-    reduce.handle = handle;
-    reduce_check_complete(group);
+    GroupState& state = group_at(group);
+    reduce_combine(state.reduce, data);
+    state.reduce.host_arrived = true;
+    state.reduce.handle = handle;
+    reduce_check_complete(state);
   });
+}
+
+Nic::GroupState* Nic::find_group(net::GroupId id) {
+  return const_cast<GroupState*>(std::as_const(*this).find_group(id));
+}
+
+const Nic::GroupState* Nic::find_group(net::GroupId id) const {
+  const auto it = std::ranges::lower_bound(groups_, id, {}, &GroupState::id);
+  return it != groups_.end() && it->id == id ? &*it : nullptr;
+}
+
+Nic::GroupState& Nic::group_at(net::GroupId id) {
+  GroupState* group = find_group(id);
+  if (group == nullptr) {
+    throw std::out_of_range("group " + std::to_string(id) +
+                            " is not installed");
+  }
+  return *group;
 }
 
 Nic::GroupState& Nic::owned_group(const char* op, net::PortId port,
@@ -187,15 +205,15 @@ Nic::GroupState& Nic::owned_group(const char* op, net::PortId port,
   if (port >= ports_.size()) {
     throw std::out_of_range(std::string(op) + ": bad port");
   }
-  auto it = groups_.find(group);
-  if (it == groups_.end()) {
+  GroupState* state = find_group(group);
+  if (state == nullptr) {
     throw std::logic_error(std::string(op) + ": unknown group");
   }
-  if (it->second.entry.port != port) {
+  if (state->entry.port != port) {
     throw std::logic_error(std::string(op) + ": protection violation — "
                            "group belongs to another port");
   }
-  return it->second;
+  return *state;
 }
 
 void Nic::post_recv_buffer(RecvBuffer buffer, std::size_t count) {
@@ -207,9 +225,29 @@ void Nic::post_recv_buffer(RecvBuffer buffer, std::size_t count) {
   // receive-path job behind it, so no packet can see a partial batch.
   cpu_.run(config_.recv_token_processing * static_cast<std::int64_t>(count),
            [this, buffer, count] {
-             auto& buffers = port_state(buffer.port).recv_buffers;
-             buffers.insert(buffers.end(), count, buffer);
+             port_state(buffer.port).post_recv_buffers(buffer, count);
            });
+}
+
+void Nic::Port::post_recv_buffers(const RecvBuffer& buffer,
+                                  std::size_t count) {
+  if (!recv_buffers.empty() && recv_buffers.back().buffer == buffer) {
+    recv_buffers.back().count += count;
+  } else {
+    recv_buffers.push_back(RecvRun{buffer, count});
+  }
+  recv_buffers_posted += count;
+}
+
+std::optional<RecvBuffer> Nic::Port::take_recv_buffer(std::size_t bytes) {
+  const auto fit = std::find_if(
+      recv_buffers.begin(), recv_buffers.end(),
+      [&](const RecvRun& run) { return run.buffer.capacity >= bytes; });
+  if (fit == recv_buffers.end()) return std::nullopt;
+  const RecvBuffer buffer = fit->buffer;
+  if (--fit->count == 0) recv_buffers.erase(fit);
+  --recv_buffers_posted;
+  return buffer;
 }
 
 void Nic::set_group(net::GroupId group, GroupEntry entry) {
@@ -224,7 +262,11 @@ void Nic::set_group(net::GroupId group, GroupEntry entry) {
       throw std::logic_error("set_group: node cannot be its own child");
     }
   }
-  GroupState& state = groups_[group];
+  auto it = std::ranges::lower_bound(groups_, group, {}, &GroupState::id);
+  if (it == groups_.end() || it->id != group) {
+    it = groups_.insert(it, GroupState{.id = group});
+  }
+  GroupState& state = *it;
   if (!state.records.empty() || has_deferred_forward(group) ||
       (state.assembly && !state.assembly->fully_received())) {
     throw std::logic_error("set_group: group has traffic in flight");
@@ -240,23 +282,23 @@ void Nic::set_group(net::GroupId group, GroupEntry entry) {
 }
 
 bool Nic::has_group(net::GroupId group) const {
-  return groups_.contains(group);
+  return find_group(group) != nullptr;
 }
 
 void Nic::remove_group(net::GroupId group) {
-  auto it = groups_.find(group);
-  if (it == groups_.end()) return;
+  GroupState* state = find_group(group);
+  if (state == nullptr) return;
   // A forward stalled on send-token exhaustion (ablation mode) is traffic
   // in flight too: erasing the group under it would leave the deferred
   // entry pointing at nothing and crash the token-release restart path.
-  if (!it->second.records.empty() || has_deferred_forward(group) ||
-      (it->second.assembly && !it->second.assembly->fully_received())) {
+  if (!state->records.empty() || has_deferred_forward(group) ||
+      (state->assembly && !state->assembly->fully_received())) {
     throw std::logic_error("remove_group: group has traffic in flight");
   }
-  sim_.cancel(it->second.timer);
-  sim_.cancel(it->second.barrier.resend_timer);
-  sim_.cancel(it->second.reduce.resend_timer);
-  groups_.erase(it);
+  sim_.cancel(state->timer);
+  sim_.cancel(state->barrier.resend_timer);
+  sim_.cancel(state->reduce.resend_timer);
+  groups_.erase(groups_.begin() + (state - groups_.data()));
 }
 
 bool Nic::has_deferred_forward(net::GroupId group) const {
@@ -267,7 +309,7 @@ bool Nic::has_deferred_forward(net::GroupId group) const {
 }
 
 void Nic::debug_set_group_seq(net::GroupId group, SeqNum seq) {
-  GroupState& state = groups_.at(group);
+  GroupState& state = group_at(group);
   state.recv_seq = seq;
   state.send_seq = seq;
   std::fill(state.child_next_acked.begin(), state.child_next_acked.end(),
@@ -285,7 +327,7 @@ std::size_t Nic::send_tokens_available(net::PortId port) const {
 
 std::size_t Nic::recv_buffers_posted(net::PortId port) const {
   const Port* p = ports_.at(port).get();
-  return p ? p->recv_buffers.size() : 0;
+  return p ? p->recv_buffers_posted : 0;
 }
 
 Nic::Port& Nic::port_state(net::PortId port) {
@@ -335,8 +377,9 @@ void Nic::send_message(net::PortId port, NodeList dests,
                    const net::Network::TxTiming& timing) {
               const std::uint64_t key = conn_key(
                   p.header.src_port, p.header.dst, p.header.dst_port);
-              sender_conns_[key].records.touch(p.header.seq, timing.tx_done);
-              arm_conn_timer(key);
+              SenderConn& conn = sender_conns_[key];
+              conn.records.touch(p.header.seq, timing.tx_done);
+              arm_conn_timer(key, conn);
             });
       });
     }
@@ -414,27 +457,29 @@ void Nic::start_replica_chain(DescriptorRef descriptor,
   if (report) report(descriptor->packet, timing);
 }
 
-void Nic::send_tree_packet(net::GroupId group_id, SendRecord record,
+void Nic::send_tree_packet(GroupState& group, SendRecord record,
                            StagingRelease on_forwarded) {
-  GroupState& group = groups_.at(group_id);
   DescriptorRef descriptor = make_descriptor(
       build_packet(record.header, record.message, record.fragment));
   const SeqNum seq = record.header.seq;
   group.records.push_back(seq, sim_.now(), std::move(record));
-  arm_group_timer(group_id);
+  arm_group_timer(group);
   start_replica_chain(
       std::move(descriptor), group.entry.children,
       [](net::Packet& p, net::NodeId dest) { p.header.dst = dest; },
       // The on_transmit closure fires once per replica and lives exactly as
       // long as the chain, so the remaining-replica count rides in a
-      // mutable by-value capture instead of a heap counter.
-      [this, group_id,
+      // mutable by-value capture instead of a heap counter.  Each replica
+      // after the first leaves in a later event, so it finds its group by
+      // id.
+      [this, group_id = group.id,
        replicas_left = static_cast<std::uint32_t>(group.entry.children.size()),
        on_forwarded = std::move(on_forwarded)](
           const net::Packet& p,
           const net::Network::TxTiming& timing) mutable {
-        touch_group_record(group_id, p.header.seq, timing.tx_done);
-        arm_group_timer(group_id);
+        GroupState& state = group_at(group_id);
+        state.records.touch(p.header.seq, timing.tx_done);
+        arm_group_timer(state);
         if (--replicas_left == 0 && on_forwarded.pending()) {
           // The staging buffer is free once the last replica has left the
           // wire (retransmissions refetch from host memory).
@@ -444,13 +489,6 @@ void Nic::send_tree_packet(net::GroupId group_id, SendRecord record,
                            });
         }
       });
-}
-
-void Nic::touch_group_record(net::GroupId group_id, SeqNum seq,
-                             sim::TimePoint sent_at) {
-  auto it = groups_.find(group_id);
-  if (it == groups_.end()) return;
-  it->second.records.touch(seq, sent_at);
 }
 
 // ---------------------------------------------------------------------------
@@ -587,12 +625,12 @@ void Nic::handle_ack(const net::Packet& packet) {
     return seq_before_eq(seq, packet.header.seq);
   });
   sim_.cancel(conn.timer);
-  arm_conn_timer(key);
+  arm_conn_timer(key, conn);
 }
 
 void Nic::handle_mcast_data(const net::Packet& packet) {
-  auto it = groups_.find(packet.header.group);
-  if (it == groups_.end()) {
+  GroupState* found = find_group(packet.header.group);
+  if (found == nullptr) {
     // Demand-driven group creation hasn't reached this node yet; drop
     // without acking, the parent keeps retrying.
     ++stats_.no_token_drops;
@@ -600,7 +638,7 @@ void Nic::handle_mcast_data(const net::Packet& packet) {
           [&] { return "unknown group, dropping " + packet.describe(); });
     return;
   }
-  GroupState& group = it->second;
+  GroupState& group = *found;
   if (!accept_in_order(group.entry.port, group.recv_seq, group.assembly,
                        packet, "mcast")) {
     return;
@@ -627,16 +665,16 @@ void Nic::handle_mcast_data(const net::Packet& packet) {
   if (forwards) {
     // NIC-based forwarding: re-queue towards the children without any
     // host involvement, per-packet (pipelining across the tree).
-    start_forward(packet, std::move(forward_release));
+    start_forward(group, packet, std::move(forward_release));
   }
   accept_payload(group.entry.port, group.assembly, packet,
                  HostEvent::Type::kMcastRecvComplete, std::move(rdma_release));
 }
 
 void Nic::handle_mcast_ack(const net::Packet& packet) {
-  auto it = groups_.find(packet.header.group);
-  if (it == groups_.end()) return;
-  GroupState& group = it->second;
+  GroupState* found = find_group(packet.header.group);
+  if (found == nullptr) return;
+  GroupState& group = *found;
   const auto child = group.child_slot(packet.header.src);
   if (!child) return;  // stale/foreign ack
 
@@ -652,7 +690,7 @@ void Nic::handle_mcast_ack(const net::Packet& packet) {
                        [&](SeqNum n) { return seq_before(seq, n); });
   });
   sim_.cancel(group.timer);
-  arm_group_timer(packet.header.group);
+  arm_group_timer(group);
 }
 
 // ---------------------------------------------------------------------------
@@ -690,7 +728,7 @@ void Nic::handle_ctrl(const net::Packet& packet) {
           // reference to the assembly and release their staging buffers as
           // they land).
           port_state(packet.header.dst_port)
-              .recv_buffers.push_back(conn.assembly->buffer);
+              .post_recv_buffers(conn.assembly->buffer, 1);
           conn.assembly.reset();
         }
         conn.expected_seq = packet.header.seq;
@@ -741,8 +779,7 @@ void Nic::send_ctrl(std::uint64_t key, std::uint32_t subtype, SeqNum seq) {
   });
 }
 
-void Nic::begin_conn_reset(std::uint64_t key) {
-  SenderConn& conn = sender_conns_[key];
+void Nic::begin_conn_reset(std::uint64_t key, SenderConn& conn) {
   conn.ctrl = Ctrl::kReset;
   conn.ctrl_retries = 0;
   conn.ctrl_seq =
@@ -753,11 +790,10 @@ void Nic::begin_conn_reset(std::uint64_t key) {
            " resetting at seq " + std::to_string(conn.ctrl_seq);
   });
   send_ctrl(key, kCtrlResetReq, conn.ctrl_seq);
-  arm_ctrl_timer(key);
+  arm_ctrl_timer(key, conn);
 }
 
-void Nic::arm_ctrl_timer(std::uint64_t key) {
-  SenderConn& conn = sender_conns_[key];
+void Nic::arm_ctrl_timer(std::uint64_t key, SenderConn& conn) {
   if (conn.ctrl_timer) return;
   conn.ctrl_timer = sim_.schedule_after(config_.retransmit_timeout,
                                         [this, key] { ctrl_timeout(key); });
@@ -779,7 +815,7 @@ void Nic::ctrl_timeout(std::uint64_t key) {
   conn.ctrl_seq =
       conn.records.empty() ? conn.next_seq : conn.records.front_seq();
   send_ctrl(key, kCtrlResetReq, conn.ctrl_seq);
-  arm_ctrl_timer(key);
+  arm_ctrl_timer(key, conn);
 }
 
 void Nic::send_ack(const net::Packet& data_packet, SeqNum cumulative_seq) {
@@ -815,16 +851,12 @@ bool Nic::ensure_assembly(net::PortId port, AssemblyRef& slot,
   // GM matches receive buffers by size: take the first posted buffer large
   // enough for the whole message.  No fit => receiver overrun; the sender's
   // Go-back-N retries until the host posts a suitable buffer.
-  auto& buffers = port_state(port).recv_buffers;
-  const auto fit = std::find_if(
-      buffers.begin(), buffers.end(), [&](const RecvBuffer& b) {
-        return b.capacity >= packet.header.msg_length;
-      });
-  if (fit == buffers.end()) return false;
+  const std::optional<RecvBuffer> buffer =
+      port_state(port).take_recv_buffer(packet.header.msg_length);
+  if (!buffer) return false;
   auto assembly =
       std::allocate_shared<Assembly>(sim::PoolAllocator<Assembly>{});
-  assembly->buffer = *fit;
-  buffers.erase(fit);
+  assembly->buffer = *buffer;
   assembly->data.resize(packet.header.msg_length);
   assembly->tag = packet.header.tag;
   slot = std::move(assembly);
@@ -877,9 +909,9 @@ constexpr std::uint32_t kBarrierArrive = 0;
 constexpr std::uint32_t kBarrierRelease = 1;
 }  // namespace
 
-net::Packet Nic::tree_packet(net::PacketType type, net::GroupId group_id,
-                             const GroupState& group, net::NodeId dst,
-                             SeqNum epoch, std::uint32_t subtype) {
+net::Packet Nic::tree_packet(net::PacketType type, const GroupState& group,
+                             net::NodeId dst, SeqNum epoch,
+                             std::uint32_t subtype) {
   net::Packet packet;
   packet.header.type = type;
   packet.header.src = id_;
@@ -887,7 +919,7 @@ net::Packet Nic::tree_packet(net::PacketType type, net::GroupId group_id,
   packet.header.src_port = group.entry.port;
   packet.header.dst_port = group.entry.port;
   packet.header.seq = epoch;
-  packet.header.group = group_id;
+  packet.header.group = group.id;
   packet.header.msg_offset = subtype;
   return packet;
 }
@@ -901,8 +933,8 @@ void Nic::arm_round_timer(TreeRound& round, net::GroupId group_id,
 }
 
 template <typename Round>
-bool Nic::round_retry(net::GroupId group_id, const GroupState& group,
-                      Round& round, std::uint64_t& resends_stat) {
+bool Nic::round_retry(const GroupState& group, Round& round,
+                      std::uint64_t& resends_stat) {
   round.resend_timer.reset();
   if (round.resends < config_.max_retries) {
     ++round.resends;
@@ -912,19 +944,19 @@ bool Nic::round_retry(net::GroupId group_id, const GroupState& group,
   // The parent is unreachable: fail the host's call and stay aligned with
   // the tree's round.  host_posted clears, so the host may re-enter.
   notify_host(group.entry.port, HostEvent::Type::kSendFailed, round.handle,
-              group_id);
+              group.id);
   round.open(round.epoch);
   return false;
 }
 
 void Nic::handle_barrier(const net::Packet& packet) {
-  auto it = groups_.find(packet.header.group);
-  if (it == groups_.end()) {
+  GroupState* found = find_group(packet.header.group);
+  if (found == nullptr) {
     // Group not installed yet (skewed first round); the child's arrive
     // resend recovers once the host programs the table.
     return;
   }
-  GroupState& group = it->second;
+  GroupState& group = *found;
   TreeRound& barrier = group.barrier;
 
   if (packet.header.msg_offset == kBarrierArrive) {
@@ -932,66 +964,62 @@ void Nic::handle_barrier(const net::Packet& packet) {
     if (!child) return;  // stale/foreign arrive
     if (packet.header.seq == barrier.epoch) {
       barrier.child_arrived[*child] = true;
-      barrier_check_complete(packet.header.group);
+      barrier_check_complete(group);
     } else if (seq_before(packet.header.seq, barrier.epoch)) {
       // The child missed our release for a past round: re-release it
       // directly (the release is the implicit ack of the arrive).
       transmit(make_descriptor(
-          tree_packet(net::PacketType::kBarrier, packet.header.group, group,
-                      packet.header.src, packet.header.seq,
-                      kBarrierRelease)));
+          tree_packet(net::PacketType::kBarrier, group, packet.header.src,
+                      packet.header.seq, kBarrierRelease)));
     }
     return;
   }
 
   // Release from the parent.
   if (packet.header.seq != barrier.epoch) return;  // duplicate old release
-  barrier_release(packet.header.group);
+  barrier_release(group);
 }
 
-void Nic::barrier_check_complete(net::GroupId group_id) {
-  GroupState& group = groups_.at(group_id);
+void Nic::barrier_check_complete(GroupState& group) {
   if (!group.barrier.all_arrived()) return;
   if (group.entry.parent == kNoNode) {
     // Root: everyone is in — release the tree.
-    barrier_release(group_id);
+    barrier_release(group);
   } else {
-    barrier_send_arrive(group_id);
+    barrier_send_arrive(group);
   }
 }
 
-void Nic::barrier_send_arrive(net::GroupId group_id) {
-  GroupState& group = groups_.at(group_id);
+void Nic::barrier_send_arrive(GroupState& group) {
   transmit(make_descriptor(
-      tree_packet(net::PacketType::kBarrier, group_id, group,
-                  group.entry.parent, group.barrier.epoch, kBarrierArrive)));
-  arm_round_timer(group.barrier, group_id, &Nic::barrier_resend_timeout);
+      tree_packet(net::PacketType::kBarrier, group, group.entry.parent,
+                  group.barrier.epoch, kBarrierArrive)));
+  arm_round_timer(group.barrier, group.id, &Nic::barrier_resend_timeout);
 }
 
 void Nic::barrier_resend_timeout(net::GroupId group_id) {
-  GroupState& group = groups_.at(group_id);
+  GroupState& group = group_at(group_id);
   // The release advances the epoch and cancels the timer; if we are here
   // the round is still pending — the arrive (or the release) was lost.
-  if (round_retry(group_id, group, group.barrier, stats_.barrier_resends)) {
-    barrier_send_arrive(group_id);
+  if (round_retry(group, group.barrier, stats_.barrier_resends)) {
+    barrier_send_arrive(group);
   }
 }
 
-void Nic::barrier_release(net::GroupId group_id) {
-  GroupState& group = groups_.at(group_id);
+void Nic::barrier_release(GroupState& group) {
   TreeRound& barrier = group.barrier;
   const SeqNum epoch = barrier.epoch;
   sim_.cancel(barrier.resend_timer);
   ++stats_.barriers_completed;
   notify_host(group.entry.port, HostEvent::Type::kBarrierDone, barrier.handle,
-              group_id);
+              group.id);
   barrier.open(epoch + 1);
 
   // Propagate the release down the tree (tiny control packets; children
   // that miss it will keep re-arriving and get a direct re-release).
   if (group.entry.children.empty()) return;
   start_replica_chain(
-      make_descriptor(tree_packet(net::PacketType::kBarrier, group_id, group,
+      make_descriptor(tree_packet(net::PacketType::kBarrier, group,
                                   group.entry.children.front(), epoch,
                                   kBarrierRelease)),
       group.entry.children,
@@ -1002,9 +1030,8 @@ void Nic::barrier_release(net::GroupId group_id) {
 // NIC-level reduction (extension, paper §7)
 // ---------------------------------------------------------------------------
 
-void Nic::reduce_combine(net::GroupId group_id,
+void Nic::reduce_combine(ReduceRound& reduce,
                          const net::Buffer& contribution) {
-  ReduceRound& reduce = groups_.at(group_id).reduce;
   if (reduce.accumulator.empty()) {
     // The accumulator is the one mutable payload in the NIC: it must own
     // its bytes, so the first contribution is copied out of the shared
@@ -1038,9 +1065,9 @@ void Nic::reduce_combine(net::GroupId group_id,
 }
 
 void Nic::handle_reduce(const net::Packet& packet) {
-  auto it = groups_.find(packet.header.group);
-  if (it == groups_.end()) return;  // not installed yet; child resends
-  GroupState& group = it->second;
+  GroupState* found = find_group(packet.header.group);
+  if (found == nullptr) return;  // not installed yet; child resends
+  GroupState& group = *found;
   ReduceRound& reduce = group.reduce;
   const auto child = group.child_slot(packet.header.src);
   if (!child) return;
@@ -1048,8 +1075,8 @@ void Nic::handle_reduce(const net::Packet& packet) {
   if (packet.header.seq == reduce.epoch) {
     if (!reduce.child_arrived[*child]) {
       reduce.child_arrived[*child] = true;
-      reduce_combine(packet.header.group, packet.payload);
-      reduce_check_complete(packet.header.group);
+      reduce_combine(reduce, packet.payload);
+      reduce_check_complete(group);
     }
   } else if (!seq_before(packet.header.seq, reduce.epoch)) {
     // Future epochs are impossible unless our own round lags; ignore — the
@@ -1058,13 +1085,11 @@ void Nic::handle_reduce(const net::Packet& packet) {
   }
   // A duplicate from a completed round (our ack was lost) is re-acked,
   // never re-combined.
-  transmit(make_descriptor(tree_packet(net::PacketType::kReduceAck,
-                                       packet.header.group, group,
+  transmit(make_descriptor(tree_packet(net::PacketType::kReduceAck, group,
                                        packet.header.src, packet.header.seq)));
 }
 
-void Nic::reduce_check_complete(net::GroupId group_id) {
-  GroupState& group = groups_.at(group_id);
+void Nic::reduce_check_complete(GroupState& group) {
   ReduceRound& reduce = group.reduce;
   if (reduce.sent_up || !reduce.all_arrived()) return;
   if (group.entry.parent == kNoNode) {
@@ -1072,27 +1097,27 @@ void Nic::reduce_check_complete(net::GroupId group_id) {
     HostEvent event;
     event.type = HostEvent::Type::kReduceDone;
     event.handle = reduce.handle;
-    event.group = group_id;
+    event.group = group.id;
     event.data = std::move(reduce.accumulator);
     // The result crosses back to host memory.
     const sim::Duration busy =
         config_.dma_startup +
         sim::transfer_time(event.data.size(), config_.host_dma_mbps);
-    rdma_.run(busy, [this, group_id, event = std::move(event)]() mutable {
-      GroupState& g = groups_.at(group_id);
+    rdma_.run(busy, [this, group_id = group.id,
+                     event = std::move(event)]() mutable {
+      GroupState& g = group_at(group_id);
       deliver_event(g.entry.port, std::move(event));
       g.reduce.open(g.reduce.epoch + 1);
     });
     return;
   }
   reduce.sent_up = true;
-  reduce_send_up(group_id);
+  reduce_send_up(group);
 }
 
-void Nic::reduce_send_up(net::GroupId group_id) {
-  GroupState& group = groups_.at(group_id);
+void Nic::reduce_send_up(GroupState& group) {
   ReduceRound& reduce = group.reduce;
-  net::Packet packet = tree_packet(net::PacketType::kReduce, group_id, group,
+  net::Packet packet = tree_packet(net::PacketType::kReduce, group,
                                    group.entry.parent, reduce.epoch);
   packet.header.msg_length =
       static_cast<std::uint32_t>(reduce.accumulator.size());
@@ -1101,29 +1126,29 @@ void Nic::reduce_send_up(net::GroupId group_id) {
   packet.payload = net::Buffer::copy_of(reduce.accumulator);
   stats_.payload_bytes_copied += reduce.accumulator.size();
   transmit(make_descriptor(std::move(packet)));
-  arm_round_timer(reduce, group_id, &Nic::reduce_resend_timeout);
+  arm_round_timer(reduce, group.id, &Nic::reduce_resend_timeout);
 }
 
 void Nic::reduce_resend_timeout(net::GroupId group_id) {
-  GroupState& group = groups_.at(group_id);
+  GroupState& group = group_at(group_id);
   if (!group.reduce.sent_up) {  // acked meanwhile
     group.reduce.resend_timer.reset();
     return;
   }
-  if (round_retry(group_id, group, group.reduce, stats_.reduce_resends)) {
-    reduce_send_up(group_id);
+  if (round_retry(group, group.reduce, stats_.reduce_resends)) {
+    reduce_send_up(group);
   }
 }
 
 void Nic::handle_reduce_ack(const net::Packet& packet) {
-  auto it = groups_.find(packet.header.group);
-  if (it == groups_.end()) return;
-  GroupState& group = it->second;
+  GroupState* found = find_group(packet.header.group);
+  if (found == nullptr) return;
+  GroupState& group = *found;
   ReduceRound& reduce = group.reduce;
   if (packet.header.seq != reduce.epoch || !reduce.sent_up) return;
   sim_.cancel(reduce.resend_timer);
   notify_host(group.entry.port, HostEvent::Type::kSendComplete, reduce.handle,
-              packet.header.group);
+              group.id);
   reduce.open(reduce.epoch + 1);
 }
 
@@ -1131,13 +1156,13 @@ void Nic::handle_reduce_ack(const net::Packet& packet) {
 // NIC-based forwarding
 // ---------------------------------------------------------------------------
 
-void Nic::start_forward(const net::Packet& packet,
+void Nic::start_forward(const GroupState& group, const net::Packet& packet,
                         StagingRelease on_forwarded) {
   bool holds_token = false;
   if (options_.forwarding_uses_send_tokens) {
     // Ablation: the rejected design — forwarding draws from the finite
     // send-token pool and stalls when it is empty.
-    const net::PortId port_id = groups_.at(packet.header.group).entry.port;
+    const net::PortId port_id = group.entry.port;
     Port& port = port_state(port_id);
     if (port.send_tokens_in_use >= config_.send_tokens_per_port) {
       deferred_forwards_.push_back(
@@ -1180,7 +1205,8 @@ void Nic::start_forward(const net::Packet& packet,
         .holds_token = holds_token,
         .holds_rx_buffer = options_.hold_buffers_until_acked};
     record.header.src = id_;  // acks must come back to this hop
-    send_tree_packet(header.group, std::move(record), std::move(on_forwarded));
+    send_tree_packet(group_at(header.group), std::move(record),
+                     std::move(on_forwarded));
   });
 }
 
@@ -1188,8 +1214,7 @@ void Nic::start_forward(const net::Packet& packet,
 // Reliability: timers and retransmission
 // ---------------------------------------------------------------------------
 
-void Nic::arm_conn_timer(std::uint64_t key) {
-  SenderConn& conn = sender_conns_[key];
+void Nic::arm_conn_timer(std::uint64_t key, SenderConn& conn) {
   if (conn.timer || conn.records.empty()) return;
   conn.timer = sim_.schedule_at(
       conn.records.deadline(config_.retransmit_timeout, sim_.now()),
@@ -1202,7 +1227,7 @@ void Nic::conn_timeout(std::uint64_t key) {
   if (conn.records.empty()) return;
 
   if (!conn.records.overdue(config_.retransmit_timeout, sim_.now())) {
-    arm_conn_timer(key);
+    arm_conn_timer(key, conn);
     return;
   }
 
@@ -1214,7 +1239,7 @@ void Nic::conn_timeout(std::uint64_t key) {
     // accepted the abandoned window), so without a resync every later send
     // on this connection would be discarded as out-of-order and fail too —
     // the connection is wedged.  Handshake the receiver forward.
-    begin_conn_reset(key);
+    begin_conn_reset(key, conn);
     return;
   }
   // Go-back-N: retransmit the full outstanding window, refetching each
@@ -1230,24 +1255,23 @@ void Nic::conn_timeout(std::uint64_t key) {
     ++stats_.retransmissions;
     retransmit_record(record.header, record.message, record.fragment);
   }
-  arm_conn_timer(key);
+  arm_conn_timer(key, conn);
 }
 
-void Nic::arm_group_timer(net::GroupId group_id) {
-  GroupState& group = groups_.at(group_id);
+void Nic::arm_group_timer(GroupState& group) {
   if (group.timer || group.records.empty()) return;
   group.timer = sim_.schedule_at(
       group.records.deadline(config_.retransmit_timeout, sim_.now()),
-      [this, group_id] { group_timeout(group_id); });
+      [this, group_id = group.id] { group_timeout(group_id); });
 }
 
 void Nic::group_timeout(net::GroupId group_id) {
-  GroupState& group = groups_.at(group_id);
+  GroupState& group = group_at(group_id);
   group.timer.reset();
   if (group.records.empty()) return;
 
   if (!group.records.overdue(config_.retransmit_timeout, sim_.now())) {
-    arm_group_timer(group_id);
+    arm_group_timer(group);
     return;
   }
 
@@ -1271,7 +1295,7 @@ void Nic::group_timeout(net::GroupId group_id) {
       retransmit_record(header, record.message, record.fragment);
     }
   }
-  arm_group_timer(group_id);
+  arm_group_timer(group);
 }
 
 void Nic::retransmit_record(const net::PacketHeader& header,
@@ -1384,16 +1408,17 @@ void Nic::release_send_token(net::PortId port) {
     // dereferencing a dead group, which used to crash here.
     for (auto it = deferred_forwards_.begin();
          it != deferred_forwards_.end();) {
-      auto group_it = groups_.find(it->packet.header.group);
-      if (group_it == groups_.end()) {
+      const GroupState* group = find_group(it->packet.header.group);
+      if (group == nullptr) {
         finish_staging(it->on_forwarded);  // free the staging buffer
         it = deferred_forwards_.erase(it);
         continue;
       }
-      if (group_it->second.entry.port == port) {
+      if (group->entry.port == port) {
         DeferredForward deferred = std::move(*it);
         deferred_forwards_.erase(it);
-        start_forward(deferred.packet, std::move(deferred.on_forwarded));
+        start_forward(*group, deferred.packet,
+                      std::move(deferred.on_forwarded));
         break;
       }
       ++it;

@@ -23,7 +23,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <span>
@@ -366,6 +365,7 @@ class Nic final : public net::PacketSink {
   };
 
   struct GroupState {
+    net::GroupId id = net::kNoGroup;  // the table's sort key
     GroupEntry entry;
     SeqNum recv_seq = 0;  // next expected from the parent
     SeqNum send_seq = 0;  // next to assign towards the children
@@ -395,10 +395,26 @@ class Nic final : public net::PacketSink {
     std::uint64_t remaining = 0;  // packet-destination acks outstanding
   };
 
+  // `count` equal receive buffers posted back to back.
+  struct RecvRun {
+    RecvBuffer buffer;
+    std::size_t count = 0;
+  };
+
   struct Port {
     sim::Channel<HostEvent> events;
-    std::deque<RecvBuffer> recv_buffers;
+    // Posted receive buffers in post order, equal neighbours merged into
+    // one run: a batch post is one run, and a port with none posted
+    // allocates nothing.
+    std::vector<RecvRun> recv_buffers;
+    std::size_t recv_buffers_posted = 0;  // summed over the runs
     std::size_t send_tokens_in_use = 0;
+
+    /// Appends `count` copies of `buffer`, into the last run when equal.
+    void post_recv_buffers(const RecvBuffer& buffer, std::size_t count);
+    /// Takes the first posted buffer that holds `bytes` (GM matches
+    /// receive buffers by size); nullopt when none does.
+    std::optional<RecvBuffer> take_recv_buffer(std::size_t bytes);
   };
 
   // -- Key packing for connection maps --
@@ -474,12 +490,11 @@ class Nic final : public net::PacketSink {
   /// once the last replica left the wire — a forward's chosen
   /// staging-buffer release point; it holds nothing at the root and in the
   /// naive ablation (the record pins the buffer until all children ack).
-  void send_tree_packet(net::GroupId group_id, SendRecord record,
+  void send_tree_packet(GroupState& group, SendRecord record,
                         StagingRelease on_forwarded);
-  void touch_group_record(net::GroupId group_id, SeqNum seq,
-                          sim::TimePoint sent_at);
-  /// Forwards `packet` to the children of its group.
-  void start_forward(const net::Packet& packet, StagingRelease on_forwarded);
+  /// Forwards `packet` to the children of `group`, its group.
+  void start_forward(const GroupState& group, const net::Packet& packet,
+                     StagingRelease on_forwarded);
 
   // -- Receive path --
   void handle_data(const net::Packet& packet);
@@ -495,37 +510,47 @@ class Nic final : public net::PacketSink {
                        AssemblyRef& assembly, const net::Packet& packet,
                        const char* category);
 
+  // -- Group table --
+  // An event resolves its group once and hands the entry on; a closure
+  // that runs later looks the group up again by id, since a set_group or
+  // remove_group in between may move the table's entries.
+  /// `id`'s entry, or null when the group is not installed.
+  GroupState* find_group(net::GroupId id);
+  const GroupState* find_group(net::GroupId id) const;
+  /// `id`'s entry; throws std::out_of_range when it is not installed.
+  GroupState& group_at(net::GroupId id);
+
   // -- NIC-level tree rounds: barrier and reduction --
   /// The group `port` may post `op` on: the port exists, the group is
   /// installed and the port owns it.
   GroupState& owned_group(const char* op, net::PortId port,
                           net::GroupId group);
-  /// A control packet of `group_id`'s tree towards `dst` for round `epoch`.
-  net::Packet tree_packet(net::PacketType type, net::GroupId group_id,
-                          const GroupState& group, net::NodeId dst,
-                          SeqNum epoch, std::uint32_t subtype = 0);
+  /// A control packet of `group`'s tree towards `dst` for round `epoch`.
+  net::Packet tree_packet(net::PacketType type, const GroupState& group,
+                          net::NodeId dst, SeqNum epoch,
+                          std::uint32_t subtype = 0);
   void arm_round_timer(TreeRound& round, net::GroupId group_id,
                        void (Nic::*on_timeout)(net::GroupId));
   /// A round's resend timer fired.  Returns true, counting the resend in
   /// `resends_stat`, when the caller should resend; after max_retries fails
   /// the host's call and restarts the round at the same epoch instead.
   template <typename Round>
-  bool round_retry(net::GroupId group_id, const GroupState& group,
-                   Round& round, std::uint64_t& resends_stat);
+  bool round_retry(const GroupState& group, Round& round,
+                   std::uint64_t& resends_stat);
 
   // -- NIC-level barrier --
   void handle_barrier(const net::Packet& packet);
-  void barrier_check_complete(net::GroupId group_id);
-  void barrier_send_arrive(net::GroupId group_id);
-  void barrier_release(net::GroupId group_id);
+  void barrier_check_complete(GroupState& group);
+  void barrier_send_arrive(GroupState& group);
+  void barrier_release(GroupState& group);
   void barrier_resend_timeout(net::GroupId group_id);
 
   // -- NIC-level reduction --
   void handle_reduce(const net::Packet& packet);
   void handle_reduce_ack(const net::Packet& packet);
-  void reduce_combine(net::GroupId group_id, const net::Buffer& contribution);
-  void reduce_check_complete(net::GroupId group_id);
-  void reduce_send_up(net::GroupId group_id);
+  void reduce_combine(ReduceRound& reduce, const net::Buffer& contribution);
+  void reduce_check_complete(GroupState& group);
+  void reduce_send_up(GroupState& group);
   void reduce_resend_timeout(net::GroupId group_id);
   void send_ack(const net::Packet& data_packet, SeqNum cumulative_seq);
   // Ensures `slot` holds the assembly for the message `packet` belongs to,
@@ -546,9 +571,9 @@ class Nic final : public net::PacketSink {
 
   // -- kCtrl reset handshake (resync after a max-retries failure) --
   void handle_ctrl(const net::Packet& packet);
-  void begin_conn_reset(std::uint64_t key);
+  void begin_conn_reset(std::uint64_t key, SenderConn& conn);
   void send_ctrl(std::uint64_t key, std::uint32_t subtype, SeqNum seq);
-  void arm_ctrl_timer(std::uint64_t key);
+  void arm_ctrl_timer(std::uint64_t key, SenderConn& conn);
   void ctrl_timeout(std::uint64_t key);
 
   // -- Send records: one lifecycle for connections and groups --
@@ -563,9 +588,11 @@ class Nic final : public net::PacketSink {
   void give_up(net::PortId port, SendWindow<SendRecord>& records);
 
   // -- Reliability --
-  void arm_conn_timer(std::uint64_t key);
+  /// Arms `conn`'s retransmit timer, keyed `key`, unless it is armed or
+  /// the window is empty.
+  void arm_conn_timer(std::uint64_t key, SenderConn& conn);
   void conn_timeout(std::uint64_t key);
-  void arm_group_timer(net::GroupId group_id);
+  void arm_group_timer(GroupState& group);
   void group_timeout(net::GroupId group_id);
   void retransmit_record(const net::PacketHeader& header,
                          const MessageRef& message, Fragment fragment);
@@ -622,11 +649,13 @@ class Nic final : public net::PacketSink {
   // so a NIC pays only for the ports its host opens or its peers address.
   std::array<std::unique_ptr<Port>, kPortsPerNic> ports_;
   // Each table grows from empty as peers appear.  No event path iterates
-  // one: only the auditor walks them, through sorted_keys, so hash order
-  // never reaches event order.
+  // one: only the auditor walks them, the hash maps through sorted_keys,
+  // so hash order never reaches event order.
   std::unordered_map<std::uint64_t, SenderConn> sender_conns_;
   std::unordered_map<std::uint64_t, ReceiverConn> receiver_conns_;
-  std::unordered_map<net::GroupId, GroupState> groups_;
+  // The group table, sorted by id.  A NIC joins one group per
+  // communicator, so it holds a few entries and needs no hash index.
+  std::vector<GroupState> groups_;
   std::unordered_map<OpHandle, PendingOp> pending_ops_;
   // Forwards stalled on send-token exhaustion (ablation mode only).
   struct DeferredForward {

@@ -61,6 +61,8 @@ struct RecvBuffer {
   net::PortId port = 0;
   std::size_t capacity = 0;
   OpHandle handle = 0;
+
+  bool operator==(const RecvBuffer&) const = default;
 };
 
 /// Spanning-tree entry preposted into the NIC group table (paper §5, "the

@@ -19,6 +19,8 @@
 namespace nicmcast::sim {
 
 /// One-shot broadcast event.  Awaits after fire() complete immediately.
+/// The first waiter is held inline, so a trigger with one waiter (an
+/// operation's completion) allocates nothing.
 class Trigger {
  public:
   Trigger() = default;
@@ -30,16 +32,23 @@ class Trigger {
   void fire() {
     if (fired_) return;
     fired_ = true;
-    auto waiters = std::move(waiters_);
-    waiters_.clear();
-    for (auto h : waiters) h.resume();
+    // A resumed waiter may destroy this trigger: take the waiters first.
+    const std::coroutine_handle<> first = std::exchange(first_, nullptr);
+    auto more = std::move(more_);
+    more_.clear();
+    if (first) first.resume();
+    for (auto h : more) h.resume();
   }
 
   struct Awaiter {
     Trigger& trigger;
     bool await_ready() const noexcept { return trigger.fired_; }
     void await_suspend(std::coroutine_handle<> h) {
-      trigger.waiters_.push_back(h);
+      if (trigger.first_) {
+        trigger.more_.push_back(h);
+      } else {
+        trigger.first_ = h;
+      }
     }
     void await_resume() const noexcept {}
   };
@@ -47,7 +56,8 @@ class Trigger {
 
  private:
   bool fired_ = false;
-  std::vector<std::coroutine_handle<>> waiters_;
+  std::coroutine_handle<> first_;  // the first waiter
+  std::vector<std::coroutine_handle<>> more_;  // the rest, in wait order
 };
 
 /// Resettable broadcast event.  release() wakes everyone currently waiting;

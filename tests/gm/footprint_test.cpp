@@ -211,15 +211,58 @@ TEST(Footprint, ClusterStateFollowsTraffic) {
   for (std::size_t node = 0; node < kEndpoints; ++node) {
     cluster.port(node, 0).provide_receive_buffers(31, 4096);
   }
-  const double posted = per_endpoint(live_bytes() - before) - joined;
+  const double queued = per_endpoint(live_bytes() - before);
+  const double posted = queued - joined;
+
+  // Once the jobs have run, the 31 equal buffers are one run in the NIC
+  // port record, which the pump's first poll or the job itself builds.
+  cluster.run();
+  const double stored = per_endpoint(live_bytes() - before) - queued;
 
   std::printf("bytes per endpoint at %zu endpoints: %.0f after construction, "
               "%.0f with port 0 open and one group installed, "
-              "+ %.0f with 31 receive buffers posted\n",
-              kEndpoints, built, joined, posted);
+              "+ %.0f with 31 receive buffers posted, "
+              "+ %.0f once the posts have run\n",
+              kEndpoints, built, joined, posted, stored);
   EXPECT_LE(built, 2048.0);
   EXPECT_LE(joined, 4096.0);
   EXPECT_LE(posted, 512.0);
+  EXPECT_LE(stored, 256.0);
+}
+
+// A zero-byte send has neither a message block nor a host buffer, so what
+// it allocates once warm is its operation's bookkeeping: a node in
+// gm::Port's pending-op map and one in the NIC's.  The completion state
+// lives in the map node, and the trigger holds its one waiter inline.
+TEST(Footprint, SendOperationAllocatesOnlyItsTableNodes) {
+  constexpr int kWarmup = 64;
+  constexpr int kSends = 256;
+  Cluster cluster(ClusterConfig{.nodes = 2});
+  cluster.port(1, 0).provide_receive_buffers(kWarmup + kSends, 64);
+  std::uint64_t first = 0;
+  std::uint64_t last = 0;
+  int failed = 0;
+  cluster.run_on_all([&](Cluster& cl, net::NodeId me) -> sim::Task<void> {
+    Port& port = cl.port(me);
+    for (int i = 0; i < kWarmup + kSends; ++i) {
+      if (me == 1) {
+        static_cast<void>(co_await port.receive());
+        continue;
+      }
+      if (i == kWarmup) first = new_calls();
+      if (co_await port.send(1, 0, Payload{}) != SendStatus::kOk) ++failed;
+    }
+    if (me == 0) last = new_calls();
+  });
+  cluster.run();
+
+  EXPECT_EQ(failed, 0);
+  const double per_send =
+      static_cast<double>(last - first) / static_cast<double>(kSends);
+  std::printf("operator new calls per zero-byte Port::send after %d warm-up "
+              "sends: %.3f over %d sends\n",
+              kWarmup, per_send, kSends);
+  EXPECT_LE(per_send, 2.0);
 }
 
 // A 1,024-endpoint binomial NIC multicast of 512 B: after two warm-up

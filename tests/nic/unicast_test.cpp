@@ -291,6 +291,72 @@ TEST(Unicast, BuffersMatchedBySizeNotFifo) {
   EXPECT_EQ(c.nic(1).recv_buffers_posted(0), 1u);
 }
 
+TEST(Unicast, BufferRunsServeFirstFitInPostOrder) {
+  // Equal buffers posted back to back share one run, yet each buffer is
+  // served first fit in post order, and a kCtrl reset returns an abandoned
+  // message's buffer to the end of the queue.  1 KB packets make a 2 KB
+  // message two packets; 100-us timeouts and 3 retries make 4 drops of its
+  // second packet fail the send and start the reset.
+  NicConfig config;
+  config.max_packet_payload = 1024;
+  config.retransmit_timeout = sim::usec(100);
+  config.max_retries = 3;
+  TestCluster c(2, config);
+  Nic& rx = c.nic(1);
+  const auto post = [&](std::size_t capacity, OpHandle handle,
+                        std::size_t count) {
+    rx.post_recv_buffer(RecvBuffer{0, capacity, handle}, count);
+    c.sim.run();
+    return rx.recv_buffers_posted(0);
+  };
+  EXPECT_EQ(post(16, 10, 1), 1u);
+  EXPECT_EQ(post(4096, 20, 3), 4u);
+  EXPECT_EQ(post(4096, 30, 1), 5u);
+  EXPECT_EQ(post(4096, 20, 3), 8u);
+
+  OpHandle op = 1;
+  // Sends one message and returns the handle of the buffer it landed in.
+  const auto deliver = [&](std::size_t bytes) -> OpHandle {
+    c.nic(0).post_send(SendRequest{0, 1, 0, make_payload(bytes), 0, op++});
+    c.sim.run();
+    EXPECT_EQ(c.drain_events(0).size(), 1u);
+    const auto recv = c.drain_events(1);
+    EXPECT_EQ(recv.size(), 1u);
+    return recv.empty() ? 0 : recv[0].handle;
+  };
+  EXPECT_EQ(deliver(64), 20u);  // the 16 B buffer is too small
+  EXPECT_EQ(rx.recv_buffers_posted(0), 7u);
+  EXPECT_EQ(deliver(8), 10u);
+  EXPECT_EQ(rx.recv_buffers_posted(0), 6u);
+  EXPECT_EQ(deliver(64), 20u);
+  EXPECT_EQ(rx.recv_buffers_posted(0), 5u);
+  EXPECT_EQ(deliver(64), 20u);
+  EXPECT_EQ(rx.recv_buffers_posted(0), 4u);
+
+  // Seqs 0-3 went above; the 2 KB message is seqs 4 and 5.
+  auto faults = std::make_unique<net::ScriptedFaults>();
+  faults->add_rule({.type = net::PacketType::kData, .seq = 5},
+                   net::FaultAction::kDrop, 4);
+  c.network.set_fault_injector(std::move(faults));
+  c.nic(0).post_send(SendRequest{0, 1, 0, make_payload(2048), 0, op++});
+  c.sim.run_for(sim::usec(50));  // seq 4 accepted, before any timeout
+  EXPECT_EQ(rx.recv_buffers_posted(0), 3u);
+  c.sim.run();
+  const auto failed = c.drain_events(0);
+  ASSERT_EQ(failed.size(), 1u);
+  EXPECT_EQ(failed[0].type, HostEvent::Type::kSendFailed);
+  EXPECT_EQ(c.nic(0).stats().conn_resets, 1u);
+  EXPECT_TRUE(c.drain_events(1).empty());
+  EXPECT_EQ(rx.recv_buffers_posted(0), 4u);
+
+  EXPECT_EQ(deliver(64), 20u);
+  EXPECT_EQ(deliver(64), 20u);
+  EXPECT_EQ(deliver(64), 20u);
+  EXPECT_EQ(rx.recv_buffers_posted(0), 1u);
+  EXPECT_EQ(deliver(64), 30u);  // returned behind the second batch
+  EXPECT_EQ(rx.recv_buffers_posted(0), 0u);
+}
+
 TEST(Unicast, NoFittingBufferStallsUntilOnePosted) {
   TestCluster c(2);
   c.post_buffers(1, 4, 16);  // plenty of buffers, all too small

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -20,12 +21,38 @@ TEST(Trigger, FireWakesAllWaitersInOrder) {
   std::vector<int> log;
   Task<void> a = wait_and_log(t, log, 1);
   Task<void> b = wait_and_log(t, log, 2);
+  Task<void> c = wait_and_log(t, log, 3);
   a.resume();
   b.resume();
+  c.resume();
   EXPECT_TRUE(log.empty());
   t.fire();
-  EXPECT_EQ(log, (std::vector<int>{1, 2}));
+  EXPECT_EQ(log, (std::vector<int>{1, 2, 3}));
   EXPECT_TRUE(a.done());
+  EXPECT_TRUE(b.done());
+  EXPECT_TRUE(c.done());
+}
+
+Task<void> wait_then_destroy(std::unique_ptr<Trigger>& t,
+                             std::vector<int>& log) {
+  co_await t->wait();
+  t.reset();
+  log.push_back(1);
+}
+
+TEST(Trigger, FirstWaiterMayDestroyTheTrigger) {
+  // gm::Port erases an operation's completion state, trigger included, as
+  // soon as its waiter resumes; the later waiters must still run.
+  auto t = std::make_unique<Trigger>();
+  Trigger& trigger = *t;
+  std::vector<int> log;
+  Task<void> a = wait_then_destroy(t, log);
+  Task<void> b = wait_and_log(trigger, log, 2);
+  a.resume();
+  b.resume();
+  trigger.fire();
+  EXPECT_EQ(t, nullptr);
+  EXPECT_EQ(log, (std::vector<int>{1, 2}));
   EXPECT_TRUE(b.done());
 }
 
