@@ -236,7 +236,6 @@ void Nic::Port::post_recv_buffers(const RecvBuffer& buffer,
   } else {
     recv_buffers.push_back(RecvRun{buffer, count});
   }
-  recv_buffers_posted += count;
 }
 
 std::optional<RecvBuffer> Nic::Port::take_recv_buffer(std::size_t bytes) {
@@ -246,7 +245,6 @@ std::optional<RecvBuffer> Nic::Port::take_recv_buffer(std::size_t bytes) {
   if (fit == recv_buffers.end()) return std::nullopt;
   const RecvBuffer buffer = fit->buffer;
   if (--fit->count == 0) recv_buffers.erase(fit);
-  --recv_buffers_posted;
   return buffer;
 }
 
@@ -327,7 +325,11 @@ std::size_t Nic::send_tokens_available(net::PortId port) const {
 
 std::size_t Nic::recv_buffers_posted(net::PortId port) const {
   const Port* p = ports_.at(port).get();
-  return p ? p->recv_buffers_posted : 0;
+  std::size_t posted = 0;
+  if (p) {
+    for (const RecvRun& run : p->recv_buffers) posted += run.count;
+  }
+  return posted;
 }
 
 Nic::Port& Nic::port_state(net::PortId port) {
@@ -469,15 +471,16 @@ void Nic::send_tree_packet(GroupState& group, SendRecord record,
       [](net::Packet& p, net::NodeId dest) { p.header.dst = dest; },
       // The on_transmit closure fires once per replica and lives exactly as
       // long as the chain, so the remaining-replica count rides in a
-      // mutable by-value capture instead of a heap counter.  Each replica
-      // after the first leaves in a later event, so it finds its group by
-      // id.
-      [this, group_id = group.id,
+      // mutable by-value capture instead of a heap counter.  The first
+      // replica leaves in this event and uses the group in hand; each later
+      // one leaves in a later event, so it finds its group by id.
+      [this, in_hand = &group,
        replicas_left = static_cast<std::uint32_t>(group.entry.children.size()),
        on_forwarded = std::move(on_forwarded)](
           const net::Packet& p,
           const net::Network::TxTiming& timing) mutable {
-        GroupState& state = group_at(group_id);
+        GroupState& state = in_hand ? *std::exchange(in_hand, nullptr)
+                                    : group_at(p.header.group);
         state.records.touch(p.header.seq, timing.tx_done);
         arm_group_timer(state);
         if (--replicas_left == 0 && on_forwarded.pending()) {

@@ -407,7 +407,6 @@ class Nic final : public net::PacketSink {
     // one run: a batch post is one run, and a port with none posted
     // allocates nothing.
     std::vector<RecvRun> recv_buffers;
-    std::size_t recv_buffers_posted = 0;  // summed over the runs
     std::size_t send_tokens_in_use = 0;
 
     /// Appends `count` copies of `buffer`, into the last run when equal.
@@ -653,8 +652,10 @@ class Nic final : public net::PacketSink {
   // so hash order never reaches event order.
   std::unordered_map<std::uint64_t, SenderConn> sender_conns_;
   std::unordered_map<std::uint64_t, ReceiverConn> receiver_conns_;
-  // The group table, sorted by id.  A NIC joins one group per
-  // communicator, so it holds a few entries and needs no hash index.
+  // The group table, sorted by id.  MPI installs one group per
+  // (communicator, root) a rank takes part in: at most one per NIC in each
+  // suite workload, n after an n-rank allgather.  A lookup is a binary
+  // search; an insert below the largest id moves every later entry.
   std::vector<GroupState> groups_;
   std::unordered_map<OpHandle, PendingOp> pending_ops_;
   // Forwards stalled on send-token exhaustion (ablation mode only).
