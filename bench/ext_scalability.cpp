@@ -337,7 +337,7 @@ void run(const BenchOptions& options) {
 
   print_header(
       "Extension — scale sweep (128 -> 4096-node Clos, radix 16/32)",
-      "Timing-wheel scheduler + lazy interned routes: memory and events/sec "
+      "Timing-wheel scheduler + lazy routes: memory and events/sec "
       "at fabric sizes the eager all-pairs table could not reach.");
   run_scale_sweep(options, results);
 

@@ -38,7 +38,7 @@
 //                     "overflow_scheduled": ..., "overflow_promotions": ...,
 //                     "ready_shifts": ...,
 //                     "routes_materialized": ..., "route_links_stored": ...,
-//                     "route_links_shared": ..., "route_links_scanned": ...,
+//                     "route_links_shared": 0, "route_links_scanned": ...,
 //                     "event_order_hash": "<decimal string: 64-bit exact>",
 //                     "shard_count": ..., "cross_shard_msgs": ...,
 //                     "lbts_rounds": ..., "horizon_stalls": ...,
@@ -46,9 +46,9 @@
 //                     "shard_order_hashes": ["<decimal string>", ...],
 //                     "shard_wheel_occupancy_peak": [...],
 //                     "null_msgs_sent": 0,
-//                     /* channel_spills and null_msgs_sent are always 0;
-//                        blocked_waits is timing-dependent: presence
-//                        gated, value never */
+//                     /* route_links_shared, channel_spills and
+//                        null_msgs_sent are always 0; blocked_waits is
+//                        timing-dependent: presence gated, value never */
 //                     "blocked_waits": ... },
 //         "metrics": { "<name>": <number>, ... }
 //       }, ...

@@ -37,8 +37,10 @@ struct EngineCounters {
   std::uint64_t ready_shifts = 0;          // ready items moved by inserts
   // Lazy route-cache behaviour (net::RouteTable):
   std::uint64_t routes_materialized = 0;   // (src, dst) pairs computed
-  std::uint64_t route_links_stored = 0;    // LinkIds held across arenas
-  std::uint64_t route_links_shared = 0;    // LinkIds reused via interning
+  std::uint64_t route_links_stored = 0;    // LinkIds held across all routes
+  // Always 0: routes share no links.  Kept, with its JSON key, while the
+  // frozen bench/suite still reads it.
+  std::uint64_t route_links_shared = 0;
   std::uint64_t route_links_scanned = 0;   // adjacency entries read on misses
   /// Deterministic FNV fold of the executed (time, seq) event order.  For
   /// sharded runs this is the merged per-shard fold (ShardedEngine::

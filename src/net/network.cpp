@@ -35,7 +35,7 @@ Network::TxTiming Network::transmit(Packet packet) {
                            "not the network");
   }
 
-  const RouteView path = routes_.route(src, dst);
+  const Route& path = routes_.route(src, dst);
   const std::size_t wire_size = packet.wire_size(config_.framing_bytes);
 
   sim::TimePoint inject = sim_.now();

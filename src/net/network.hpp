@@ -69,7 +69,7 @@ struct NetworkConfig {
 /// whole route's v but frees upstream links early behind a busy one.
 inline sim::TimePoint reserve_links(const NetworkConfig& config,
                                     std::vector<sim::TimePoint>& link_free,
-                                    const RouteView& path, std::size_t begin,
+                                    const Route& path, std::size_t begin,
                                     std::size_t end, sim::TimePoint inject,
                                     std::size_t wire_bytes) {
   sim::TimePoint v = inject;
@@ -126,7 +126,7 @@ class Network {
   [[nodiscard]] const NetworkStats& stats() const { return stats_; }
   [[nodiscard]] const Topology& topology() const { return topology_; }
   [[nodiscard]] const NetworkConfig& config() const { return config_; }
-  /// Lazy route-cache counters (materialized pairs, arena sharing).
+  /// Lazy route-cache counters (materialized pairs, stored links).
   [[nodiscard]] const RouteTableStats& route_stats() const {
     return routes_.stats();
   }
@@ -135,7 +135,7 @@ class Network {
   sim::Simulator& sim_;
   Topology topology_;
   NetworkConfig config_;
-  RouteTable routes_;  // lazy interned per-source route cache
+  RouteTable routes_;  // lazy route cache: one entry per pair used
   std::vector<sim::TimePoint> link_free_at_;     // per-link occupancy
   std::vector<PacketSink*> sinks_;
   std::unique_ptr<FaultInjector> faults_;

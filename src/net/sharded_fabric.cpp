@@ -169,7 +169,7 @@ void ShardedFabric::send_data(NodeId from, NodeId to, std::int32_t iter,
   const std::size_t wire = train_wire_bytes();
   if (kNet.bypasses(wire)) {
     // Control-sized data: flit-interleaved, no path reservation.
-    const RouteView path = st.routes.route(from, to);
+    const Route& path = st.routes.route(from, to);
     engine_->post(me, shard_of(to), kNet.arrival(inject, path.size(), wire),
                   [this, from, to, iter, attempt,
                    payload = payload_.slice(0, options_.message_bytes)] {
@@ -185,10 +185,9 @@ void ShardedFabric::continue_segment(std::uint32_t owner, NodeId from,
                                      NodeId to, std::size_t seg,
                                      sim::TimePoint inject, std::int32_t iter,
                                      std::uint32_t attempt) {
-  // Route lookup from the executing shard's own table: recomputing here is
-  // cheaper and safer than shipping RouteViews across threads (the owning
-  // arena mutates under later lookups).
-  const RouteView path = shards_[owner]->routes.route(from, to);
+  // Route lookup from the executing shard's own table: a lookup inserts on
+  // a miss, so one table shared by the shard threads would race.
+  const Route& path = shards_[owner]->routes.route(from, to);
 
   // Owner-maximal segment [seg, end): all consecutive links this shard owns.
   std::size_t end = seg + 1;

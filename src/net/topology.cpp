@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <limits>
 #include <queue>
+#include <utility>
 
 namespace nicmcast::net {
 
 namespace {
 constexpr VertexId kNoVertex = std::numeric_limits<VertexId>::max();
 constexpr LinkId kNoLink = std::numeric_limits<LinkId>::max();
+constexpr Route kSelfRoute{};  // a NIC reaches itself without the fabric
 }  // namespace
 
 Route Topology::route(NodeId from, NodeId to) const {
@@ -50,59 +52,6 @@ Route Topology::route(NodeId from, NodeId to) const {
   }
   std::reverse(path.begin(), path.end());
   return path;
-}
-
-std::vector<std::vector<Route>> Topology::all_routes() const {
-  // One full BFS per *source* instead of one per pair: the BFS exploration
-  // order is deterministic, so the predecessor tree — and every extracted
-  // route — is bit-identical to what per-pair route() calls produce, at
-  // 1/endpoint_count the cost.  Cluster construction runs this for every
-  // simulated network, so it is on the benchmark setup path.
-  std::vector<std::vector<LinkId>> adjacency(vertex_count_);
-  for (LinkId id = 0; id < links_.size(); ++id) {
-    // Links appended in id order keep each vertex's out-links in increasing
-    // id order — the same order the per-pair BFS discovers them in.
-    adjacency[links_[id].from].push_back(id);
-  }
-
-  std::vector<std::vector<Route>> out(endpoint_count_);
-  std::vector<LinkId> via(vertex_count_);
-  std::vector<VertexId> prev(vertex_count_);
-  for (NodeId from = 0; from < endpoint_count_; ++from) {
-    std::fill(via.begin(), via.end(), kNoLink);
-    std::fill(prev.begin(), prev.end(), kNoVertex);
-    std::queue<VertexId> frontier;
-    frontier.push(from);
-    prev[from] = from;
-    while (!frontier.empty()) {
-      const VertexId v = frontier.front();
-      frontier.pop();
-      if (v != from && is_endpoint(v)) continue;  // endpoints terminate paths
-      for (const LinkId id : adjacency[v]) {
-        const LinkDesc& l = links_[id];
-        if (prev[l.to] != kNoVertex) continue;
-        prev[l.to] = v;
-        via[l.to] = id;
-        frontier.push(l.to);
-      }
-    }
-
-    out[from].resize(endpoint_count_);
-    for (NodeId to = 0; to < endpoint_count_; ++to) {
-      if (to == from) continue;
-      if (prev[to] == kNoVertex) {
-        throw std::runtime_error("no route between endpoints " +
-                                 std::to_string(from) + " and " +
-                                 std::to_string(to));
-      }
-      Route& path = out[from][to];
-      for (VertexId v = to; v != from; v = prev[v]) {
-        path.push_back(via[v]);
-      }
-      std::reverse(path.begin(), path.end());
-    }
-  }
-  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -228,23 +177,21 @@ VertexId RouteTable::search(NodeId from, NodeId to) {
                            std::to_string(to));
 }
 
-RouteView RouteTable::route(NodeId from, NodeId to) {
+RouteTable::~RouteTable() = default;
+
+const Route& RouteTable::route(NodeId from, NodeId to) {
   if (from >= topo_->endpoint_count() || to >= topo_->endpoint_count()) {
     throw std::out_of_range("route: endpoint id out of range");
   }
-  if (from == to) return {};
-  if (sources_.empty()) sources_.resize(topo_->endpoint_count());
-  auto& sp = sources_[from];
-  if (!sp) {
-    sp = std::make_unique<SourceRoutes>();
-    ++stats_.sources_touched;
-  }
-  const auto it = sp->by_dst.find(to);
-  if (it != sp->by_dst.end()) return view_of(*sp, it->second);
-  return materialize(from, to, *sp);
+  if (from == to) return kSelfRoute;
+  const std::uint64_t key = (std::uint64_t{from} << 32) | to;
+  const auto it = routes_.find(key);
+  if (it != routes_.end()) return it->second;
+  return materialize(from, to, key);
 }
 
-RouteView RouteTable::materialize(NodeId from, NodeId to, SourceRoutes& sr) {
+const Route& RouteTable::materialize(NodeId from, NodeId to,
+                                     std::uint64_t key) {
   const VertexId meet = search(from, to);
   Route links;  // links[i] enters the path's vertex i + 1
   for (VertexId v = meet; v != from; v = topo_->link(links.back()).from) {
@@ -254,44 +201,9 @@ RouteView RouteTable::materialize(NodeId from, NodeId to, SourceRoutes& sr) {
   for (VertexId v = meet; v != to; v = topo_->link(links.back()).to) {
     links.push_back(marks_[v].next);
   }
-  const std::size_t hops = links.size();
-  const auto vertex = [&](std::size_t j) {
-    return topo_->link(links[j - 1]).to;
-  };
-
-  // Longest interned prefix: the deepest on-path switch whose route from
-  // this source is already in the arena.  Every destination behind the same
-  // last switch shares that span.
-  Entry entry;
-  std::size_t shared = 0;  // links covered by the interned head
-  for (std::size_t j = hops; j-- > 1;) {
-    const auto hit = sr.prefix_of.find(vertex(j));
-    if (hit != sr.prefix_of.end()) {
-      entry.head = hit->second;
-      shared = j;
-      break;
-    }
-  }
-
-  entry.tail.off = static_cast<std::uint32_t>(sr.arena.size());
-  entry.tail.len = static_cast<std::uint32_t>(hops - shared);
-  for (std::size_t i = shared; i < hops; ++i) sr.arena.push_back(links[i]);
-  stats_.links_stored += hops - shared;
-  stats_.links_shared += shared;
-
-  if (shared == 0) {
-    // The whole route is contiguous: intern every proper prefix ending at a
-    // switch so later destinations behind those switches can share it.
-    for (std::size_t j = 1; j < hops; ++j) {
-      sr.prefix_of.emplace(vertex(j),
-                           Span{entry.tail.off, static_cast<std::uint32_t>(j)});
-    }
-  }
-
   ++stats_.routes_materialized;
-  const auto [pos, inserted] = sr.by_dst.emplace(to, entry);
-  (void)inserted;
-  return view_of(sr, pos->second);
+  stats_.links_stored += links.size();
+  return routes_.emplace(key, std::move(links)).first->second;
 }
 
 Topology Topology::single_switch(std::size_t n) {

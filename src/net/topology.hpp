@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -85,13 +84,9 @@ class Topology {
 
   /// Computes the shortest route (fewest links) between two endpoints via
   /// BFS.  Direct endpoint-to-endpoint cables are allowed (back-to-back
-  /// two-node setups).  Throws if no path exists.
+  /// two-node setups).  Throws if no path exists.  The reference the lazy
+  /// RouteTable below is tested against; the data path never calls it.
   [[nodiscard]] Route route(NodeId from, NodeId to) const;
-
-  /// All-pairs routes between endpoints; routes[i][j].  O(n^2 * hops)
-  /// memory — reference implementation for tests and small topologies; the
-  /// simulation data path uses the lazy interned RouteTable below.
-  [[nodiscard]] std::vector<std::vector<Route>> all_routes() const;
 
   // ---- Canned topologies ----
 
@@ -121,54 +116,17 @@ class Topology {
 /// net::EngineCounters so the scale benches can record route memory).
 struct RouteTableStats {
   std::uint64_t routes_materialized = 0;  // distinct (src, dst) pairs computed
-  std::uint64_t sources_touched = 0;      // sources with >= 1 route
-  std::uint64_t links_stored = 0;         // LinkIds held across all arenas
-  std::uint64_t links_shared = 0;         // LinkIds reused via interned spans
+  std::uint64_t links_stored = 0;         // LinkIds held across all routes
+  // Always 0: routes share no links.  Kept while the frozen bench/suite
+  // still reads it.
+  std::uint64_t links_shared = 0;
   std::uint64_t links_scanned = 0;        // adjacency entries read on misses
 };
 
-/// A materialized source route: a view over (up to) two contiguous spans of
-/// a RouteTable arena — an interned shared prefix (the path to the last
-/// switch, shared by every destination behind it) plus this destination's
-/// tail links.  Offsets into the owning arena stay valid as the arena grows,
-/// so views remain usable across later route() calls on the same table.
-class RouteView {
- public:
-  RouteView() = default;
-  [[nodiscard]] std::size_t size() const { return head_len_ + tail_len_; }
-  [[nodiscard]] bool empty() const { return size() == 0; }
-  [[nodiscard]] LinkId operator[](std::size_t i) const {
-    return i < head_len_ ? (*arena_)[head_off_ + i]
-                         : (*arena_)[tail_off_ + (i - head_len_)];
-  }
-  /// Materializes a plain Route (tests/debugging; the data path never does).
-  [[nodiscard]] Route to_route() const {
-    Route r;
-    r.reserve(size());
-    for (std::size_t i = 0; i < size(); ++i) r.push_back((*this)[i]);
-    return r;
-  }
-
- private:
-  friend class RouteTable;
-  RouteView(const std::vector<LinkId>* arena, std::uint32_t head_off,
-            std::uint32_t head_len, std::uint32_t tail_off,
-            std::uint32_t tail_len)
-      : arena_(arena),
-        head_off_(head_off),
-        head_len_(head_len),
-        tail_off_(tail_off),
-        tail_len_(tail_len) {}
-  const std::vector<LinkId>* arena_ = nullptr;
-  std::uint32_t head_off_ = 0;
-  std::uint32_t head_len_ = 0;
-  std::uint32_t tail_off_ = 0;
-  std::uint32_t tail_len_ = 0;
-};
-
-/// Lazy, interned source-route cache replacing the old eagerly-built
-/// all-pairs `vector<vector<Route>>` (O(n^2 * hops) memory and setup time —
-/// the scaling blocker for 4096-node fabrics).
+/// Lazy source-route cache: a pair's route is computed on its first use and
+/// stored once, whole, in one hash map keyed by the pair.  An all-pairs
+/// table costs O(n^2 * hops) memory and setup time; a run holds only the
+/// routes its traffic uses.
 ///
 /// A pair's route is the one Topology::route()'s BFS finds: of the shortest
 /// paths whose interior vertices are all switches, the one whose sequence of
@@ -185,36 +143,23 @@ class RouteView {
 /// Per-vertex marks carry the stamp of the level that set them, so a miss
 /// never resets state sized by the graph: it costs the adjacency entries its
 /// levels read (at most 34 for any route of a radix-16 Clos, at any size).
-///
-/// Per source, routes live in a compressed arena: the path to a
-/// destination's last switch is interned once (keyed by switch vertex) and
-/// shared by every destination behind it; each additional destination
-/// stores only its tail links.
 class RouteTable {
  public:
   explicit RouteTable(const Topology& topology) : topo_(&topology) {}
+  /// Out of line: its owners' implicit destructors call it instead of each
+  /// inlining the map's teardown.
+  ~RouteTable();
 
   /// The (possibly cached) route from `from` to `to`.  Lazy: first use
-  /// materializes, later uses are a hash lookup.  Throws like
-  /// Topology::route on bad ids or unreachable destinations.
-  [[nodiscard]] RouteView route(NodeId from, NodeId to);
+  /// materializes, later uses are a hash lookup.  Map nodes never move, so
+  /// the reference stays valid through later misses, for the table's
+  /// lifetime.  Throws like Topology::route on bad ids or unreachable
+  /// destinations.
+  [[nodiscard]] const Route& route(NodeId from, NodeId to);
 
   [[nodiscard]] const RouteTableStats& stats() const { return stats_; }
 
  private:
-  struct Span {
-    std::uint32_t off = 0;
-    std::uint32_t len = 0;
-  };
-  struct Entry {
-    Span head;  // interned shared prefix (may be empty)
-    Span tail;  // this destination's own links
-  };
-  struct SourceRoutes {
-    std::vector<LinkId> arena;
-    std::unordered_map<NodeId, Entry> by_dst;
-    std::unordered_map<VertexId, Span> prefix_of;  // switch -> interned span
-  };
   /// Compressed sparse rows: vertex v's links are
   /// links[begin[v] .. begin[v + 1]), in increasing id order.
   struct Adjacency {
@@ -230,18 +175,13 @@ class RouteTable {
     LinkId next = 0;  // lowest-id link from it into the backward level below
   };
 
-  RouteView view_of(const SourceRoutes& sr, const Entry& e) const {
-    return RouteView(&sr.arena, e.head.off, e.head.len, e.tail.off,
-                     e.tail.len);
-  }
-
   static Adjacency adjacency(const Topology& topology, VertexId LinkDesc::*end);
   VertexId search(NodeId from, NodeId to);
-  RouteView materialize(NodeId from, NodeId to, SourceRoutes& sr);
+  const Route& materialize(NodeId from, NodeId to, std::uint64_t key);
 
   const Topology* topo_;
-  std::vector<std::unique_ptr<SourceRoutes>> sources_;  // lazily allocated
-  // Built once, on the first miss, and shared by every source.
+  std::unordered_map<std::uint64_t, Route> routes_;  // (from << 32) | to
+  // Built once, on the first miss.
   Adjacency out_;
   Adjacency in_;
   std::vector<Mark> marks_;

@@ -1430,10 +1430,8 @@ void Nic::release_send_token(net::PortId port) {
 }
 
 void Nic::emit_trace(const char* category, const std::string& message) {
-  if (sim_.tracer().enabled(category)) {
-    sim_.tracer().emit(sim_.now(), category,
-                       "node" + std::to_string(id_) + ".nic", message);
-  }
+  sim_.tracer().emit(sim_.now(), category,
+                     "node" + std::to_string(id_) + ".nic", message);
 }
 
 }  // namespace nicmcast::nic

@@ -26,22 +26,14 @@ struct TraceRecord {
 
 class Tracer {
  public:
-  /// Enables a category ("*" enables everything).
   void enable(std::string_view category) {
     enabled_.insert(std::string(category));
-  }
-  void disable(std::string_view category) {
-    if (auto it = enabled_.find(category); it != enabled_.end()) {
-      enabled_.erase(it);
-    }
   }
 
   /// Heterogeneous (string_view) lookup: the disabled-tracer fast path and
   /// every emit() check run without constructing a std::string.
   [[nodiscard]] bool enabled(std::string_view category) const {
-    return !enabled_.empty() &&
-           (enabled_.contains(std::string_view("*")) ||
-            enabled_.contains(category));
+    return !enabled_.empty() && enabled_.contains(category);
   }
 
   /// Streams records live instead of (or in addition to) retaining them.
@@ -64,17 +56,6 @@ class Tracer {
 
   [[nodiscard]] const std::vector<TraceRecord>& records() const {
     return records_;
-  }
-  void clear() { records_.clear(); }
-
-  /// Count of retained records whose message contains `needle`
-  /// (test helper: "was a retransmission traced?").
-  [[nodiscard]] std::size_t count_matching(std::string_view needle) const {
-    std::size_t n = 0;
-    for (const auto& r : records_) {
-      if (r.message.find(needle) != std::string::npos) ++n;
-    }
-    return n;
   }
 
  private:

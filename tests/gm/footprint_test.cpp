@@ -1,5 +1,6 @@
-// Per-endpoint heap footprint of the classic stack, per-channel footprint
-// of the sharded engine, and heap allocations per delivered message.
+// Per-endpoint heap footprint of the classic stack, per-route footprint of
+// the route cache, per-channel footprint of the sharded engine, and heap
+// allocations per delivered message.
 //
 // The binary replaces every global operator new/delete form with one that
 // counts live bytes and calls, so the test can state how much a
@@ -26,11 +27,13 @@
 #include <memory>
 #include <new>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "gm/cluster.hpp"
 #include "mcast/bcast.hpp"
 #include "mcast/tree.hpp"
+#include "net/topology.hpp"
 #include "sim/sharded_engine.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sync.hpp"
@@ -228,6 +231,52 @@ TEST(Footprint, ClusterStateFollowsTraffic) {
   EXPECT_LE(joined, 4096.0);
   EXPECT_LE(posted, 512.0);
   EXPECT_LE(stored, 256.0);
+}
+
+// A route costs one entry of RouteTable's map: a node holding the pair's
+// key and link vector, the links themselves, and a share of the buckets.
+// The table's adjacency and search marks are sized by the graph and built
+// by the first miss, so they are measured before the routes are.
+TEST(Footprint, RouteCostsOneTableEntry) {
+  const net::Topology topology = net::Topology::clos(kEndpoints, 16);
+  std::vector<net::NodeId> dests(kEndpoints - 1);
+  std::iota(dests.begin(), dests.end(), net::NodeId{1});
+  const mcast::Tree tree = mcast::build_binomial_tree(0, std::move(dests));
+
+  using Pairs = std::vector<std::pair<net::NodeId, net::NodeId>>;
+  Pairs multisend;  // the root's data to each destination, then its ack
+  for (net::NodeId d = 1; d < kEndpoints; ++d) {
+    multisend.emplace_back(0, d);
+    multisend.emplace_back(d, 0);
+  }
+  Pairs binomial;  // each tree edge, down and back up
+  for (const net::NodeId parent : tree.nodes()) {
+    for (const net::NodeId child : tree.children(parent)) {
+      binomial.emplace_back(parent, child);
+      binomial.emplace_back(child, parent);
+    }
+  }
+
+  const auto bytes_per_route = [&](const Pairs& pairs) {
+    net::RouteTable table(topology);
+    static_cast<void>(table.route(pairs.front().first, pairs.front().second));
+    const std::int64_t before = live_bytes();
+    for (const auto& [from, to] : pairs) {
+      static_cast<void>(table.route(from, to));
+    }
+    const std::uint64_t routes = table.stats().routes_materialized - 1;
+    EXPECT_EQ(routes, pairs.size() - 1);
+    return static_cast<double>(live_bytes() - before) /
+           static_cast<double>(routes);
+  };
+  const double multisend_bytes = bytes_per_route(multisend);
+  const double binomial_bytes = bytes_per_route(binomial);
+  std::printf("heap bytes per route at %zu endpoints: %.0f for multisend's "
+              "%zu routes, %.0f for the binomial tree's %zu\n",
+              kEndpoints, multisend_bytes, multisend.size(), binomial_bytes,
+              binomial.size());
+  EXPECT_LE(multisend_bytes, 128.0);
+  EXPECT_LE(binomial_bytes, 128.0);
 }
 
 // A zero-byte send has neither a message block nor a host buffer, so what

@@ -125,7 +125,7 @@ TEST(ChannelModel, SegmentedReservationMatchesWholeRouteUpToUpstreamRelease) {
   // segmented reservation frees the upstream link early.
   const Topology topo = Topology::clos(8, 4);
   RouteTable routes(topo);
-  const RouteView path = routes.route(0, 6);  // cross-leaf: 4 links
+  const Route& path = routes.route(0, 6);  // cross-leaf: 4 links
   ASSERT_EQ(path.size(), 4u);
   const NetworkConfig config;
   const std::size_t wire = 4096 + config.framing_bytes;

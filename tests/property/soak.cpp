@@ -393,7 +393,7 @@ SoakResult run_soak(const SoakSpec& spec) {
   result.engine = collected.engine;
   // The workload is tree- and pair-structured, so the lazy RouteTable must
   // never end up computing the full all-pairs table; if it does, something
-  // reintroduced an eager all_routes()-style walk.
+  // reintroduced an eager walk over every source and destination.
   const std::uint64_t full_pairs =
       static_cast<std::uint64_t>(spec.nodes) * (spec.nodes - 1);
   if (spec.nodes >= 8 && result.engine.routes_materialized >= full_pairs) {
